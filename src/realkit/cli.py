@@ -1,9 +1,10 @@
 """Command-line front end: JSON instances in, deterministic JSON reports out.
 
 Exit codes: 0 feasible/pass, 1 infeasible/fail, 2 invalid input,
-3 indeterminate. Reports are byte-identical across reruns with identical
-inputs, seeds and flags: numbers are serialised as exact decimal or
-fraction strings, keys are sorted, and no timestamps are embedded.
+3 indeterminate, 4 internal error (the report then has status "error").
+Reports are byte-identical across reruns with identical inputs, seeds and
+flags: numbers are serialised as exact decimal or fraction strings, keys
+are sorted, and no timestamps are embedded.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
+import traceback
 from fractions import Fraction
 
 import numpy as np
@@ -61,6 +62,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INVALID = 2
 EXIT_INDETERMINATE = 3
+EXIT_ERROR = 4
 
 _STATUS_EXIT = {
     "feasible": EXIT_OK,
@@ -70,19 +72,6 @@ _STATUS_EXIT = {
     "invalid": EXIT_INVALID,
     "indeterminate": EXIT_INDETERMINATE,
 }
-
-
-def _threads_cap() -> int | None:
-    """REALKIT_THREADS caps internal parallelism; this build runs every
-    operation sequentially, so the cap is honoured trivially and results
-    never depend on it."""
-    raw = os.environ.get("REALKIT_THREADS")
-    if raw is None:
-        return None
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return None
 
 
 def _digest(path: str) -> str:
@@ -641,23 +630,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error_report(command: str, status: str, exc: Exception) -> dict:
+    return {
+        "command": command,
+        "status": status,
+        "payload": {"error": str(exc)},
+        "version": __version__,
+        "input_digest": {},
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _threads_cap()
     try:
         report, code = args.func(args)
     except RealkitError as exc:
-        report = {
-            "command": args.command,
-            "status": "invalid",
-            "payload": {"error": str(exc)},
-            "version": __version__,
-            "input_digest": {},
-        }
-        _emit(report, args.out)
+        _emit(_error_report(args.command, "invalid", exc), args.out)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except Exception as exc:
+        # a fault of the program, not a verdict: never let it exit as 1 (infeasible)
+        _emit(_error_report(args.command, "error", exc), args.out)
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_ERROR
     _emit(report, args.out)
     return code
 

@@ -29,6 +29,7 @@ from .errors import CapExceeded, InvalidInstance
 from .lp import exact_simplex, float_phase1, solve_nonneg_exact
 from .metric import Configuration, FiniteMetricSpace
 from .numbers import INF, parse_rational
+from .qubo import pair_list
 
 ENUM_LIMIT = 2_000_000
 
@@ -236,17 +237,17 @@ def check_hardcore_support(
     return (not offenders), offenders
 
 
-def _forbidden_pairs(target: CorrelationTarget) -> set[tuple[int, int]]:
+def _forbidden_pairs(
+    n: int, space: FiniteMetricSpace | None, eps: Fraction | None, strict: bool
+) -> set[tuple[int, int]]:
     """Unordered point pairs that an admissible support may not contain."""
-    if target.hardcore_eps is None:
+    if eps is None:
         return set()
-    space = target.space
-    eps = target.hardcore_eps
     return {
         (i, j)
-        for i in range(target.n)
-        for j in range(i + 1, target.n)
-        if (space.dist[i][j] <= eps if target.hardcore_strict else space.dist[i][j] < eps)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if (space.dist[i][j] <= eps if strict else space.dist[i][j] < eps)
     }
 
 
@@ -264,15 +265,10 @@ def enumerate_configs(
     if hardcore_eps is not None and space is None:
         raise InvalidInstance("hard-core enumeration needs the metric space")
     per_point = 1 if (simple or hardcore_eps is not None) else cap
-    forbidden = set()
-    if hardcore_eps is not None:
-        eps = hardcore_eps if isinstance(hardcore_eps, Fraction) else parse_rational(hardcore_eps)
-        forbidden = {
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if (space.dist[i][j] <= eps if hardcore_strict else space.dist[i][j] < eps)
-        }
+    eps = hardcore_eps
+    if eps is not None and not isinstance(eps, Fraction):
+        eps = parse_rational(eps)
+    forbidden = _forbidden_pairs(n, space, eps, hardcore_strict)
     out: list[Configuration] = []
 
     def extend(prefix: list[int], mass_left: int) -> None:
@@ -295,14 +291,10 @@ def enumerate_configs(
     return out
 
 
-def _pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i, n)]
-
-
 def _config_column(config: Configuration, n: int, with_intensity: bool) -> list[Fraction]:
     m = config.multiplicity
     col = []
-    for i, j in _pairs(n):
+    for i, j in pair_list(n):
         col.append(Fraction(m[i] * (m[i] - 1)) if i == j else Fraction(m[i] * m[j]))
     if with_intensity:
         col.extend(Fraction(v) for v in m)
@@ -311,7 +303,7 @@ def _config_column(config: Configuration, n: int, with_intensity: bool) -> list[
 
 
 def _target_rhs(target: CorrelationTarget) -> list[Fraction]:
-    b = [target.rho_value(i, j) for i, j in _pairs(target.n)]
+    b = [target.rho_value(i, j) for i, j in pair_list(target.n)]
     if target.rho1 is not None:
         b.extend(target.rho1)
     b.append(Fraction(1))
@@ -371,7 +363,7 @@ def _certificate_from_dual(
     """Exact certificate from a (possibly float) Farkas vector for the
     moment rows (+ intensity rows when present)."""
     n = target.n
-    pairs = _pairs(n)
+    pairs = pair_list(n)
     np_pairs = len(pairs)
     a = [[Fraction(0)] * n for _ in range(n)]
     for (i, j), yv in zip(pairs, y[:np_pairs]):
@@ -658,14 +650,16 @@ def _price_config(y: np.ndarray, target: CorrelationTarget) -> tuple[Configurati
     an interval bound; ties resolve to the lexicographically smallest
     multiplicity vector."""
     n = target.n
-    pairs = _pairs(n)
+    pairs = pair_list(n)
     y_pair = {pair: float(v) for pair, v in zip(pairs, y)}
     y_int = None
     if target.rho1 is not None:
         y_int = [float(v) for v in y[len(pairs) : len(pairs) + n]]
     y_norm = float(y[-1])
     per_point = 1 if (target.simple or target.hardcore_eps is not None) else target.cap
-    forbidden = _forbidden_pairs(target)
+    forbidden = _forbidden_pairs(
+        n, target.space, target.hardcore_eps, target.hardcore_strict
+    )
 
     def value(m: list[int]) -> float:
         total = y_norm

@@ -1,10 +1,14 @@
 """Exact minimisation of c + sum_{i<=j} a_ij 1{i,j in F} over subsets F.
 
 This is the workhorse that prices columns for the set-realisation LP and
-re-verifies infeasibility certificates: the global minimum over all 2^n
-subsets is computed exactly (integer arithmetic after clearing
-denominators) up to n = 20, and by branch and bound with interval bounds
-up to n = 30.
+re-verifies infeasibility certificates. One blocked enumeration covers all
+2^n subsets up to n = 30: a value table over the low min(n, LOW_BITS)
+indices is built by doubling, once for each subset H of the remaining high
+indices (the table for H is the functional restricted to the low indices,
+with constant g(H) and diagonal shifted by sum_{h in H} a_hi). Exact input
+runs in int64 after clearing denominators while the scaled coefficients'
+absolute sum stays below 2^62, which bounds every partial sum, and in
+Python integers past that; pricing runs the same tables in float64.
 """
 
 from __future__ import annotations
@@ -17,8 +21,14 @@ import numpy as np
 
 from .errors import CapExceeded, InvalidInstance
 
-ENUM_LIMIT = 20
-BB_LIMIT = 30
+LOW_BITS = 20
+MAX_N = 30
+_INT64_SAFE = 1 << 62
+
+
+def pair_list(n: int) -> list[tuple[int, int]]:
+    """Index pairs (i, j) with i <= j, row by row."""
+    return [(i, j) for i in range(n) for j in range(i, n)]
 
 
 def check_symmetric(a: Sequence[Sequence], n: int) -> None:
@@ -62,138 +72,79 @@ def lex_min_mask(masks) -> int:
 
 
 def _mask_to_subset(mask: int) -> frozenset[int]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return frozenset(out)
+    return frozenset(i for i in range(mask.bit_length()) if (mask >> i) & 1)
 
 
-def _enumerate_exact(c: Fraction, a, n: int) -> tuple[frozenset[int], Fraction]:
-    """Doubling enumeration over all subsets with cleared denominators."""
-    denoms = [c.denominator] + [a[i][j].denominator for i in range(n) for j in range(i, n)]
-    scale = lcm(*denoms)
-    ai = [[int(a[i][j] * scale) for j in range(n)] for i in range(n)]
-    vals = [int(c * scale)]
-    for k in range(n):
-        # value of S + {k} = value of S + a_kk + sum_{j in S} a_jk
-        deltas = [0]
+def _table(c, a, diag, lo: int, dtype) -> np.ndarray:
+    """Values of c + sum_{k in L} diag_k + sum_{j<k in L} a_jk for every
+    subset L of range(lo), indexed by the bitmask of L (doubling over k)."""
+    vals = np.array([c], dtype=dtype)
+    for k in range(lo):
+        # value of S + {k} = value of S + diag_k + sum_{j in S} a_jk
+        deltas = np.zeros(1, dtype=dtype)
         for j in range(k):
-            w = ai[j][k]
-            deltas += [d + w for d in deltas]
-        diag = ai[k][k]
-        vals += [v + diag + d for v, d in zip(vals, deltas)]
-    best = min(vals)
-    ties = [m for m, v in enumerate(vals) if v == best]
-    mask = lex_min_mask(ties)
-    return _mask_to_subset(mask), Fraction(best, scale)
+            deltas = np.concatenate([deltas, deltas + a[j][k]])
+        vals = np.concatenate([vals, vals + diag[k] + deltas])
+    return vals
 
 
-def _enumerate_float(c: float, a, n: int) -> tuple[frozenset[int], float]:
-    af = np.asarray(a, dtype=float)
-    vals = np.array([c])
-    for k in range(n):
-        deltas = np.zeros(1)
-        for j in range(k):
-            deltas = np.concatenate([deltas, deltas + af[j, k]])
-        vals = np.concatenate([vals, vals + af[k, k] + deltas])
-    best = vals.min()
-    ties = np.flatnonzero(vals == best)
-    mask = lex_min_mask(int(m) for m in ties)
-    return _mask_to_subset(mask), float(best)
-
-
-def _branch_and_bound(c, a, n: int) -> tuple[frozenset[int], object]:
-    """Exact search over the subset tree in lexicographic emission order.
-
-    A node is a sorted prefix P; children extend it by a larger index. The
-    bound adds every negative contribution still available, so pruning at
-    bound >= incumbent is safe, and because leaves are emitted in
-    lexicographic order the first incumbent with the final value is the
-    lex-smallest minimiser.
-    """
-    zero = c - c  # additive zero of whatever number type is in use
-
-    def neg_tail(prefix: list[int], start: int) -> object:
-        s = zero
-        for e in range(start, n):
-            w = a[e][e]
-            for j in prefix:
-                w = w + a[j][e]
-            if w < 0:
-                s = s + w
-            for f in range(e + 1, n):
-                if a[e][f] < 0:
-                    s = s + a[e][f]
-        return s
-
-    best_val = c
-    best_set: tuple[int, ...] = ()
-
-    def visit(prefix: list[int], value, start: int) -> None:
-        nonlocal best_val, best_set
-        for e in range(start, n):
-            delta = a[e][e]
-            for j in prefix:
-                delta = delta + a[j][e]
-            child_val = value + delta
-            prefix.append(e)
-            if child_val < best_val:
-                best_val = child_val
-                best_set = tuple(prefix)
-            if child_val + neg_tail(prefix, e + 1) < best_val:
-                visit(prefix, child_val, e + 1)
-            prefix.pop()
-
-    visit([], c, 0)
-    return frozenset(best_set), best_val
+def _blocks(c, a, n: int, dtype):
+    """(high mask, value table) for each subset H of the indices >= LOW_BITS;
+    entry m of the table is the functional at H | m."""
+    if n > MAX_N:
+        raise CapExceeded(f"n={n} above the exact cap {MAX_N}")
+    lo = min(n, LOW_BITS)
+    for high in range(1 << (n - lo)):
+        members = [lo + t for t in range(n - lo) if high >> t & 1]
+        base = c
+        diag = [a[k][k] for k in range(lo)]
+        for x, h in enumerate(members):
+            for g in members[x:]:
+                base = base + a[h][g]
+            for k in range(lo):
+                diag[k] = diag[k] + a[k][h]
+        yield high << lo, _table(base, a, diag, lo, dtype)
 
 
 def qubo_topk_float(c: float, a, n: int, k: int) -> list[tuple[int, float]]:
-    """Masks of the k smallest functional values (float enumeration, n <= 20).
+    """Masks of the k smallest functional values in float64, smallest first.
 
     Used by column generation to add several priced columns per round.
     """
-    if n > ENUM_LIMIT:
-        raise CapExceeded(f"top-k enumeration is capped at n = {ENUM_LIMIT}")
-    af = np.asarray(a, dtype=float)
-    vals = np.array([c])
-    for kk in range(n):
-        deltas = np.zeros(1)
-        for j in range(kk):
-            deltas = np.concatenate([deltas, deltas + af[j, kk]])
-        vals = np.concatenate([vals, vals + af[kk, kk] + deltas])
-    k = min(k, len(vals))
-    idx = np.argpartition(vals, k - 1)[:k]
-    idx = idx[np.argsort(vals[idx], kind="stable")]
-    return [(int(m), float(vals[m])) for m in idx]
+    af = np.asarray(a, dtype=float).tolist()
+    top_vals, top_masks = [], []
+    for high, vals in _blocks(float(c), af, n, np.float64):
+        kk = min(k, len(vals))
+        idx = np.argpartition(vals, kk - 1)[:kk]
+        idx = idx[np.argsort(vals[idx], kind="stable")]
+        top_vals.append(vals[idx])
+        top_masks.append(idx + high)
+    vals = np.concatenate(top_vals)
+    masks = np.concatenate(top_masks)
+    order = np.argsort(vals, kind="stable")[:k]
+    return [(int(masks[m]), float(vals[m])) for m in order]
 
 
-def qubo_min(c, a: Sequence[Sequence], n: int, exact: bool = True) -> tuple[frozenset[int], object]:
-    """Global minimum of the subset functional; ties go to the subset whose
-    sorted index tuple is lexicographically smallest.
-
-    exact=True expects rational coefficients and returns a Fraction value;
-    exact=False runs in floats (used for pricing, where the verdict is
-    re-verified exactly afterwards).
-    """
+def qubo_min(c, a: Sequence[Sequence], n: int) -> tuple[frozenset[int], object]:
+    """Exact global minimum of the subset functional (a Fraction); ties go
+    to the subset whose sorted index tuple is lexicographically smallest."""
     check_symmetric(a, n)
     if n < 0:
         raise InvalidInstance("n must be non-negative")
     if n == 0:
         return frozenset(), c
-    if n > BB_LIMIT:
-        raise CapExceeded(f"n={n} above the exact cap {BB_LIMIT}")
-    if exact:
-        cf = c if isinstance(c, Fraction) else Fraction(c)
-        af = [[Fraction(a[i][j]) for j in range(n)] for i in range(n)]
-        if n <= ENUM_LIMIT:
-            return _enumerate_exact(cf, af, n)
-        return _branch_and_bound(cf, af, n)
-    if n <= ENUM_LIMIT:
-        return _enumerate_float(float(c), a, n)
-    af = [[float(a[i][j]) for j in range(n)] for i in range(n)]
-    return _branch_and_bound(float(c), af, n)
+    cf = Fraction(c)
+    af = [[Fraction(a[i][j]) for j in range(n)] for i in range(n)]
+    scale = lcm(cf.denominator, *(af[i][j].denominator for i, j in pair_list(n)))
+    ci = int(cf * scale)
+    ai = [[int(v * scale) for v in row] for row in af]
+    total = abs(ci) + sum(abs(ai[i][j]) for i, j in pair_list(n))
+    dtype = np.int64 if total < _INT64_SAFE else object
+    best, winners = None, []
+    for high, vals in _blocks(ci, ai, n, dtype):
+        low = int(vals.min())
+        if best is None or low < best:
+            best, winners = low, []
+        if low == best:
+            winners.append(lex_min_mask(high | int(m) for m in np.flatnonzero(vals == low)))
+    return _mask_to_subset(lex_min_mask(winners)), Fraction(best, scale)

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import CapExceeded, InvalidGroup, InvalidInstance
 from .lp import exact_simplex, float_phase1, solve_nonneg_exact
 from .numbers import parse_rational
-from .qubo import evaluate_g, qubo_min, qubo_topk_float
+from .qubo import MAX_N, _mask_to_subset, evaluate_g, pair_list, qubo_min, qubo_topk_float
 
 FINITE_CARRIER_NOTE = (
     "verdict is for random subsets of the finite carrier; closedness or "
@@ -143,10 +143,6 @@ class RealizeOptions:
     max_iterations: int = 2000
 
 
-def pair_list(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i, n)]
-
-
 def _column_matrix(masks: Sequence[int], n: int) -> np.ndarray:
     """Float constraint matrix: one row per pair (i <= j), then the total-mass row."""
     masks_arr = np.asarray(masks, dtype=np.int64)
@@ -169,20 +165,12 @@ def _rhs(target: TwoPointTarget) -> list[Fraction]:
     return [target.p[i][j] for i, j in pair_list(target.n)] + [Fraction(1)]
 
 
-def _mask_to_subset(mask: int) -> frozenset[int]:
-    return frozenset(i for i in range(mask.bit_length()) if (mask >> i) & 1)
-
-
 def _subset_sort_key(subset: frozenset[int]):
     return tuple(sorted(subset))
 
 
-def _mixture_from_weights(masks: Sequence[int], weights, n: int, cutoff=0) -> SubsetMixture:
-    atoms = [
-        (_mask_to_subset(mask), w)
-        for mask, w in zip(masks, weights)
-        if w > cutoff
-    ]
+def _mixture_from_weights(masks: Sequence[int], weights, n: int) -> SubsetMixture:
+    atoms = [(_mask_to_subset(mask), w) for mask, w in zip(masks, weights) if w > 0]
     atoms.sort(key=lambda kv: _subset_sort_key(kv[0]))
     return SubsetMixture(n=n, atoms=tuple(atoms))
 
@@ -205,13 +193,6 @@ def moments_of_mixture(mix: SubsetMixture) -> TwoPointTarget:
         for j in range(i + 1, n):
             acc[j][i] = acc[i][j]
     return TwoPointTarget.from_matrix(acc, validate_range=False)
-
-
-def moment_residual(mix: SubsetMixture, target: TwoPointTarget) -> Fraction:
-    hat = moments_of_mixture(mix)
-    return max(
-        abs(hat.p[i][j] - target.p[i][j]) for i, j in pair_list(target.n)
-    )
 
 
 def certificate_from_dual(
@@ -237,7 +218,7 @@ def certificate_from_dual(
     for i, j in pairs:
         a[i][j] = a[i][j] / scale
         a[j][i] = a[i][j]
-    minimizer, mval = qubo_min(Fraction(0), a, n, exact=True)
+    minimizer, mval = qubo_min(Fraction(0), a, n)
     c = -mval
     pairing = c + sum((a[i][j] * target.p[i][j] for i, j in pairs), Fraction(0))
     if pairing >= 0:
@@ -262,7 +243,7 @@ def verify_certificate(
     pairs = pair_list(n)
     if max(abs(cert.a[i][j]) for i, j in pairs) != 1:
         return False, "normalisation violated: max |a_ij| must equal 1"
-    minimizer, mval = qubo_min(cert.c, cert.a, n, exact=True)
+    minimizer, mval = qubo_min(cert.c, cert.a, n)
     if mval < 0:
         return False, f"functional attains {mval} < 0 at subset {sorted(minimizer)}"
     stored = evaluate_g(cert.c, cert.a, cert.minimizer)
@@ -295,7 +276,7 @@ def _frechet_certificate(target: TwoPointTarget) -> InfeasibilityCertificate:
         a[j][i] = Fraction(1)
         c = Fraction(1)
     a_t = tuple(tuple(row) for row in a)
-    minimizer, mval = qubo_min(c, a_t, n, exact=True)
+    minimizer, mval = qubo_min(c, a_t, n)
     assert mval == 0
     cert = InfeasibilityCertificate(
         n=n, c=c, a=a_t, gap=Fraction(0), minimizer=minimizer
@@ -355,7 +336,7 @@ def _exact_column_generation(target: TwoPointTarget, seed_masks: Iterable[int]) 
         for (i, j), yv in zip(pair_list(n), y):
             a[i][j] = -yv
             a[j][i] = -yv
-        best_subset, best_val = qubo_min(-y[-1], a, n, exact=True)
+        best_subset, best_val = qubo_min(-y[-1], a, n)
         if -best_val <= 0:
             cert = certificate_from_dual(y, target)
             if cert is None:
@@ -409,15 +390,14 @@ def _realize_cg_float(target: TwoPointTarget, opts: RealizeOptions) -> RealizeRe
     batch of the most violated subsets per round.
     """
     n = target.n
-    if n > 30:
-        raise CapExceeded("carrier too large for the exact pricing oracle (n > 30)")
+    if n > MAX_N:
+        raise CapExceeded(f"carrier too large for the exact pricing oracle (n > {MAX_N})")
     b_exact = _rhs(target)
     b = np.array([float(v) for v in b_exact])
     m_rows = len(b_exact)
     seeds = frozenset({0, (1 << n) - 1} | {1 << i for i in range(n)})
     masks = sorted(seeds)
     fresh: set[int] = set()
-    best_residual: float | None = None
     best_gap: float | None = None
     batch = 8 if n <= 20 else 1
     for _ in range(opts.max_iterations):
@@ -433,28 +413,14 @@ def _realize_cg_float(target: TwoPointTarget, opts: RealizeOptions) -> RealizeRe
                     note=FINITE_CARRIER_NOTE,
                     method="column-generation",
                 )
-            mix = _mixture_from_weights(masks, [float(v) for v in q], n, cutoff=1e-12)
-            residual = moment_residual(mix, target)
-            best_residual = float(residual)
-            if best_residual <= opts.tol:
-                return RealizeResult(
-                    status="feasible",
-                    mixture=mix,
-                    residual=residual,
-                    note=FINITE_CARRIER_NOTE,
-                    method="column-generation",
-                )
-            break
+            # no exact solution on the float support; fall back to the always-exact engine
+            return _exact_column_generation(target, [masks[k] for k in np.flatnonzero(q > 1e-11)])
         # pricing: the most violated subsets under the current dual prices
         a = [[0.0] * n for _ in range(n)]
         for (i, j), yv in zip(pair_list(n), y[:-1]):
             a[i][j] = -float(yv)
             a[j][i] = -float(yv)
-        if n <= 20:
-            priced = qubo_topk_float(-float(y[-1]), a, n, batch)
-        else:
-            subset, val = qubo_min(-float(y[-1]), a, n, exact=False)
-            priced = [(sum(1 << i for i in subset), val)]
+        priced = qubo_topk_float(-float(y[-1]), a, n, batch)
         known = set(masks)
         new_masks = [
             mask for mask, val in priced if -val > opts.tol and mask not in known
@@ -480,7 +446,6 @@ def _realize_cg_float(target: TwoPointTarget, opts: RealizeOptions) -> RealizeRe
         masks.extend(new_masks)
     return RealizeResult(
         status="indeterminate",
-        residual=best_residual,
         gap=best_gap,
         note="could not classify within tolerance",
         method="column-generation",

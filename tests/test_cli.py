@@ -1,6 +1,6 @@
 import json
 
-
+from realkit import cli
 from realkit.cli import main
 
 EQ3 = {
@@ -304,3 +304,17 @@ class TestSample:
         assert out1.read_bytes() == out2.read_bytes()
         draws = json.loads(out1.read_text())["payload"]["draws"]
         assert len(draws) == 20
+
+
+class TestInternalError:
+    def test_runtime_error_is_not_a_verdict(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("simulated fault")
+
+        monkeypatch.setattr(cli, "realize_subsets", broken)
+        inst = write(tmp_path, "t.json", PRODUCT5)
+        code, report = run(tmp_path, "realize-set", inst)
+        assert code == cli.EXIT_ERROR == 4
+        assert report["status"] == "error"
+        assert report["command"] == "realize-set"
+        assert "simulated fault" in report["payload"]["error"]

@@ -256,7 +256,7 @@ class TestDualFeasibility:
     def test_reduced_costs_nonnegative_over_all_columns(self):
         # independent check of the reported optimum: the dual prices must
         # underestimate every column's objective coefficient
-        from realkit.pp import _config_column, _pairs, _target_rhs
+        from realkit.pp import _config_column, _target_rhs
         from realkit.lp import exact_simplex
 
         target = PAIR_TARGET

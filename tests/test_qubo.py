@@ -1,15 +1,27 @@
 import itertools
 import random
 from fractions import Fraction as F
+from math import lcm
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from realkit import qubo
 from realkit.errors import CapExceeded, InvalidInstance
-from realkit.qubo import evaluate_g, lex_min_mask, qubo_min, qubo_topk_float
+from realkit.qubo import evaluate_g, lex_min_mask, pair_list, qubo_min, qubo_topk_float
 
 
 def zeros(n):
     return [[F(0)] * n for _ in range(n)]
+
+
+def exhaust(c, a, n):
+    """Minimum value and lex-smallest minimising index tuple, by brute force."""
+    subsets = [s for r in range(n + 1) for s in itertools.combinations(range(n), r)]
+    best = min(evaluate_g(c, a, set(s)) for s in subsets)
+    return best, min(s for s in subsets if evaluate_g(c, a, set(s)) == best)
 
 
 def sym(entries, n):
@@ -76,18 +88,54 @@ class TestQuboMin:
             assert value == best
             assert evaluate_g(c, a, subset) == best
 
-    def test_branch_and_bound_agrees_with_enumeration(self):
-        rng = random.Random(8)
-        from realkit.qubo import _branch_and_bound, _enumerate_exact
+    @settings(max_examples=150, deadline=None)
+    @given(
+        low_bits=st.integers(2, 3),
+        n=st.integers(1, 7),
+        c=st.integers(-2, 2),
+        data=st.data(),
+    )
+    def test_prefix_blocks_match_exhaustion(self, low_bits, n, c, data):
+        # a small LOW_BITS makes the high-bit prefix loop run; the narrow
+        # coefficient range makes ties, so the lex-min tie-break is exercised
+        size = n * (n + 1) // 2
+        entries = data.draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))
+        a = zeros(n)
+        for (i, j), v in zip(pair_list(n), entries):
+            a[i][j] = a[j][i] = F(v)
+        with mock.patch.object(qubo, "LOW_BITS", low_bits):
+            subset, value = qubo_min(F(c), a, n)
+        want_value, want_subset = exhaust(F(c), a, n)
+        assert value == want_value
+        assert tuple(sorted(subset)) == want_subset
 
-        for _ in range(10):
-            n = rng.randint(2, 7)
+    def test_object_dtype_past_the_int64_guard(self):
+        # Fraction(float) coefficients spanning many binary orders of
+        # magnitude: after clearing denominators the absolute sum is >= 2^62
+        rng = random.Random(31)
+        dtypes = []
+        table = qubo._table
+
+        def spy(c, a, diag, lo, dtype):
+            dtypes.append(dtype)
+            return table(c, a, diag, lo, dtype)
+
+        for low_bits in (3, 20):
+            n = 6
             a = zeros(n)
             for i in range(n):
                 for j in range(i, n):
-                    a[i][j] = a[j][i] = F(rng.randint(-4, 4))
-            c = F(rng.randint(-2, 2))
-            assert _branch_and_bound(c, a, n) == _enumerate_exact(c, a, n)
+                    a[i][j] = a[j][i] = F(rng.uniform(-1, 1))
+            a[0][1] = a[1][0] = F(1e-9)
+            c = F(0.1)
+            scale = lcm(c.denominator, *(a[i][j].denominator for i, j in pair_list(n)))
+            assert abs(c) * scale + sum(abs(a[i][j]) * scale for i, j in pair_list(n)) >= 2**62
+            dtypes.clear()
+            with mock.patch.object(qubo, "LOW_BITS", low_bits):
+                with mock.patch.object(qubo, "_table", spy):
+                    subset, value = qubo_min(c, a, n)
+            assert dtypes and all(d is object for d in dtypes)
+            assert (value, tuple(sorted(subset))) == exhaust(c, a, n)
 
     def test_float_mode_matches_exact_on_integers(self):
         rng = random.Random(12)
@@ -97,10 +145,10 @@ class TestQuboMin:
             for i in range(n):
                 for j in range(i, n):
                     a[i][j] = a[j][i] = F(rng.randint(-4, 4))
-            exact_set, exact_val = qubo_min(F(1), a, n, exact=True)
-            float_set, float_val = qubo_min(1.0, a, n, exact=False)
+            _, exact_val = qubo_min(F(1), a, n)
+            [(mask, float_val)] = qubo_topk_float(1.0, a, n, 1)
             assert float_val == float(exact_val)
-            assert float_set == exact_set
+            assert evaluate_g(F(1), a, {i for i in range(n) if mask >> i & 1}) == exact_val
 
 
 class TestLexTieBreak:
@@ -139,6 +187,6 @@ class TestTopK:
                 for j in range(i, n):
                     a[i][j] = a[j][i] = rng.uniform(-1, 1)
             top = qubo_topk_float(0.5, a, n, 4)
-            subset, best = qubo_min(0.5, a, n, exact=False)
-            assert top[0][1] == pytest.approx(best)
+            _, best = qubo_min(0.5, a, n)
+            assert top[0][1] == pytest.approx(float(best))
             assert [v for _, v in top] == sorted(v for _, v in top)

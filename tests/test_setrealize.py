@@ -190,6 +190,21 @@ class TestDegenerateTargets:
                 assert verify_certificate(b.certificate, t)[0]
 
 
+class TestFloatReconstructionFailure:
+    def test_falls_back_to_exact_weights(self, monkeypatch):
+        from realkit import setrealize
+
+        monkeypatch.setattr(setrealize, "_reconstruct_exact_mixture", lambda *args: None)
+        rng = random.Random(61)
+        for _ in range(5):
+            t = mixture_moments_target(rng, rng.randint(3, 7))
+            r = realize_subsets(t, RealizeOptions(force_column_generation=True))
+            assert r.status == "feasible"
+            assert r.residual == 0
+            assert all(isinstance(w, F) for _, w in r.mixture.atoms)
+            assert moments_of_mixture(r.mixture).p == t.p
+
+
 class TestMoments:
     def test_deterministic_set(self):
         mix = SubsetMixture(n=3, atoms=((frozenset({0, 2}), F(1)),))
