@@ -1,7 +1,8 @@
 """Command-line front end: JSON instances in, deterministic JSON reports out.
 
 Exit codes: 0 feasible/pass, 1 infeasible/fail, 2 invalid input,
-3 indeterminate, 4 internal error (the report then has status "error").
+3 indeterminate (also for an input past the size cap of an exact method),
+4 internal error (the report then has status "error").
 Reports are byte-identical across reruns with identical inputs, seeds and
 flags: numbers are serialised as exact decimal or fraction strings, keys
 are sorted, and no timestamps are embedded.
@@ -25,7 +26,7 @@ from .contact import (
     check_two_point,
     monte_carlo_contact,
 )
-from .errors import InvalidInstance, RealkitError
+from .errors import CapExceeded, InvalidInstance, RealkitError
 from .metric import FiniteMetricSpace, gamma_min_pairs, packing_number
 from .numbers import INF, format_rational, parse_rational
 from .pp import (
@@ -645,6 +646,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         report, code = args.func(args)
+    except CapExceeded as exc:
+        # a size cap of an exact method, not a fault of the input
+        _emit(_error_report(args.command, "indeterminate", exc), args.out)
+        print(f"indeterminate: {exc}", file=sys.stderr)
+        return EXIT_INDETERMINATE
     except RealkitError as exc:
         _emit(_error_report(args.command, "invalid", exc), args.out)
         print(f"error: {exc}", file=sys.stderr)

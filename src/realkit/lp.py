@@ -1,11 +1,17 @@
-"""Linear programming over exact rationals, with a float presolve path.
+"""Linear programming over exact rationals: HiGHS locates, rationals confirm.
 
-Three layers:
+* `solve_lp` — the entry point. It locates the answer with HiGHS
+  (`float_phase1` for feasibility, `float_lp_min` for an objective) and
+  confirms it in rational arithmetic: a feasible point is rebuilt on its
+  float support by `solve_nonneg_exact`, an optimum gets exact duals from
+  the float-tight columns and an exact check of every reduced cost and of
+  the duality gap, and a Farkas direction is made exact. Whatever fails to
+  confirm is solved again by `exact_simplex`, the Bland simplex fallback.
 
 * `exact_simplex` — a dense two-phase tableau simplex with Bland's rule over
   `Fraction`, returning exact primal/dual solutions and, on infeasibility,
-  an exact Farkas vector. Deterministic and immune to cycling; intended for
-  small/medium instances and as the fallback of last resort.
+  an exact Farkas vector. Deterministic and immune to cycling; the
+  fallback of last resort.
 
 * `solve_nonneg_exact` — given a candidate support (usually located by a
   float solve), reconstructs an exact non-negative solution of A q = b by
@@ -34,6 +40,116 @@ class ExactLPResult:
     objective: Fraction | None = None
     duals: list[Fraction] | None = None
     farkas: list[Fraction] | None = None
+
+
+# float zero for the phase-1 value and for reduced costs; it only picks a
+# branch and the tight columns, every answer is then checked exactly
+FLOAT_TOL = 1e-9
+
+
+def solve_lp(
+    cols: list[list[Fraction]],
+    b: list[Fraction],
+    obj: list[Fraction] | None = None,
+) -> ExactLPResult:
+    """Solve min obj.q s.t. [cols] q = b, q >= 0 exactly: HiGHS locates the
+    answer, rational arithmetic confirms it, `exact_simplex` is the fallback.
+
+    Same contract as `exact_simplex`. With obj=None the HiGHS phase-1 point
+    is rebuilt exactly on its support, heaviest column first, or its Farkas
+    direction is made exact. With an objective the HiGHS optimum is rebuilt
+    on its support, exact duals are solved from the float-tight columns,
+    and every reduced cost and the duality gap are checked in rationals.
+    Whatever fails to confirm is solved again by `exact_simplex`; so is a
+    float "infeasible" or "unbounded" objective solve, which is never
+    reported from floats alone.
+    """
+    A = np.array(cols, dtype=float).T
+    bf = np.array(b, dtype=float)
+    if obj is None:
+        res = _confirm_feasibility(cols, b, A, bf)
+    else:
+        res = _confirm_optimum(cols, b, obj, A, bf)
+    return res if res is not None else exact_simplex(cols, b, obj)
+
+
+def _confirm_feasibility(cols, b, A, bf) -> ExactLPResult | None:
+    value, q, y = float_phase1(A, bf)
+    if value < FLOAT_TOL:
+        x = _rebuild_on_support(cols, b, q)
+        if x is None:
+            return None
+        return ExactLPResult(status="optimal", x=x, objective=Fraction(0))
+    farkas = _exact_farkas(cols, b, y)
+    if farkas is None:
+        return None
+    return ExactLPResult(status="infeasible", farkas=farkas)
+
+
+def _rebuild_on_support(cols, b, q) -> list[Fraction] | None:
+    """Exact x >= 0 with A x = b on the columns where the float q is
+    positive, heaviest first; zero elsewhere."""
+    support = [int(j) for j in np.argsort(-q, kind="stable") if q[j] > 0]
+    x_support = solve_nonneg_exact([cols[j] for j in support], b)
+    if x_support is None:
+        return None
+    x = [Fraction(0)] * len(cols)
+    for j, v in zip(support, x_support):
+        x[j] = v
+    return x
+
+
+def _exact_farkas(cols, b, y_float) -> list[Fraction] | None:
+    """Exact y with y.A_j <= 0 for every column and y.b > 0, from a float one.
+
+    Rounding leaves y.A_j slightly positive on the columns the float
+    direction was tight on. A row that every column meets positively (the
+    normalisation sum q = 1) absorbs that: lowering y there by the largest
+    excess ratio makes every y.A_j <= 0 exactly, and y.b is checked after.
+    """
+    y = [Fraction(float(v)) for v in y_float]
+    s = [_dot(y, col) for col in cols]
+    if max(s) > 0:
+        r = next((i for i in range(len(b)) if all(col[i] > 0 for col in cols)), None)
+        if r is None:
+            return None
+        y[r] -= max(sj / col[r] for sj, col in zip(s, cols))
+    return y if _dot(y, b) > 0 else None
+
+
+def _confirm_optimum(cols, b, obj, A, bf) -> ExactLPResult | None:
+    c = np.array(obj, dtype=float)
+    status, q, y, _ = float_lp_min(A, bf, c)
+    if status != "optimal":
+        return None
+    x = _rebuild_on_support(cols, b, q)
+    if x is None:
+        return None
+    # duals: the float y, corrected so that y.A_j = obj_j holds exactly on
+    # the primal support and the other float-tight columns; coordinates
+    # those columns do not pin keep their float value, because the tight
+    # columns may span less than the row space
+    y0 = [Fraction(float(v)) for v in y]
+    tight = np.abs(c - y @ A) <= FLOAT_TOL
+    rows = [j for j in range(len(cols)) if x[j] > 0 or tight[j]]
+    shift = _solve_exact(
+        [[cols[j][i] for j in rows] for i in range(len(b))],
+        [obj[j] - _dot(y0, cols[j]) for j in rows],
+        list(range(len(b))),
+    )
+    if shift is None:
+        return None
+    duals = [u + v for u, v in zip(y0, shift)]
+    value = sum((c * v for c, v in zip(obj, x) if v), Fraction(0))
+    if _dot(duals, b) != value:
+        return None
+    if any(c < _dot(duals, col) for c, col in zip(obj, cols)):
+        return None
+    return ExactLPResult(status="optimal", x=x, objective=value, duals=duals)
+
+
+def _dot(y: list[Fraction], col: list[Fraction]) -> Fraction:
+    return sum((u * v for u, v in zip(y, col) if u and v), Fraction(0))
 
 
 def exact_simplex(
@@ -166,14 +282,31 @@ def solve_nonneg_exact(
     exactly. Returns None if the system is inconsistent or the resulting
     q has a negative entry.
     """
+    q = _solve_exact(cols, b, list(prefer) if prefer is not None else list(range(len(cols))))
+    if q is None or any(v < 0 for v in q):
+        return None
+    return q
+
+
+def _solve_exact(
+    cols: list[list[Fraction]], b: list[Fraction], order: list[int]
+) -> list[Fraction] | None:
+    """Exact q with sum_j q_j cols[j] = b by fraction-free elimination.
+
+    Pivots are taken from the columns in `order`, first come first; every
+    other column is fixed to zero. Returns None if that system is
+    inconsistent.
+    """
     m = len(b)
     k = len(cols)
-    order = list(prefer) if prefer is not None else list(range(k))
-    denoms = [f.denominator for f in b]
-    for col in cols:
-        denoms.extend(f.denominator for f in col)
-    scale = lcm(*denoms) if denoms else 1
-    M = [[int(cols[j][i] * scale) for j in range(k)] + [int(b[i] * scale)] for i in range(m)]
+    scale = lcm(*(f.denominator for f in b), *(f.denominator for col in cols for f in col))
+
+    def scaled(vec: list[Fraction]) -> list[int]:
+        return [f.numerator * (scale // f.denominator) for f in vec]
+
+    A = [scaled(col) for col in cols]
+    rhs = scaled(b)
+    M = [list(row) for row in zip(*A, rhs)]
 
     prev = 1
     pivots: list[tuple[int, int]] = []
@@ -207,13 +340,11 @@ def solve_nonneg_exact(
                 acc -= M[prow][c2] * q[c2]
         q[pcol] = acc / M[prow][pcol]
 
-    for v in q:
-        if v < 0:
-            return None
-    # confirm against the original system; elimination bugs must not leak
+    # confirm against the original system in integers; elimination bugs must not leak
+    d = lcm(*(v.denominator for v in q))
+    used = [(A[j], v.numerator * (d // v.denominator)) for j, v in enumerate(q) if v]
     for i in range(m):
-        total = sum((cols[j][i] * q[j] for j in range(k) if q[j] != 0), Fraction(0))
-        if total != b[i]:
+        if sum(col[i] * v for col, v in used) != rhs[i] * d:
             return None
     return q
 

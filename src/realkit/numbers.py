@@ -140,3 +140,19 @@ def compare_rational_to_sqrt(q: Fraction, s_sq: Fraction) -> int:
     if left == s_sq:
         return 0
     return 1 if left > s_sq else -1
+
+
+def validate_mixture(atoms, kind: str, tol: float = 1e-12) -> None:
+    """Distinct `kind` (the first item of each atom), positive weights (the
+    second) summing to one within `tol`; raises InvalidInstance otherwise."""
+    seen = set()
+    total = 0
+    for key, w in atoms:
+        if key in seen:
+            raise InvalidInstance(f"mixture has duplicate {kind}")
+        seen.add(key)
+        if w <= 0:
+            raise InvalidInstance("mixture weights must be positive")
+        total = total + w
+    if abs(total - 1) > tol:
+        raise InvalidInstance(f"mixture weights sum to {total}, not 1")

@@ -26,9 +26,9 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import CapExceeded, InvalidInstance
-from .lp import exact_simplex, float_phase1, solve_nonneg_exact
+from .lp import float_phase1, solve_lp, solve_nonneg_exact
 from .metric import Configuration, FiniteMetricSpace
-from .numbers import INF, parse_rational
+from .numbers import INF, parse_rational, validate_mixture
 from .qubo import pair_list
 
 ENUM_LIMIT = 2_000_000
@@ -147,17 +147,7 @@ class ConfigMixture:
     atoms: tuple[tuple[Configuration, object], ...]
 
     def validate(self, tol: float = 1e-12) -> None:
-        total = 0
-        seen = set()
-        for config, w in self.atoms:
-            if config.multiplicity in seen:
-                raise InvalidInstance("mixture has duplicate configurations")
-            seen.add(config.multiplicity)
-            if w <= 0:
-                raise InvalidInstance("mixture weights must be positive")
-            total = total + w
-        if abs(total - 1) > tol:
-            raise InvalidInstance(f"mixture weights sum to {total}, not 1")
+        validate_mixture(self.atoms, "configurations", tol)
 
 
 @dataclass(frozen=True)
@@ -202,14 +192,23 @@ class RealizePPResult:
 
 def g_h_eval(config: Configuration, h: Sequence[Sequence]) -> object:
     """Sum of h over ordered pairs of distinct particles (the empty sum is 0)."""
-    m = config.multiplicity
-    n = len(m)
+    _check_test_matrix(h, len(config.multiplicity))
+    return _g_h(config, h)
+
+
+def _check_test_matrix(h: Sequence[Sequence], n: int) -> None:
     if len(h) != n or any(len(row) != n for row in h):
         raise InvalidInstance("h must be n x n")
     for i in range(n):
         for j in range(i + 1, n):
             if h[i][j] != h[j][i]:
                 raise InvalidInstance("h must be symmetric")
+
+
+def _g_h(config: Configuration, h: Sequence[Sequence]) -> object:
+    """`g_h_eval` without the shape and symmetry checks."""
+    m = config.multiplicity
+    n = len(m)
     total = 0
     for i in range(n):
         if m[i] == 0:
@@ -520,7 +519,7 @@ def realize_pp(
     with_intensity = target.rho1 is not None
     cols = [_config_column(cfg, target.n, with_intensity) for cfg in configs]
     b = _target_rhs(target)
-    res = exact_simplex(cols, b)
+    res = solve_lp(cols, b)
     if res.status == "infeasible":
         cert = _certificate_from_dual(res.farkas, target)
         if cert is None:
@@ -538,7 +537,7 @@ def realize_pp(
     finite = [k for k, v in enumerate(chi_vals) if v != INF]
     if len(finite) < len(configs):
         sub_cols = [cols[k] for k in finite]
-        sub = exact_simplex(sub_cols, b, obj=[chi_vals[k] for k in finite])
+        sub = solve_lp(sub_cols, b, obj=[chi_vals[k] for k in finite])
         if sub.status == "optimal":
             mix = _mixture_from([configs[k] for k in finite], sub.x)
             return RealizePPResult(
@@ -558,7 +557,7 @@ def realize_pp(
             note="every realising mixture has infinite objective",
             method="enumeration",
         )
-    opt = exact_simplex(cols, b, obj=chi_vals)
+    opt = solve_lp(cols, b, obj=chi_vals)
     if opt.status != "optimal":
         raise RuntimeError(f"optimising solve reported {opt.status}")
     mix = _mixture_from(configs, opt.x)
@@ -753,7 +752,8 @@ def positivity_screen(target: CorrelationTarget, trials: int, seed: int) -> Scre
         for i in range(n):
             for j in range(n):
                 pairing += h[i][j] * target.rho_value(i, j)
-        inf_val = min(g_h_eval(cfg, h) for cfg in configs)
+        _check_test_matrix(h, n)
+        inf_val = min(_g_h(cfg, h) for cfg in configs)
         if pairing < inf_val:
             h_float = [[float(v) for v in row] for row in h]
             violations.append((trial, h_float, pairing, inf_val))

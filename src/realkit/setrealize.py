@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import CapExceeded, InvalidGroup, InvalidInstance
 from .lp import exact_simplex, float_phase1, solve_nonneg_exact
-from .numbers import parse_rational
+from .numbers import parse_rational, validate_mixture
 from .qubo import MAX_N, _mask_to_subset, evaluate_g, pair_list, qubo_min, qubo_topk_float
 
 FINITE_CARRIER_NOTE = (
@@ -89,17 +89,7 @@ class SubsetMixture:
     atoms: tuple[tuple[frozenset[int], object], ...]  # (subset, weight)
 
     def validate(self, tol: float = 1e-12) -> None:
-        seen = set()
-        total = 0
-        for subset, w in self.atoms:
-            if subset in seen:
-                raise InvalidInstance("mixture has duplicate subsets")
-            seen.add(subset)
-            if w <= 0:
-                raise InvalidInstance("mixture weights must be positive")
-            total = total + w
-        if abs(total - 1) > tol:
-            raise InvalidInstance(f"mixture weights sum to {total}, not 1")
+        validate_mixture(self.atoms, "subsets", tol)
 
     def is_exact(self) -> bool:
         return all(isinstance(w, (Fraction, int)) for _, w in self.atoms)

@@ -87,6 +87,16 @@ class TestRealizeSet:
         # orbit weights must coincide under the rotation group
         assert atoms.get((0,)) == atoms.get((1,)) == atoms.get((2,))
 
+    def test_size_cap_is_indeterminate(self, tmp_path):
+        # 31 points is past the exact pricing cap: no verdict, but no invalid input either
+        n = 31
+        p = [["0.5" if i == j else "0.25" if (i + j) % 2 else "0.2" for j in range(n)] for i in range(n)]
+        inst = write(tmp_path, "t.json", {"p": p})
+        code, report = run(tmp_path, "realize-set", inst)
+        assert code == 3
+        assert report["status"] == "indeterminate"
+        assert "n > 30" in report["payload"]["error"]
+
     def test_byte_identical_reruns(self, tmp_path):
         inst = write(tmp_path, "t.json", DISJOINT)
         out1 = tmp_path / "a.json"

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction as F
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from realkit.lp import exact_simplex, float_phase1, solve_nonneg_exact
+from realkit.lp import exact_simplex, float_phase1, solve_lp, solve_nonneg_exact
 
 
 def cols_from_rows(rows):
@@ -81,6 +83,39 @@ class TestExactSimplex:
             # duality identity in exact arithmetic
             dual_obj = sum(y * bi for y, bi in zip(res.duals, b))
             assert dual_obj == res.objective
+
+
+class TestSolveLp:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_agrees_with_exact_simplex(self, data):
+        # random small LPs, half of them with a normalisation row sum q = 1
+        m = data.draw(st.integers(1, 4))
+        k = data.draw(st.integers(1, 6))
+        entry = st.integers(-2, 3)
+        rows = [data.draw(st.lists(entry, min_size=k, max_size=k)) for _ in range(m)]
+        if data.draw(st.booleans()):
+            rows.append([1] * k)
+        cols = cols_from_rows(rows)
+        b = [F(data.draw(st.integers(-3, 6)), data.draw(st.integers(1, 4))) for _ in rows]
+        obj = None
+        if data.draw(st.booleans()):
+            obj = [F(v) for v in data.draw(st.lists(st.integers(0, 5), min_size=k, max_size=k))]
+        got, ref = solve_lp(cols, b, obj), exact_simplex(cols, b, obj)
+        assert got.status == ref.status
+        if got.status == "infeasible":
+            y = got.farkas
+            assert sum(yi * bi for yi, bi in zip(y, b)) > 0
+            assert all(sum(yi * ci for yi, ci in zip(y, col)) <= 0 for col in cols)
+            return
+        assert all(v >= 0 for v in got.x)
+        for i in range(len(b)):
+            assert sum(col[i] * v for col, v in zip(cols, got.x)) == b[i]
+        assert got.objective == ref.objective
+        if obj is not None:
+            assert sum(yi * bi for yi, bi in zip(got.duals, b)) == got.objective
+            for c, col in zip(obj, cols):
+                assert c - sum(yi * ci for yi, ci in zip(got.duals, col)) >= 0
 
 
 class TestSolveNonnegExact:

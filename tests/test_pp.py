@@ -1,10 +1,17 @@
+import itertools
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from realkit import lp
 from realkit.errors import InvalidInstance
+from realkit.lp import exact_simplex
 from realkit.metric import Configuration, make_space
+from realkit.numbers import INF
 from realkit.pp import (
     ConfigMixture,
     CorrelationTarget,
@@ -12,12 +19,14 @@ from realkit.pp import (
     enumerate_configs,
     g_h_eval,
     objective_cardinality,
+    objective_chi_hc,
     positivity_screen,
     pp_moments,
     realize_pp,
     verify_pp_certificate,
 )
-from realkit.setrealize import TwoPointTarget, realize_subsets
+from realkit.regularity import PsiFunction
+from realkit.setrealize import SubsetMixture, TwoPointTarget, realize_subsets
 from helpers import random_simple_config_mixture
 
 PAIR_TARGET = CorrelationTarget.build(n=2, rho_entries=[(0, 1, "1")], cap=2, simple=True)
@@ -325,6 +334,182 @@ class TestRandomTargets:
                 assert ok, why
 
 
+def oracle(target, objective=None):
+    """(verdict, optimum) of `exact_simplex` over every admissible
+    configuration, enumerated and turned into moment columns here."""
+    n, per_point = target.n, 1 if target.simple else target.cap
+    configs = [
+        Configuration(m)
+        for m in itertools.product(range(per_point + 1), repeat=n)
+        if sum(m) <= target.cap
+    ]
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+
+    def column(m):
+        col = [F(m[i] * (m[j] - (i == j))) for i, j in pairs]
+        return col + ([F(v) for v in m] if target.rho1 is not None else []) + [F(1)]
+
+    b = [target.rho_value(i, j) for i, j in pairs] + list(target.rho1 or []) + [F(1)]
+    cols = [column(c.multiplicity) for c in configs]
+    if exact_simplex(cols, b).status == "infeasible":
+        return "infeasible", None
+    if objective is None:
+        return "feasible", None
+    finite = [(col, objective(c)) for col, c in zip(cols, configs) if objective(c) != INF]
+    res = exact_simplex([col for col, _ in finite], b, obj=[v for _, v in finite])
+    return "feasible", res.objective if res.status == "optimal" else INF
+
+
+@st.composite
+def small_targets(draw):
+    """n <= 4 and cap <= 4, simple or not, with or without an intensity;
+    half of them are the moments of a random mixture, so feasible."""
+    n = draw(st.integers(1, 4))
+    cap = draw(st.integers(0, 4))
+    simple = draw(st.booleans())
+    with_rho1 = draw(st.booleans())
+    per_point = 1 if simple else cap
+    admissible = [m for m in itertools.product(range(per_point + 1), repeat=n) if sum(m) <= cap]
+    if draw(st.booleans()):
+        picks = draw(st.lists(st.sampled_from(admissible), min_size=1, max_size=4, unique=True))
+        weights = draw(st.lists(st.integers(1, 5), min_size=len(picks), max_size=len(picks)))
+        mix = ConfigMixture(
+            n=n,
+            atoms=tuple((Configuration(m), F(w, sum(weights))) for m, w in zip(picks, weights)),
+        )
+        rho, rho1 = pp_moments(mix)
+        entries = [(i, j, w) for (i, j), w in rho.items()]
+    else:
+        weight = st.integers(0, 6).map(lambda v: F(v, 4))
+        entries = [(i, j, draw(weight)) for i in range(n) for j in range(i, n)]
+        rho1 = [draw(weight) for _ in range(n)]
+    space = make_space([[F(abs(i - j), 2) for j in range(n)] for i in range(n)])
+    return CorrelationTarget.build(
+        rho_entries=entries, rho1=rho1 if with_rho1 else None, cap=cap, simple=simple,
+        space=space,
+    )
+
+
+OBJECTIVES = [
+    None,
+    objective_cardinality(2),
+    objective_cardinality(4),
+    # an infinite head: co-located particles are forbidden, so a finite sub-LP runs
+    "chi-hc",
+]
+
+
+class TestAgainstEnumerationOracle:
+    @settings(max_examples=120, deadline=None)
+    @given(small_targets(), st.sampled_from(OBJECTIVES))
+    def test_verdict_and_optimum_match_the_oracle(self, target, objective):
+        if objective == "chi-hc":
+            psi = PsiFunction.from_json({"steps": [["0", "inf"], ["1/2", "3"], ["1", "1"]]})
+            objective = objective_chi_hc(psi, target.space)
+        result = realize_pp(target, objective=objective)
+        verdict, optimum = oracle(target, objective)
+        assert result.status == verdict
+        if verdict == "infeasible":
+            ok, why = verify_pp_certificate(result.certificate, target)
+            assert ok, why
+            return
+        result.mixture.validate(tol=0)
+        hat, r1_hat = pp_moments(result.mixture)
+        assert hat == target.rho
+        if target.rho1 is not None:
+            assert r1_hat == target.rho1
+        if objective is not None:
+            assert result.objective_value == optimum
+            if optimum != INF:
+                assert result.dual_value == optimum
+                assert sum(w * objective(c) for c, w in result.mixture.atoms) == optimum
+
+
+class TestFloatFallbacks:
+    """A float answer that rational arithmetic cannot confirm is solved
+    again by the exact simplex, and the verdict stays exact."""
+
+    # moments of {1,1,0} w.p. 1/2, {0,1,1} and {1,0,0} w.p. 1/4 each
+    FEASIBLE = CorrelationTarget.build(
+        n=3, rho_entries=[(0, 1, "1/2"), (1, 2, "1/4")], rho1=["3/4", "3/4", "1/4"], cap=3
+    )
+    INFEASIBLE = CorrelationTarget.build(
+        n=3, rho_entries=[], rho1=["0.5", "0.5", "0.5"], cap=3, simple=True
+    )
+
+    @pytest.fixture
+    def simplex_calls(self, monkeypatch):
+        calls = []
+        exact = lp.exact_simplex
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("obj", args[2] if len(args) > 2 else None))
+            return exact(*args, **kwargs)
+
+        monkeypatch.setattr(lp, "exact_simplex", counted)
+        return calls
+
+    def test_confirmed_answers_need_no_fallback(self, simplex_calls):
+        assert realize_pp(self.FEASIBLE, objective=objective_cardinality(2)).status == "feasible"
+        assert realize_pp(self.INFEASIBLE).status == "infeasible"
+        assert simplex_calls == []
+
+    def test_float_feasible_on_an_infeasible_target(self, monkeypatch, simplex_calls):
+        def claims_feasible(A, b):
+            return 0.0, np.ones(A.shape[1]), np.zeros(A.shape[0])
+
+        monkeypatch.setattr(lp, "float_phase1", claims_feasible)
+        result = realize_pp(self.INFEASIBLE)
+        assert result.status == "infeasible"
+        assert verify_pp_certificate(result.certificate, self.INFEASIBLE)[0]
+        assert len(simplex_calls) == 1
+
+    def test_float_infeasible_on_a_feasible_target(self, monkeypatch, simplex_calls):
+        def claims_infeasible(A, b):
+            y = np.zeros(A.shape[0])
+            y[-1] = 1.0
+            return 1.0, np.zeros(A.shape[1]), y
+
+        monkeypatch.setattr(lp, "float_phase1", claims_infeasible)
+        result = realize_pp(self.FEASIBLE)
+        assert result.status == "feasible"
+        hat, r1_hat = pp_moments(result.mixture)
+        assert hat == self.FEASIBLE.rho and r1_hat == self.FEASIBLE.rho1
+        assert len(simplex_calls) == 1
+
+    def test_float_optimum_that_is_not_optimal(self, monkeypatch, simplex_calls):
+        float_lp_min = lp.float_lp_min
+
+        def maximises(A, b, c):
+            status, q, y, value = float_lp_min(A, b, -c)
+            return status, q, -y, -value
+
+        monkeypatch.setattr(lp, "float_lp_min", maximises)
+        # E[N^2] is pinned by the moments, E[N^4] is not
+        objective = objective_cardinality(4)
+        result = realize_pp(self.FEASIBLE, objective=objective)
+        _, optimum = oracle(self.FEASIBLE, objective)
+        assert result.objective_value == result.dual_value == optimum
+        assert sum(w * objective(c) for c, w in result.mixture.atoms) == optimum
+        assert len(simplex_calls) == 1 and simplex_calls[0] is not None
+
+    @pytest.mark.parametrize("status", ["infeasible", "unbounded"])
+    def test_float_failure_of_the_finite_sub_lp(self, monkeypatch, simplex_calls, status):
+        monkeypatch.setattr(lp, "float_lp_min", lambda A, b, c: (status, None, None, None))
+        psi = PsiFunction.from_json({"steps": [["0", "inf"], ["1", "1"]]})
+        space = make_space([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+        target = CorrelationTarget.build(
+            rho_entries=[(0, 1, "1/2"), (1, 2, "1/4")], rho1=["3/4", "3/4", "1/4"], cap=3,
+            space=space,
+        )
+        objective = objective_chi_hc(psi, space)
+        result = realize_pp(target, objective=objective)
+        _, optimum = oracle(target, objective)
+        assert optimum != INF
+        assert result.objective_value == result.dual_value == optimum
+        assert len(simplex_calls) == 1
+
+
 class TestCrossModule:
     def test_subset_mixture_round_trip(self):
         rng = random.Random(101)
@@ -397,3 +582,20 @@ class TestIngestion:
     def test_negative_weight_rejected(self):
         with pytest.raises(InvalidInstance):
             CorrelationTarget.build(n=2, rho_entries=[(0, 1, "-1")], cap=2)
+
+
+class TestMixtureValidation:
+    A, B = Configuration((1, 0)), Configuration((0, 1))
+
+    @pytest.mark.parametrize(
+        "mixture, message",
+        [
+            (ConfigMixture(2, ((A, F(1, 2)), (A, F(1, 2)))), "mixture has duplicate configurations"),
+            (SubsetMixture(2, ((frozenset({0}), F(1, 2)),) * 2), "mixture has duplicate subsets"),
+            (ConfigMixture(2, ((A, F(3, 2)), (B, F(-1, 2)))), "mixture weights must be positive"),
+            (SubsetMixture(2, ((frozenset(), F(1, 2)),)), "mixture weights sum to 1/2, not 1"),
+        ],
+    )
+    def test_messages(self, mixture, message):
+        with pytest.raises(InvalidInstance, match=f"^{message}$"):
+            mixture.validate()
