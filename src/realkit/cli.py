@@ -11,6 +11,7 @@ are sorted, and no timestamps are embedded.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -27,7 +28,7 @@ from .contact import (
     monte_carlo_contact,
 )
 from .errors import CapExceeded, InvalidInstance, RealkitError
-from .metric import FiniteMetricSpace, gamma_min_pairs, packing_number
+from .metric import Configuration, FiniteMetricSpace, gamma_min_pairs, packing_number
 from .numbers import INF, format_rational, parse_rational
 from .pp import (
     CorrelationTarget,
@@ -141,38 +142,43 @@ def _pp_certificate_payload(cert: PPCertificate) -> dict:
 
 
 def _certificate_from_payload(obj: dict) -> tuple[str, object]:
-    kind = obj.get("kind")
+    if not isinstance(obj, dict) or obj.get("kind") not in ("set", "pp"):
+        raise InvalidInstance("certificate: 'kind' must be 'set' or 'pp'")
+    kind = obj["kind"]
+    missing = [key for key in ("n", "c", "a", "gap", "minimizer") if key not in obj]
+    if missing:
+        raise InvalidInstance(f"certificate: missing key(s) {', '.join(missing)}")
+    n, rows, minimizer = obj["n"], obj["a"], obj["minimizer"]
+    blin = obj.get("blin") if kind == "pp" else None
+    if not isinstance(n, int) or n < 1:
+        raise InvalidInstance("certificate: 'n' must be a positive integer")
+    if not isinstance(rows, list) or len(rows) != n or any(
+        not isinstance(row, list) or len(row) != n for row in rows
+    ):
+        raise InvalidInstance(f"certificate: 'a' must be an {n} x {n} matrix")
+    if blin is not None and (not isinstance(blin, list) or len(blin) != n):
+        raise InvalidInstance(f"certificate: 'blin' must be null or a list of {n} entries")
+    if not isinstance(minimizer, list) or not all(isinstance(v, int) for v in minimizer):
+        raise InvalidInstance("certificate: 'minimizer' must be a list of integers")
+    if kind == "pp" and len(minimizer) != n:
+        raise InvalidInstance(f"certificate: 'minimizer' must hold {n} multiplicities")
+    a = tuple(
+        tuple(parse_rational(v, f"/a/{i}/{j}") for j, v in enumerate(row))
+        for i, row in enumerate(rows)
+    )
+    c, gap = parse_rational(obj["c"], "/c"), parse_rational(obj["gap"], "/gap")
     if kind == "set":
-        n = int(obj["n"])
-        a = tuple(
-            tuple(parse_rational(v, f"/a/{i}/{j}") for j, v in enumerate(row))
-            for i, row in enumerate(obj["a"])
-        )
         return kind, InfeasibilityCertificate(
-            n=n,
-            c=parse_rational(obj["c"], "/c"),
-            a=a,
-            gap=parse_rational(obj["gap"], "/gap"),
-            minimizer=frozenset(int(i) for i in obj["minimizer"]),
+            n=n, c=c, a=a, gap=gap, minimizer=frozenset(minimizer)
         )
-    if kind == "pp":
-        from .metric import Configuration
-
-        n = int(obj["n"])
-        a = tuple(
-            tuple(parse_rational(v, f"/a/{i}/{j}") for j, v in enumerate(row))
-            for i, row in enumerate(obj["a"])
-        )
-        blin = obj.get("blin")
-        return kind, PPCertificate(
-            n=n,
-            c=parse_rational(obj["c"], "/c"),
-            a=a,
-            blin=tuple(parse_rational(v, "/blin") for v in blin) if blin else None,
-            gap=parse_rational(obj["gap"], "/gap"),
-            minimizer=Configuration(tuple(int(m) for m in obj["minimizer"])),
-        )
-    raise InvalidInstance("certificate: 'kind' must be 'set' or 'pp'")
+    return kind, PPCertificate(
+        n=n,
+        c=c,
+        a=a,
+        blin=tuple(parse_rational(v, "/blin") for v in blin) if blin else None,
+        gap=gap,
+        minimizer=Configuration(tuple(minimizer)),
+    )
 
 
 def _emit(report: dict, out_path: str | None) -> None:
@@ -221,7 +227,7 @@ def _cmd_gamma(args) -> tuple[dict, int]:
 
 def _cmd_realize_set(args) -> tuple[dict, int]:
     target = TwoPointTarget.from_json(_load_json(args.instance))
-    opts = RealizeOptions(max_exact=args.max_exact, tol=args.tol)
+    opts = RealizeOptions(max_exact=args.max_exact)
     result = realize_subsets(target, opts)
     digests = {"instance": _digest(args.instance)}
     payload: dict = {"method": result.method}
@@ -545,7 +551,9 @@ def _cmd_sample(args) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (it costs milliseconds)."""
     parser = argparse.ArgumentParser(
         prog="realkit",
         description="Realisability checks for second-order data of random sets "
@@ -569,7 +577,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("realize-set", parents=[common], help="realise a two-point covering target")
     p.add_argument("instance")
     p.add_argument("--max-exact", type=int, default=15, dest="max_exact")
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--group", help="JSON list of permutations to symmetrise with")
     p.set_defaults(func=_cmd_realize_set)
 

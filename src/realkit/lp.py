@@ -1,12 +1,25 @@
 """Linear programming over exact rationals: HiGHS locates, rationals confirm.
 
-* `solve_lp` — the entry point. It locates the answer with HiGHS
-  (`float_phase1` for feasibility, `float_lp_min` for an objective) and
-  confirms it in rational arithmetic: a feasible point is rebuilt on its
-  float support by `solve_nonneg_exact`, an optimum gets exact duals from
-  the float-tight columns and an exact check of every reduced cost and of
-  the duality gap, and a Farkas direction is made exact. Whatever fails to
-  confirm is solved again by `exact_simplex`, the Bland simplex fallback.
+* `solve_lp` — the LP over an explicit column list. It locates the answer
+  with HiGHS (`float_phase1` for feasibility, `float_lp_min` for an
+  objective) and confirms it in rational arithmetic: a feasible point is
+  rebuilt on its float support by `solve_nonneg_exact`, an optimum gets
+  exact duals from the float-tight columns and an exact check of every
+  reduced cost and of the duality gap, and a Farkas direction is made exact
+  by `exact_farkas`. Whatever fails to confirm is solved again by
+  `exact_simplex`, the Bland simplex fallback.
+
+* `column_generation` — the feasibility LP over columns that a caller's
+  oracle prices (subsets, configurations) instead of listing. Float masters
+  go to `float_phase1`, a batch of priced columns joins each round, and the
+  stop is confirmed in rationals: a feasible point is rebuilt on its
+  support, and "no column prices out" becomes an exact Farkas vector
+  through the oracle's exact maximum. Whatever fails to confirm continues
+  with exact masters (`exact_simplex`) and exact pricing.
+
+* `exact_farkas` — the one step that turns a float or exact dual into an
+  exact Farkas vector: its normalisation entry becomes minus the exact
+  maximum of y.A_j over every column.
 
 * `exact_simplex` — a dense two-phase tableau simplex with Bland's rule over
   `Fraction`, returning exact primal/dual solutions and, on infeasibility,
@@ -20,13 +33,19 @@
 * `float_phase1` / `float_lp_min` — thin wrappers around scipy's HiGHS for
   locating supports and dual vectors quickly; every verdict derived from
   them is re-verified exactly by the callers.
+
+Columns are lists of integers or `Fraction`s; in every LP the callers
+build, the last row is the normalisation sum q = 1, which every column
+meets with a 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Hashable, Sequence
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from typing import Protocol
 
 import numpy as np
 from scipy.optimize import linprog
@@ -42,9 +61,13 @@ class ExactLPResult:
     farkas: list[Fraction] | None = None
 
 
-# float zero for the phase-1 value and for reduced costs; it only picks a
-# branch and the tight columns, every answer is then checked exactly
+# float zero for phase-1 values, prices, reduced costs and eviction; it only
+# picks a branch and the columns to keep, every answer is then checked exactly
 FLOAT_TOL = 1e-9
+# float rounds of column generation before it gives up without a verdict
+MAX_ROUNDS = 2000
+# priced columns asked for per round
+PRICING_BATCH = 8
 
 
 def solve_lp(
@@ -76,45 +99,138 @@ def solve_lp(
 def _confirm_feasibility(cols, b, A, bf) -> ExactLPResult | None:
     value, q, y = float_phase1(A, bf)
     if value < FLOAT_TOL:
-        x = _rebuild_on_support(cols, b, q)
+        x = _dense_rebuild(cols, b, q)
         if x is None:
             return None
         return ExactLPResult(status="optimal", x=x, objective=Fraction(0))
-    farkas = _exact_farkas(cols, b, y)
-    if farkas is None:
+    if any(col[-1] != 1 for col in cols):
+        return None  # no normalisation row to absorb the rounding
+    farkas, _ = exact_farkas(y, b, lambda y: (None, max(_dot(y, col) for col in cols)))
+    if _dot(farkas, b) <= 0:
         return None
     return ExactLPResult(status="infeasible", farkas=farkas)
 
 
-def _rebuild_on_support(cols, b, q) -> list[Fraction] | None:
+def _rebuild_on_support(column: Callable[[int], list], b, q):
     """Exact x >= 0 with A x = b on the columns where the float q is
-    positive, heaviest first; zero elsewhere."""
+    positive, heaviest first, as (support, weights); `column(j)` is
+    column j. None if that support has no exact solution."""
     support = [int(j) for j in np.argsort(-q, kind="stable") if q[j] > 0]
-    x_support = solve_nonneg_exact([cols[j] for j in support], b)
-    if x_support is None:
+    weights = solve_nonneg_exact([column(j) for j in support], b)
+    return None if weights is None else (support, weights)
+
+
+def _dense_rebuild(cols, b, q) -> list[Fraction] | None:
+    """`_rebuild_on_support` as a full vector, zero off the support."""
+    found = _rebuild_on_support(cols.__getitem__, b, q)
+    if found is None:
         return None
     x = [Fraction(0)] * len(cols)
-    for j, v in zip(support, x_support):
+    for j, v in zip(*found):
         x[j] = v
     return x
 
 
-def _exact_farkas(cols, b, y_float) -> list[Fraction] | None:
-    """Exact y with y.A_j <= 0 for every column and y.b > 0, from a float one.
+def exact_farkas(y: Sequence, b: Sequence, best: Callable) -> tuple[list[Fraction], Hashable]:
+    """The dual y made exact, with its normalisation entry (the last row,
+    where every column has a 1) set to minus the exact maximum of y.A_j.
 
-    Rounding leaves y.A_j slightly positive on the columns the float
-    direction was tight on. A row that every column meets positively (the
-    normalisation sum q = 1) absorbs that: lowering y there by the largest
-    excess ratio makes every y.A_j <= 0 exactly, and y.b is checked after.
+    `best(y)` returns a column maximising y.A_j over every column, and that
+    maximum, for an exact y whose last entry is 0. The result satisfies
+    y.A_j <= 0 for every column, with equality at the returned column, so
+    it is an exact Farkas vector exactly when y.b > 0, which the caller
+    checks. Returns (y, the maximising column).
     """
-    y = [Fraction(float(v)) for v in y_float]
-    s = [_dot(y, col) for col in cols]
-    if max(s) > 0:
-        r = next((i for i in range(len(b)) if all(col[i] > 0 for col in cols)), None)
-        if r is None:
-            return None
-        y[r] -= max(sj / col[r] for sj, col in zip(s, cols))
-    return y if _dot(y, b) > 0 else None
+    y = [Fraction(v) for v in y[:-1]] + [Fraction(0)]
+    key, top = best(y)
+    y[-1] = -top
+    return y, key
+
+
+class ColumnOracle(Protocol):
+    """The columns of one LP, keyed by hashable keys (bitmasks, configurations)."""
+
+    def matrix(self, keys: list) -> np.ndarray:
+        """Float matrix with one column per key."""
+
+    def column(self, key) -> list:
+        """Exact column of one key."""
+
+    def price(self, y: np.ndarray, k: int) -> list:
+        """Up to k keys whose columns have y.A_j > FLOAT_TOL in floats, best first."""
+
+    def best(self, y: list[Fraction]) -> tuple[Hashable, Fraction]:
+        """A key maximising the exact y.A_j over every column, and the maximum."""
+
+
+@dataclass
+class ColumnGenerationResult:
+    status: str  # "feasible" | "infeasible" | "indeterminate"
+    keys: list = field(default_factory=list)  # columns with weights x
+    x: list[Fraction] | None = None
+    farkas: list[Fraction] | None = None
+    witness: Hashable = None  # the column where farkas.A_j attains its maximum 0
+    exact_rounds: bool = False  # the verdict came from exact masters
+
+
+def column_generation(oracle: ColumnOracle, b: list, seed: list) -> ColumnGenerationResult:
+    """Decide A q = b, q >= 0 over every column the oracle knows.
+
+    Float rounds: `float_phase1` solves the master, which starts as `seed`;
+    the oracle prices a batch of columns under the float dual, and the new
+    ones join the master. The master is degenerate on these instances (new
+    columns often enter at weight zero), so columns accumulate and are
+    evicted only above a watermark of four per row, never seed columns or
+    the ones added in the latest round (Lübbecke & Desrosiers, Selected
+    topics in column generation, Oper. Res. 53 (2005)). A feasible float
+    master is rebuilt exactly on its support; when no column prices out,
+    `exact_farkas` with the oracle's exact maximum proves infeasibility.
+
+    Exact rounds: if either confirmation fails, `exact_simplex` solves
+    masters seeded with the float support, and each exact Farkas vector
+    that `exact_farkas` cannot confirm hands over its maximising column,
+    which prices out and joins the master. Every round enlarges the
+    master, so the exact rounds always end with a verdict; only the float
+    rounds are capped, at MAX_ROUNDS.
+    """
+    bf = np.array(b, dtype=float)
+    master, anchored, fresh = list(seed), set(seed), set()
+    for _ in range(MAX_ROUNDS):
+        value, q, y = float_phase1(oracle.matrix(master), bf)
+        if value < FLOAT_TOL:
+            found = _rebuild_on_support(lambda j: oracle.column(master[j]), b, q)
+            if found is not None:
+                support, weights = found
+                return ColumnGenerationResult("feasible", [master[j] for j in support], x=weights)
+            break
+        known = set(master)
+        new = [key for key in oracle.price(y, PRICING_BATCH) if key not in known]
+        if not new:
+            farkas, witness = exact_farkas(y, b, oracle.best)
+            if _dot(farkas, b) > 0:
+                return ColumnGenerationResult("infeasible", farkas=farkas, witness=witness)
+            break
+        if len(master) > 4 * len(b):
+            master = [
+                key for key, w in zip(master, q)
+                if key in anchored or key in fresh or w > FLOAT_TOL
+            ]
+        fresh = set(new)
+        master.extend(new)
+    else:
+        return ColumnGenerationResult("indeterminate")
+    master = [key for key, w in zip(master, q) if w > 0]
+    while True:
+        res = exact_simplex([oracle.column(key) for key in master], b)
+        if res.status == "optimal":
+            return ColumnGenerationResult("feasible", master, x=res.x, exact_rounds=True)
+        farkas, witness = exact_farkas(res.farkas, b, oracle.best)
+        if _dot(farkas, b) > 0:
+            return ColumnGenerationResult(
+                "infeasible", farkas=farkas, witness=witness, exact_rounds=True
+            )
+        # y.A_witness > 0 under the master's Farkas vector, so it is new
+        master.append(witness)
 
 
 def _confirm_optimum(cols, b, obj, A, bf) -> ExactLPResult | None:
@@ -122,7 +238,7 @@ def _confirm_optimum(cols, b, obj, A, bf) -> ExactLPResult | None:
     status, q, y, _ = float_lp_min(A, bf, c)
     if status != "optimal":
         return None
-    x = _rebuild_on_support(cols, b, q)
+    x = _dense_rebuild(cols, b, q)
     if x is None:
         return None
     # duals: the float y, corrected so that y.A_j = obj_j holds exactly on

@@ -19,17 +19,17 @@ cardinality power or of a distance-weighted close-pair sum.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import CapExceeded, InvalidInstance
-from .lp import float_phase1, solve_lp, solve_nonneg_exact
+from .lp import FLOAT_TOL, MAX_ROUNDS, column_generation, exact_farkas, solve_lp
 from .metric import Configuration, FiniteMetricSpace
 from .numbers import INF, parse_rational, validate_mixture
-from .qubo import pair_list
+from .qubo import check_symmetric, pair_list, pair_matrix
 
 ENUM_LIMIT = 2_000_000
 
@@ -290,15 +290,34 @@ def enumerate_configs(
     return out
 
 
-def _config_column(config: Configuration, n: int, with_intensity: bool) -> list[Fraction]:
+def _config_column(config: Configuration, n: int, with_intensity: bool) -> list[int]:
     m = config.multiplicity
-    col = []
-    for i, j in pair_list(n):
-        col.append(Fraction(m[i] * (m[i] - 1)) if i == j else Fraction(m[i] * m[j]))
+    col = [m[i] * (m[j] - (i == j)) for i, j in pair_list(n)]
     if with_intensity:
-        col.extend(Fraction(v) for v in m)
-    col.append(Fraction(1))
+        col.extend(m)
+    col.append(1)
     return col
+
+
+class _ConfigOracle:
+    """The columns of the pp LP for `lp.column_generation`, keyed by
+    configuration; `_price_config` prices them, in floats or exactly."""
+
+    def __init__(self, target: CorrelationTarget):
+        self.target = target
+
+    def matrix(self, configs: list[Configuration]) -> np.ndarray:
+        return np.array([self.column(cfg) for cfg in configs], dtype=float).T
+
+    def column(self, config: Configuration) -> list[int]:
+        return _config_column(config, self.target.n, self.target.rho1 is not None)
+
+    def price(self, y: np.ndarray, k: int) -> list[Configuration]:
+        config, value = _price_config(y, self.target)
+        return [config] if value > FLOAT_TOL else []
+
+    def best(self, y: list[Fraction]) -> tuple[Configuration, Fraction]:
+        return _price_config(y, self.target)
 
 
 def _target_rhs(target: CorrelationTarget) -> list[Fraction]:
@@ -327,90 +346,50 @@ def pp_moments(mix: ConfigMixture) -> tuple[dict, tuple[Fraction, ...]]:
     return rho_hat, tuple(rho1_hat)
 
 
-def _admissible_min_exact(
-    target: CorrelationTarget,
-    c: Fraction,
-    a: Sequence[Sequence[Fraction]],
-    blin: Sequence[Fraction] | None,
-) -> tuple[Configuration, Fraction]:
-    """Exact minimum of the certificate functional over admissible configs."""
-    best = None
-    best_cfg = None
-    for config in enumerate_configs(
-        target.n, target.cap, target.simple, target.hardcore_eps, target.space,
-        hardcore_strict=target.hardcore_strict,
-    ):
-        m = config.multiplicity
-        val = c
-        if blin is not None:
-            val += sum((Fraction(mi) * bi for mi, bi in zip(m, blin)), Fraction(0))
-        for i in range(target.n):
-            if m[i] == 0:
-                continue
-            val += a[i][i] * (m[i] * (m[i] - 1))
-            for j in range(i + 1, target.n):
-                if m[j]:
-                    val += a[i][j] * (m[i] * m[j])
-        if best is None or val < best:
-            best, best_cfg = val, config
-    return best_cfg, best
-
-
 def _certificate_from_dual(
-    y: Sequence, target: CorrelationTarget
-) -> PPCertificate | None:
-    """Exact certificate from a (possibly float) Farkas vector for the
-    moment rows (+ intensity rows when present)."""
+    y: Sequence[Fraction], witness: Configuration, target: CorrelationTarget
+) -> PPCertificate:
+    """Certificate out of an exact Farkas vector from `lp.exact_farkas` for
+    the moment rows (+ intensity rows when present): the negated prices
+    divided by their largest entry, so max |(a, blin)| = 1. Since the
+    normalisation price is minus the exact maximum over admissible
+    configurations, G is non-negative with its minimum 0 at `witness`."""
     n = target.n
-    pairs = pair_list(n)
-    np_pairs = len(pairs)
-    a = [[Fraction(0)] * n for _ in range(n)]
-    for (i, j), yv in zip(pairs, y[:np_pairs]):
-        v = yv if isinstance(yv, Fraction) else Fraction(float(yv))
-        a[i][j] = -v
-        a[j][i] = -v
-    blin = None
-    if target.rho1 is not None:
-        blin = [
-            -(yv if isinstance(yv, Fraction) else Fraction(float(yv)))
-            for yv in y[np_pairs : np_pairs + n]
-        ]
-    entries = [abs(a[i][j]) for i, j in pairs] + ([abs(v) for v in blin] if blin else [])
-    scale = max(entries)
-    if scale == 0:
-        return None
-    for i, j in pairs:
-        a[i][j] /= scale
-        a[j][i] = a[i][j]
-    if blin is not None:
-        blin = [v / scale for v in blin]
-    min_cfg, mval = _admissible_min_exact(target, Fraction(0), a, blin)
-    c = -mval
+    k = len(pair_list(n))
+    scale = max(abs(v) for v in y[:-1])
+    a = pair_matrix(n, [-v / scale for v in y[:k]])
+    blin = tuple(-v / scale for v in y[k:-1]) if target.rho1 is not None else None
     cert = PPCertificate(
         n=n,
-        c=c,
+        c=-y[-1] / scale,
         a=tuple(tuple(row) for row in a),
-        blin=tuple(blin) if blin is not None else None,
+        blin=blin,
         gap=Fraction(0),
-        minimizer=min_cfg,
+        minimizer=witness,
     )
-    pairing = cert.pairing(target)
-    if pairing >= 0:
-        return None
-    return PPCertificate(
-        n=n, c=cert.c, a=cert.a, blin=cert.blin, gap=-pairing, minimizer=min_cfg
-    )
+    return replace(cert, gap=-cert.pairing(target))
 
 
 def verify_pp_certificate(
     cert: PPCertificate, target: CorrelationTarget
 ) -> tuple[bool, str]:
-    """Exact re-verification over every admissible configuration."""
-    if cert.n != target.n:
+    """Exact re-verification: G's minimum over every admissible
+    configuration comes from the exact configuration search."""
+    n = cert.n
+    if n != target.n:
         return False, "certificate size does not match target"
-    min_cfg, mval = _admissible_min_exact(target, cert.c, cert.a, cert.blin)
-    if mval < 0:
-        return False, f"functional attains {mval} < 0 at {min_cfg.multiplicity}"
+    try:
+        check_symmetric(cert.a, n)
+    except InvalidInstance as exc:
+        return False, str(exc)
+    if cert.blin is not None and len(cert.blin) != n:
+        return False, "linear part has wrong length"
+    # min G = -max y.A_Y for the prices y = -(a, blin, c)
+    y = [-cert.a[i][j] for i, j in pair_list(n)]
+    y += [-v for v in cert.blin] if cert.blin is not None else []
+    min_cfg, top = _price_config(y + [-cert.c], target)
+    if top > 0:
+        return False, f"functional attains {-top} < 0 at {min_cfg.multiplicity}"
     pairing = cert.pairing(target)
     if pairing >= 0:
         return False, f"pairing with the target is {pairing} >= 0"
@@ -508,21 +487,26 @@ def realize_pp(
                 note="correlation mass inside the hard-core distance",
                 method="validation",
             )
+    oracle = _ConfigOracle(target)
+    b = _target_rhs(target)
     try:
         configs = enumerate_configs(
             target.n, target.cap, target.simple, target.hardcore_eps, target.space,
             limit=enum_limit, hardcore_strict=target.hardcore_strict,
         )
     except CapExceeded:
-        return _realize_pp_cg(target, objective)
+        # the empty configuration and the one-point ones
+        units = [
+            Configuration(tuple(int(i == k) for i in range(target.n))) for k in range(-1, target.n)
+        ]
+        return _from_column_generation(column_generation(oracle, b, units), target, objective)
 
-    with_intensity = target.rho1 is not None
-    cols = [_config_column(cfg, target.n, with_intensity) for cfg in configs]
-    b = _target_rhs(target)
+    cols = [oracle.column(cfg) for cfg in configs]
     res = solve_lp(cols, b)
     if res.status == "infeasible":
-        cert = _certificate_from_dual(res.farkas, target)
-        if cert is None:
+        farkas, witness = exact_farkas(res.farkas, b, oracle.best)
+        cert = _certificate_from_dual(farkas, witness, target)
+        if cert.gap <= 0:
             raise RuntimeError("exact Farkas vector failed certification")
         return RealizePPResult(
             status="infeasible", certificate=cert, gap=cert.gap, method="enumeration"
@@ -586,81 +570,58 @@ def _mixture_from(configs: Sequence[Configuration], weights) -> ConfigMixture:
     return ConfigMixture(n=n, atoms=tuple(atoms))
 
 
-def _realize_pp_cg(target, objective) -> RealizePPResult:
-    """Column generation over configurations for carriers too large to
-    enumerate: float master, branch-and-bound pricing, exact verification
-    of whichever verdict appears."""
-    n = target.n
-    with_intensity = target.rho1 is not None
-    b_exact = _target_rhs(target)
-    b = np.array([float(v) for v in b_exact])
-    seeds = [Configuration((0,) * n)]
-    for i in range(n):
-        m = [0] * n
-        m[i] = 1
-        seeds.append(Configuration(tuple(m)))
-    configs = list(seeds)
-    known = {cfg.multiplicity for cfg in configs}
-    for _ in range(500):
-        A = np.array(
-            [[float(v) for v in _config_column(cfg, n, with_intensity)] for cfg in configs]
-        ).T
-        obj1, q, y = float_phase1(A, b)
-        if obj1 < 1e-9:
-            cols = [_config_column(cfg, n, with_intensity) for cfg in configs]
-            exact_q = solve_nonneg_exact(
-                cols, b_exact, prefer=list(np.argsort(-q, kind="stable"))
-            )
-            if exact_q is not None:
-                mix = _mixture_from(configs, exact_q)
-                value = None
-                if objective is not None:
-                    value = sum(
-                        (w * objective(cfg) for (cfg, w) in mix.atoms), Fraction(0)
-                    )
-                return RealizePPResult(
-                    status="feasible",
-                    mixture=mix,
-                    objective_value=value,
-                    residual=Fraction(0),
-                    note="column generation stops at the first exact realisation; "
-                    "the objective value is not certified minimal",
-                    method="column-generation",
-                )
-            return RealizePPResult(status="indeterminate", method="column-generation")
-        cfg, price = _price_config(y, target)
-        if price <= 1e-9:
-            cert = _certificate_from_dual(y, target)
-            if cert is not None:
-                return RealizePPResult(
-                    status="infeasible", certificate=cert, gap=cert.gap,
-                    method="column-generation",
-                )
-            return RealizePPResult(status="indeterminate", method="column-generation")
-        if cfg.multiplicity in known:
-            return RealizePPResult(status="indeterminate", method="column-generation")
-        known.add(cfg.multiplicity)
-        configs.append(cfg)
-    return RealizePPResult(status="indeterminate", method="column-generation")
+def _from_column_generation(res, target, objective) -> RealizePPResult:
+    """The verdict of `lp.column_generation` over configurations, for
+    carriers too large to enumerate."""
+    if res.status == "infeasible":
+        cert = _certificate_from_dual(res.farkas, res.witness, target)
+        return RealizePPResult(
+            status="infeasible", certificate=cert, gap=cert.gap, method="column-generation"
+        )
+    if res.status == "indeterminate":
+        return RealizePPResult(
+            status="indeterminate",
+            note=f"column generation found no verdict in {MAX_ROUNDS} rounds",
+            method="column-generation",
+        )
+    mix = _mixture_from(res.keys, res.x)
+    value = None
+    if objective is not None:
+        value = sum((w * objective(cfg) for cfg, w in mix.atoms), Fraction(0))
+    return RealizePPResult(
+        status="feasible",
+        mixture=mix,
+        objective_value=value,
+        residual=Fraction(0),
+        note="column generation stops at the first exact realisation; "
+        "the objective value is not certified minimal",
+        method="column-generation",
+    )
 
 
-def _price_config(y: np.ndarray, target: CorrelationTarget) -> tuple[Configuration, float]:
+def _price_config(y: Sequence, target: CorrelationTarget) -> tuple[Configuration, object]:
     """maximise y.A_Y over admissible configurations by prefix search with
     an interval bound; ties resolve to the lexicographically smallest
-    multiplicity vector."""
+    multiplicity vector.
+
+    y holds the pair prices, then n intensity prices if it is long enough,
+    then the normalisation price. Float prices give a float search;
+    `Fraction` prices give an exact one, whose maximum is exact.
+    """
     n = target.n
     pairs = pair_list(n)
-    y_pair = {pair: float(v) for pair, v in zip(pairs, y)}
+    num = Fraction if isinstance(y[-1], Fraction) else float
+    y_pair = {pair: num(v) for pair, v in zip(pairs, y)}
     y_int = None
-    if target.rho1 is not None:
-        y_int = [float(v) for v in y[len(pairs) : len(pairs) + n]]
-    y_norm = float(y[-1])
+    if len(y) > len(pairs) + 1:
+        y_int = [num(v) for v in y[len(pairs) : len(pairs) + n]]
+    y_norm = num(y[-1])
     per_point = 1 if (target.simple or target.hardcore_eps is not None) else target.cap
     forbidden = _forbidden_pairs(
         n, target.space, target.hardcore_eps, target.hardcore_strict
     )
 
-    def value(m: list[int]) -> float:
+    def value(m: list[int]):
         total = y_norm
         for i in range(len(m)):
             if m[i] == 0:
@@ -676,10 +637,10 @@ def _price_config(y: np.ndarray, target: CorrelationTarget) -> tuple[Configurati
     best_cfg = [0] * n
     best_val = value(best_cfg)
 
-    def upper_tail(prefix: list[int], mass_left: int) -> float:
+    def upper_tail(prefix: list[int], mass_left: int):
         # optimistic gain from the remaining coordinates
         k = len(prefix)
-        gain = 0.0
+        gain = 0
         for i in range(k, n):
             hi = min(per_point, mass_left)
             if y_int is not None and y_int[i] > 0:

@@ -31,6 +31,14 @@ def pair_list(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i, n)]
 
 
+def pair_matrix(n: int, values) -> list[list]:
+    """Symmetric n x n matrix with `values` on the pairs of `pair_list(n)`."""
+    a = [[0] * n for _ in range(n)]
+    for (i, j), v in zip(pair_list(n), values):
+        a[i][j] = a[j][i] = v
+    return a
+
+
 def check_symmetric(a: Sequence[Sequence], n: int) -> None:
     if len(a) != n or any(len(row) != n for row in a):
         raise InvalidInstance("coefficient matrix must be n x n")

@@ -17,14 +17,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import CapExceeded, InvalidGroup, InvalidInstance
-from .lp import exact_simplex, float_phase1, solve_nonneg_exact
+from .lp import FLOAT_TOL, MAX_ROUNDS, column_generation
 from .numbers import parse_rational, validate_mixture
-from .qubo import MAX_N, _mask_to_subset, evaluate_g, pair_list, qubo_min, qubo_topk_float
+from .qubo import (
+    MAX_N, _mask_to_subset, evaluate_g, pair_list, pair_matrix, qubo_min, qubo_topk_float,
+)
 
 FINITE_CARRIER_NOTE = (
     "verdict is for random subsets of the finite carrier; closedness or "
@@ -128,9 +130,7 @@ class RealizeResult:
 @dataclass(frozen=True)
 class RealizeOptions:
     max_exact: int = 15
-    tol: float = 1e-9
     force_column_generation: bool = False
-    max_iterations: int = 2000
 
 
 def _column_matrix(masks: Sequence[int], n: int) -> np.ndarray:
@@ -143,12 +143,32 @@ def _column_matrix(masks: Sequence[int], n: int) -> np.ndarray:
     return np.vstack(rows)
 
 
-def _exact_column(mask: int, n: int) -> list[Fraction]:
-    col = []
-    for i, j in pair_list(n):
-        col.append(Fraction(1) if (mask >> i) & 1 and (mask >> j) & 1 else Fraction(0))
-    col.append(Fraction(1))
-    return col
+def _exact_column(mask: int, n: int) -> list[int]:
+    return [(mask >> i) & (mask >> j) & 1 for i, j in pair_list(n)] + [1]
+
+
+class _SubsetOracle:
+    """The columns of the set LP for `lp.column_generation`, keyed by subset
+    bitmask: float pricing by `qubo_topk_float`, exact by `qubo_min`."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def matrix(self, masks: list[int]) -> np.ndarray:
+        return _column_matrix(masks, self.n)
+
+    def column(self, mask: int) -> list[int]:
+        return _exact_column(mask, self.n)
+
+    def price(self, y: np.ndarray, k: int) -> list[int]:
+        # y.A_F = -(functional with c = -y_norm, a = -y_pairs) at F
+        a = pair_matrix(self.n, [-float(v) for v in y[:-1]])
+        priced = qubo_topk_float(-float(y[-1]), a, self.n, k)
+        return [mask for mask, val in priced if -val > FLOAT_TOL]
+
+    def best(self, y: list[Fraction]) -> tuple[int, Fraction]:
+        subset, low = qubo_min(-y[-1], pair_matrix(self.n, [-v for v in y[:-1]]), self.n)
+        return sum(1 << i for i in subset), -low
 
 
 def _rhs(target: TwoPointTarget) -> list[Fraction]:
@@ -186,35 +206,25 @@ def moments_of_mixture(mix: SubsetMixture) -> TwoPointTarget:
 
 
 def certificate_from_dual(
-    y: Sequence, target: TwoPointTarget
-) -> InfeasibilityCertificate | None:
-    """Exact certificate out of a (possibly float) Farkas dual.
+    y: Sequence[Fraction], witness: int, target: TwoPointTarget
+) -> InfeasibilityCertificate:
+    """Certificate out of an exact Farkas vector from `lp.exact_farkas`.
 
-    The quadratic coefficients are negated dual prices, normalised to
-    max |a| = 1; the constant is re-derived as minus the exact minimum of
-    the quadratic part, which makes the non-negativity half hold by
-    construction. Returns None when the pairing fails to be negative.
+    The quadratic coefficients are the negated pair prices and the constant
+    is the negated normalisation price, both divided by max |a| = 1. Since
+    the normalisation price is minus the exact maximum over all subsets,
+    the functional is non-negative with its minimum 0 at `witness`.
     """
-    n = target.n
-    pairs = pair_list(n)
-    a = [[Fraction(0)] * n for _ in range(n)]
-    for (i, j), yv in zip(pairs, y):
-        val = yv if isinstance(yv, Fraction) else Fraction(float(yv))
-        a[i][j] = -val
-        a[j][i] = -val
-    scale = max(abs(a[i][j]) for i, j in pairs)
-    if scale == 0:
-        return None
-    for i, j in pairs:
-        a[i][j] = a[i][j] / scale
-        a[j][i] = a[i][j]
-    minimizer, mval = qubo_min(Fraction(0), a, n)
-    c = -mval
-    pairing = c + sum((a[i][j] * target.p[i][j] for i, j in pairs), Fraction(0))
-    if pairing >= 0:
-        return None
-    a_t = tuple(tuple(row) for row in a)
-    return InfeasibilityCertificate(n=n, c=c, a=a_t, gap=-pairing, minimizer=minimizer)
+    scale = max(abs(v) for v in y[:-1])
+    a = pair_matrix(target.n, [-v / scale for v in y[:-1]])
+    cert = InfeasibilityCertificate(
+        n=target.n,
+        c=-y[-1] / scale,
+        a=tuple(tuple(row) for row in a),
+        gap=Fraction(0),
+        minimizer=_mask_to_subset(witness),
+    )
+    return replace(cert, gap=-cert.pairing(target))
 
 
 def verify_certificate(
@@ -274,181 +284,16 @@ def _frechet_certificate(target: TwoPointTarget) -> InfeasibilityCertificate:
     return replace(cert, gap=-cert.pairing(target))
 
 
-def _reconstruct_exact_mixture(
-    masks: Sequence[int], q_float: np.ndarray, target: TwoPointTarget
-) -> SubsetMixture | None:
-    """Exact non-negative solution on the float support (heaviest first)."""
-    b = _rhs(target)
-    order = np.argsort(-q_float, kind="stable")
-    support = [int(k) for k in order if q_float[k] > 1e-11]
-    if not support:
-        support = [0]
-    chosen = set(support)
-    wider = support + [
-        int(k) for k in order if q_float[k] > 1e-13 and int(k) not in chosen
-    ]
-    for attempt in (support, wider):
-        cols = [_exact_column(masks[k], target.n) for k in attempt]
-        q = solve_nonneg_exact(cols, b)
-        if q is not None:
-            sel_masks = [masks[k] for k in attempt]
-            return _mixture_from_weights(sel_masks, q, target.n)
-    return None
-
-
-def _exact_column_generation(target: TwoPointTarget, seed_masks: Iterable[int]) -> RealizeResult:
-    """Fully rational column generation: exact masters, exact pricing.
-
-    Feasibility of a restricted master proves global feasibility; an exact
-    Farkas dual priced out over all 2^n subsets proves global infeasibility,
-    and every iteration strictly enlarges the master, so this terminates
-    with a definite verdict.
-    """
-    n = target.n
-    b = _rhs(target)
-    masks = sorted(set(seed_masks) | {0, (1 << n) - 1} | {1 << i for i in range(n)})
-    known = set(masks)
-    while True:
-        cols = [_exact_column(mask, n) for mask in masks]
-        res = exact_simplex(cols, b)
-        if res.status == "optimal":
-            mix = _mixture_from_weights(masks, res.x, n)
-            return RealizeResult(
-                status="feasible",
-                mixture=mix,
-                residual=Fraction(0),
-                note=FINITE_CARRIER_NOTE,
-                method="exact-column-generation",
-            )
-        y = res.farkas
-        # price y over all subsets: max_F y.A_F = -min_F (-y).A_F
-        a = [[Fraction(0)] * n for _ in range(n)]
-        for (i, j), yv in zip(pair_list(n), y):
-            a[i][j] = -yv
-            a[j][i] = -yv
-        best_subset, best_val = qubo_min(-y[-1], a, n)
-        if -best_val <= 0:
-            cert = certificate_from_dual(y, target)
-            if cert is None:
-                raise RuntimeError("exact Farkas vector failed certification")
-            return RealizeResult(
-                status="infeasible",
-                certificate=cert,
-                gap=cert.gap,
-                method="exact-column-generation",
-            )
-        new_mask = sum(1 << i for i in best_subset)
-        if new_mask in known:
-            raise RuntimeError("pricing returned a known column; dual was not optimal")
-        known.add(new_mask)
-        masks.append(new_mask)
-
-
-def _realize_exact(target: TwoPointTarget, opts: RealizeOptions) -> RealizeResult:
-    n = target.n
-    masks = list(range(1 << n))
-    A = _column_matrix(masks, n)
-    b = np.array([float(v) for v in _rhs(target)])
-    obj, q, y = float_phase1(A, b)
-    if obj < 1e-7:
-        mix = _reconstruct_exact_mixture(masks, q, target)
-        if mix is not None:
-            return RealizeResult(
-                status="feasible",
-                mixture=mix,
-                residual=Fraction(0),
-                note=FINITE_CARRIER_NOTE,
-                method="enumeration",
-            )
-    else:
-        cert = certificate_from_dual(y[:-1], target)
-        if cert is not None:
-            return RealizeResult(
-                status="infeasible", certificate=cert, gap=cert.gap, method="enumeration"
-            )
-    # float presolve was inconclusive; fall back to the always-exact engine
-    support = [masks[k] for k in np.flatnonzero(q > 1e-11)] if obj < 1e-7 else []
-    return _exact_column_generation(target, support)
-
-
-def _realize_cg_float(target: TwoPointTarget, opts: RealizeOptions) -> RealizeResult:
-    """Restricted master + pricing in floats, verdicts re-verified exactly.
-
-    The master is degenerate on these instances (new columns often enter at
-    weight zero), so columns accumulate and are only evicted above a
-    watermark, never the ones added in the latest round; pricing adds a
-    batch of the most violated subsets per round.
-    """
-    n = target.n
-    if n > MAX_N:
-        raise CapExceeded(f"carrier too large for the exact pricing oracle (n > {MAX_N})")
-    b_exact = _rhs(target)
-    b = np.array([float(v) for v in b_exact])
-    m_rows = len(b_exact)
-    seeds = frozenset({0, (1 << n) - 1} | {1 << i for i in range(n)})
-    masks = sorted(seeds)
-    fresh: set[int] = set()
-    best_gap: float | None = None
-    batch = 8 if n <= 20 else 1
-    for _ in range(opts.max_iterations):
-        A = _column_matrix(masks, n)
-        obj, q, y = float_phase1(A, b)
-        if obj < max(opts.tol, 1e-9):
-            mix = _reconstruct_exact_mixture(masks, q, target)
-            if mix is not None:
-                return RealizeResult(
-                    status="feasible",
-                    mixture=mix,
-                    residual=Fraction(0),
-                    note=FINITE_CARRIER_NOTE,
-                    method="column-generation",
-                )
-            # no exact solution on the float support; fall back to the always-exact engine
-            return _exact_column_generation(target, [masks[k] for k in np.flatnonzero(q > 1e-11)])
-        # pricing: the most violated subsets under the current dual prices
-        a = [[0.0] * n for _ in range(n)]
-        for (i, j), yv in zip(pair_list(n), y[:-1]):
-            a[i][j] = -float(yv)
-            a[j][i] = -float(yv)
-        priced = qubo_topk_float(-float(y[-1]), a, n, batch)
-        known = set(masks)
-        new_masks = [
-            mask for mask, val in priced if -val > opts.tol and mask not in known
-        ]
-        if not new_masks:
-            cert = certificate_from_dual(y[:-1], target)
-            if cert is not None:
-                return RealizeResult(
-                    status="infeasible",
-                    certificate=cert,
-                    gap=cert.gap,
-                    method="column-generation",
-                )
-            best_gap = float(y @ b)
-            break
-        if len(masks) > 4 * m_rows:
-            masks = [
-                mask
-                for k, mask in enumerate(masks)
-                if mask in seeds or mask in fresh or q[k] > 1e-12
-            ]
-        fresh = set(new_masks)
-        masks.extend(new_masks)
-    return RealizeResult(
-        status="indeterminate",
-        gap=best_gap,
-        note="could not classify within tolerance",
-        method="column-generation",
-    )
-
-
 def realize_subsets(target: TwoPointTarget, opts: RealizeOptions | None = None) -> RealizeResult:
     """Decide realisability of a two-point covering target.
 
-    Exact mode (n <= opts.max_exact) enumerates all subsets and never
-    returns indeterminate on rational input; larger carriers go through
-    column generation with exact post-verification of whichever verdict
-    the float machinery produces.
+    One column-generation driver decides every carrier past the Fréchet
+    screen: for n <= opts.max_exact its first master holds all 2^n
+    subsets (one HiGHS solve, "enumeration"), larger carriers start from
+    the empty set, the full set and the singletons ("column-generation").
+    Either way the verdict is exact; a float answer that rational
+    arithmetic cannot confirm is finished by exact masters and exact
+    pricing ("exact-column-generation").
     """
     opts = opts or RealizeOptions()
     n = target.n
@@ -476,8 +321,33 @@ def realize_subsets(target: TwoPointTarget, opts: RealizeOptions | None = None) 
             method="degenerate",
         )
     if opts.force_column_generation or n > opts.max_exact:
-        return _realize_cg_float(target, opts)
-    return _realize_exact(target, opts)
+        if n > MAX_N:
+            raise CapExceeded(f"carrier too large for the exact pricing oracle (n > {MAX_N})")
+        method = "column-generation"
+        seed = sorted({0, (1 << n) - 1} | {1 << i for i in range(n)})
+    else:
+        method = "enumeration"
+        seed = list(range(1 << n))
+    b = _rhs(target)
+    res = column_generation(_SubsetOracle(n), b, seed)
+    if res.exact_rounds:
+        method = "exact-column-generation"
+    if res.status == "feasible":
+        return RealizeResult(
+            status="feasible",
+            mixture=_mixture_from_weights(res.keys, res.x, n),
+            residual=Fraction(0),
+            note=FINITE_CARRIER_NOTE,
+            method=method,
+        )
+    if res.status == "infeasible":
+        cert = certificate_from_dual(res.farkas, res.witness, target)
+        return RealizeResult(status="infeasible", certificate=cert, gap=cert.gap, method=method)
+    return RealizeResult(
+        status="indeterminate",
+        note=f"column generation found no verdict in {MAX_ROUNDS} rounds",
+        method=method,
+    )
 
 
 def validate_group(perms: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:

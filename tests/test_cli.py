@@ -127,6 +127,32 @@ class TestVerifyCert:
         assert report2["note"] == "certificate invalid"
 
 
+class TestMalformedCertificate:
+    def test_set_certificate_without_n(self, tmp_path):
+        inst = write(tmp_path, "t.json", DISJOINT)
+        _, report = run(tmp_path, "realize-set", inst)
+        cert_obj = report["payload"]["certificate"]
+        del cert_obj["n"]
+        cert = write(tmp_path, "cert.json", cert_obj)
+        code, report2 = run(tmp_path, "verify-cert", inst, cert)
+        assert code == 2
+        assert report2["status"] == "invalid"
+        assert "n" in report2["payload"]["error"]
+
+    def test_pp_certificate_with_a_too_small(self, tmp_path):
+        inst = write(tmp_path, "pp.json", {"n": 2, "rho": [[0, 1, "1"]], "cap": 2})
+        cert = write(
+            tmp_path,
+            "cert.json",
+            {"kind": "pp", "n": 2, "c": "0", "a": [["-1"]], "blin": None, "gap": "1",
+             "minimizer": [0, 0]},
+        )
+        code, report = run(tmp_path, "verify-cert", inst, cert)
+        assert code == 2
+        assert report["status"] == "invalid"
+        assert "2 x 2" in report["payload"]["error"]
+
+
 class TestRealizePP:
     INSTANCE = {
         "n": 2,

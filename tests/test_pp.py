@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from realkit import lp
-from realkit.errors import InvalidInstance
+from realkit import lp, pp
+from realkit.errors import CapExceeded, InvalidInstance
 from realkit.lp import exact_simplex
 from realkit.metric import Configuration, make_space
 from realkit.numbers import INF
@@ -360,6 +360,24 @@ def oracle(target, objective=None):
     return "feasible", res.objective if res.status == "optimal" else INF
 
 
+def assert_certificate_holds(target, cert):
+    """G >= 0 on every admissible configuration, enumerated here, with its
+    minimum 0 at the stored minimiser, and a negative pairing."""
+    n, per_point = target.n, 1 if target.simple else target.cap
+
+    def g(m):
+        total = cert.c + sum(b * v for b, v in zip(cert.blin or (), m))
+        return total + sum(
+            cert.a[i][j] * m[i] * (m[j] - (i == j)) for i in range(n) for j in range(i, n)
+        )
+
+    values = [
+        g(m) for m in itertools.product(range(per_point + 1), repeat=n) if sum(m) <= target.cap
+    ]
+    assert min(values) == 0 == g(cert.minimizer.multiplicity)
+    assert cert.pairing(target) == -cert.gap < 0
+
+
 @st.composite
 def small_targets(draw):
     """n <= 4 and cap <= 4, simple or not, with or without an intensity;
@@ -412,6 +430,7 @@ class TestAgainstEnumerationOracle:
         if verdict == "infeasible":
             ok, why = verify_pp_certificate(result.certificate, target)
             assert ok, why
+            assert_certificate_holds(target, result.certificate)
             return
         result.mixture.validate(tol=0)
         hat, r1_hat = pp_moments(result.mixture)
@@ -423,6 +442,67 @@ class TestAgainstEnumerationOracle:
             if optimum != INF:
                 assert result.dual_value == optimum
                 assert sum(w * objective(c) for c, w in result.mixture.atoms) == optimum
+
+
+class TestColumnGenerationAgainstEnumerationOracle:
+    """The driver seeded with the empty and the one-point configurations
+    (enumeration refused by a zero limit) against the same oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_targets())
+    def test_verdict_matches_the_oracle(self, target):
+        result = realize_pp(target, enum_limit=0)
+        verdict, _ = oracle(target)
+        assert result.status == verdict
+        if verdict == "infeasible":
+            ok, why = verify_pp_certificate(result.certificate, target)
+            assert ok, why
+            assert_certificate_holds(target, result.certificate)
+            return
+        assert result.method == "column-generation"
+        result.mixture.validate(tol=0)
+        hat, r1_hat = pp_moments(result.mixture)
+        assert hat == target.rho
+        if target.rho1 is not None:
+            assert r1_hat == target.rho1
+
+
+class TestNoEnumeration:
+    def test_certificate_without_enumeration(self, monkeypatch):
+        # certificates and their check come from the exact configuration
+        # search, so a carrier that cannot be enumerated still gets one
+        def refuse(*args, **kwargs):
+            raise CapExceeded("configuration count exceeds the limit")
+
+        monkeypatch.setattr(pp, "enumerate_configs", refuse)
+        target = CorrelationTarget.build(
+            n=3, rho_entries=[], rho1=["0.5", "0.5", "0.5"], cap=3, simple=True
+        )
+        result = realize_pp(target)
+        assert result.status == "infeasible"
+        assert result.method == "column-generation"
+        ok, reason = verify_pp_certificate(result.certificate, target)
+        assert ok, reason
+
+
+class TestCertificateShape:
+    TARGET = CorrelationTarget.build(n=2, rho_entries=[(0, 1, "1")], rho1=["1", "1"], cap=2)
+
+    def certificate(self, a, blin=None):
+        return pp.PPCertificate(
+            n=2, c=F(0), a=a, blin=blin, gap=F(1), minimizer=Configuration((0, 0))
+        )
+
+    @pytest.mark.parametrize(
+        "a, blin, reason",
+        [
+            (((F(-1),),), None, "coefficient matrix must be n x n"),
+            (((F(0), F(-1)), (F(0), F(0))), None, "coefficient matrix not symmetric at (0,1)"),
+            (((F(0), F(-1)), (F(-1), F(0))), (F(1),), "linear part has wrong length"),
+        ],
+    )
+    def test_malformed_certificates_rejected(self, a, blin, reason):
+        assert verify_pp_certificate(self.certificate(a, blin), self.TARGET) == (False, reason)
 
 
 class TestFloatFallbacks:

@@ -2,9 +2,13 @@ import random
 from dataclasses import replace
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from realkit.errors import CapExceeded, InvalidGroup, InvalidInstance
+from realkit.lp import column_generation, exact_simplex
 from realkit.setrealize import (
     InfeasibilityCertificate,
     RealizeOptions,
@@ -168,8 +172,13 @@ class TestDegenerateTargets:
                 ok, why = verify_certificate(r.certificate, t)
                 assert ok, why
 
-    def test_exact_column_generation_engine_agrees(self):
-        from realkit.setrealize import _exact_column_generation
+    def test_exact_column_generation_engine_agrees(self, monkeypatch):
+        from realkit import lp
+
+        def inconclusive(A, b):
+            # a "feasible" float master with an empty support: nothing to
+            # rebuild, so the driver starts its exact rounds from scratch
+            return 0.0, np.zeros(A.shape[1]), np.zeros(A.shape[0])
 
         rng = random.Random(89)
         for trial in range(10):
@@ -182,7 +191,10 @@ class TestDegenerateTargets:
             if t.frechet_violations():
                 continue
             a = realize_subsets(t)
-            b = _exact_column_generation(t, [])
+            with monkeypatch.context() as patch:
+                patch.setattr(lp, "float_phase1", inconclusive)
+                b = realize_subsets(t)
+            assert b.method == "exact-column-generation"
             assert a.status == b.status
             if b.status == "feasible":
                 assert moments_of_mixture(b.mixture).p == t.p
@@ -192,9 +204,9 @@ class TestDegenerateTargets:
 
 class TestFloatReconstructionFailure:
     def test_falls_back_to_exact_weights(self, monkeypatch):
-        from realkit import setrealize
+        from realkit import lp
 
-        monkeypatch.setattr(setrealize, "_reconstruct_exact_mixture", lambda *args: None)
+        monkeypatch.setattr(lp, "_rebuild_on_support", lambda *args: None)
         rng = random.Random(61)
         for _ in range(5):
             t = mixture_moments_target(rng, rng.randint(3, 7))
@@ -203,6 +215,56 @@ class TestFloatReconstructionFailure:
             assert r.residual == 0
             assert all(isinstance(w, F) for _, w in r.mixture.atoms)
             assert moments_of_mixture(r.mixture).p == t.p
+
+
+@st.composite
+def set_lps(draw):
+    """(n, b) for n <= 6: the pair rows and the normalisation of a target,
+    half of them the moments of a random mixture, half a random grid."""
+    n = draw(st.integers(2, 6))
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    if draw(st.booleans()):
+        masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=5))
+        weights = draw(st.lists(st.integers(1, 5), min_size=len(masks), max_size=len(masks)))
+        total = sum(weights)
+        b = [
+            sum((F(w, total) for m, w in zip(masks, weights) if m >> i & 1 and m >> j & 1), F(0))
+            for i, j in pairs
+        ]
+    else:
+        b = [F(draw(st.integers(0, 4)), 4) for _ in pairs]
+    return n, b + [F(1)]
+
+
+class TestDriverAgainstExactOracle:
+    """Both seeds of the set driver against `exact_simplex` over all 2^n
+    columns, built here from the definition."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(set_lps())
+    def test_verdict_under_both_seeds(self, lp_instance):
+        from realkit.setrealize import _SubsetOracle
+
+        n, b = lp_instance
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        columns = {
+            mask: [int(mask >> i & 1 and mask >> j & 1) for i, j in pairs] + [1]
+            for mask in range(1 << n)
+        }
+        verdict = exact_simplex(list(columns.values()), b).status
+        singletons = sorted({0, (1 << n) - 1} | {1 << i for i in range(n)})
+        for seed in (list(range(1 << n)), singletons):
+            res = column_generation(_SubsetOracle(n), b, seed)
+            assert (res.status == "feasible") == (verdict == "optimal")
+            if res.status == "feasible":
+                assert all(w >= 0 for w in res.x)
+                for row in range(len(b)):
+                    assert sum(columns[k][row] * w for k, w in zip(res.keys, res.x)) == b[row]
+            else:
+                assert res.status == "infeasible"
+                assert sum(y * v for y, v in zip(res.farkas, b)) > 0
+                prices = {k: sum(y * v for y, v in zip(res.farkas, col)) for k, col in columns.items()}
+                assert max(prices.values()) == 0 == prices[res.witness]
 
 
 class TestMoments:
