@@ -230,6 +230,8 @@ def column_generation(oracle: ColumnOracle, b: list, seed: list) -> ColumnGenera
                 "infeasible", farkas=farkas, witness=witness, exact_rounds=True
             )
         # y.A_witness > 0 under the master's Farkas vector, so it is new
+        if witness in master:
+            raise RuntimeError("exact pricing returned a column of the master")
         master.append(witness)
 
 
