@@ -576,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("realize-set", parents=[common], help="realise a two-point covering target")
     p.add_argument("instance")
-    p.add_argument("--max-exact", type=int, default=15, dest="max_exact")
+    p.add_argument("--max-exact", type=int, default=12, dest="max_exact")
     p.add_argument("--group", help="JSON list of permutations to symmetrise with")
     p.set_defaults(func=_cmd_realize_set)
 

@@ -61,13 +61,13 @@ class ExactLPResult:
     farkas: list[Fraction] | None = None
 
 
-# float zero for phase-1 values, prices, reduced costs and eviction; it only
-# picks a branch and the columns to keep, every answer is then checked exactly
+# float zero for phase-1 values, prices and reduced costs; it only picks a
+# branch, every answer is then checked exactly
 FLOAT_TOL = 1e-9
 # float rounds of column generation before it gives up without a verdict
 MAX_ROUNDS = 2000
 # priced columns asked for per round
-PRICING_BATCH = 8
+PRICING_BATCH = 64
 
 
 def solve_lp(
@@ -83,9 +83,10 @@ def solve_lp(
     direction is made exact. With an objective the HiGHS optimum is rebuilt
     on its support, exact duals are solved from the float-tight columns,
     and every reduced cost and the duality gap are checked in rationals.
-    Whatever fails to confirm is solved again by `exact_simplex`; so is a
-    float "infeasible" or "unbounded" objective solve, which is never
-    reported from floats alone.
+    A float "infeasible" objective solve is confirmed like a feasibility
+    solve's, by an exact Farkas vector. Whatever fails to confirm is solved
+    again by `exact_simplex`; so is a float "unbounded" objective solve,
+    which is never reported from floats alone.
     """
     A = np.array(cols, dtype=float).T
     bf = np.array(b, dtype=float)
@@ -177,14 +178,14 @@ def column_generation(oracle: ColumnOracle, b: list, seed: list) -> ColumnGenera
     """Decide A q = b, q >= 0 over every column the oracle knows.
 
     Float rounds: `float_phase1` solves the master, which starts as `seed`;
-    the oracle prices a batch of columns under the float dual, and the new
-    ones join the master. The master is degenerate on these instances (new
-    columns often enter at weight zero), so columns accumulate and are
-    evicted only above a watermark of four per row, never seed columns or
-    the ones added in the latest round (Lübbecke & Desrosiers, Selected
-    topics in column generation, Oper. Res. 53 (2005)). A feasible float
-    master is rebuilt exactly on its support; when no column prices out,
-    `exact_farkas` with the oracle's exact maximum proves infeasibility.
+    the oracle prices up to PRICING_BATCH columns under the float dual, and
+    the new ones join the master for good. The master is degenerate on
+    these instances (new columns often enter at weight zero), so wide
+    rounds without eviction take far fewer rounds than narrow ones with it
+    (Lübbecke & Desrosiers, Selected topics in column generation, Oper.
+    Res. 53 (2005)). A feasible float master is rebuilt exactly on its
+    support; when no column prices out, `exact_farkas` with the oracle's
+    exact maximum proves infeasibility.
 
     Exact rounds: if either confirmation fails, `exact_simplex` solves
     masters seeded with the float support, and each exact Farkas vector
@@ -194,7 +195,7 @@ def column_generation(oracle: ColumnOracle, b: list, seed: list) -> ColumnGenera
     rounds are capped, at MAX_ROUNDS.
     """
     bf = np.array(b, dtype=float)
-    master, anchored, fresh = list(seed), set(seed), set()
+    master = list(seed)
     for _ in range(MAX_ROUNDS):
         value, q, y = float_phase1(oracle.matrix(master), bf)
         if value < FLOAT_TOL:
@@ -210,12 +211,6 @@ def column_generation(oracle: ColumnOracle, b: list, seed: list) -> ColumnGenera
             if _dot(farkas, b) > 0:
                 return ColumnGenerationResult("infeasible", farkas=farkas, witness=witness)
             break
-        if len(master) > 4 * len(b):
-            master = [
-                key for key, w in zip(master, q)
-                if key in anchored or key in fresh or w > FLOAT_TOL
-            ]
-        fresh = set(new)
         master.extend(new)
     else:
         return ColumnGenerationResult("indeterminate")
@@ -238,6 +233,9 @@ def column_generation(oracle: ColumnOracle, b: list, seed: list) -> ColumnGenera
 def _confirm_optimum(cols, b, obj, A, bf) -> ExactLPResult | None:
     c = np.array(obj, dtype=float)
     status, q, y, _ = float_lp_min(A, bf, c)
+    if status == "infeasible":  # taken only if an exact Farkas vector confirms it
+        res = _confirm_feasibility(cols, b, A, bf)
+        return res if res is not None and res.status == "infeasible" else None
     if status != "optimal":
         return None
     x = _dense_rebuild(cols, b, q)
@@ -467,10 +465,6 @@ def _solve_exact(
     return q
 
 
-def _as_csc(cols_f: np.ndarray) -> csc_matrix:
-    return csc_matrix(cols_f)
-
-
 def float_phase1(A: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Least total slack for A q = b, q >= 0 (always solvable).
 
@@ -481,7 +475,7 @@ def float_phase1(A: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray, np.nd
     eye = np.eye(m)
     A_eq = np.hstack([A, eye, -eye])
     c = np.concatenate([np.zeros(n), np.ones(2 * m)])
-    res = linprog(c, A_eq=_as_csc(A_eq), b_eq=b, bounds=(0, None), method="highs")
+    res = linprog(c, A_eq=csc_matrix(A_eq), b_eq=b, bounds=(0, None), method="highs")
     if res.status != 0:
         raise RuntimeError(f"phase-1 float LP failed: {res.message}")
     y = np.asarray(res.eqlin.marginals, dtype=float)
@@ -492,7 +486,7 @@ def float_phase1(A: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray, np.nd
 
 def float_lp_min(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     """min c.q s.t. A q = b, q >= 0 in floats; returns (status, q, y, value)."""
-    res = linprog(c, A_eq=_as_csc(A), b_eq=b, bounds=(0, None), method="highs")
+    res = linprog(c, A_eq=csc_matrix(A), b_eq=b, bounds=(0, None), method="highs")
     if res.status == 2:
         return "infeasible", None, None, None
     if res.status == 3:

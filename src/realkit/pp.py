@@ -290,6 +290,18 @@ def enumerate_configs(
     return out
 
 
+def _admissible(config: Configuration, target: CorrelationTarget) -> bool:
+    """Whether `config` is one of the configurations the target's LP ranges over."""
+    m = config.multiplicity
+    per_point = 1 if (target.simple or target.hardcore_eps is not None) else target.cap
+    if len(m) != target.n or any(not 0 <= v <= per_point for v in m) or sum(m) > target.cap:
+        return False
+    forbidden = _forbidden_pairs(
+        target.n, target.space, target.hardcore_eps, target.hardcore_strict
+    )
+    return not any(m[i] and m[j] for i, j in forbidden)
+
+
 def _config_column(config: Configuration, n: int, with_intensity: bool) -> list[int]:
     m = config.multiplicity
     col = [m[i] * (m[j] - (i == j)) for i, j in pair_list(n)]
@@ -374,7 +386,8 @@ def verify_pp_certificate(
     cert: PPCertificate, target: CorrelationTarget
 ) -> tuple[bool, str]:
     """Exact re-verification: G's minimum over every admissible
-    configuration comes from the exact configuration search."""
+    configuration comes from the exact configuration search, and the
+    stored minimiser must be admissible and attain it."""
     n = cert.n
     if n != target.n:
         return False, "certificate size does not match target"
@@ -384,12 +397,18 @@ def verify_pp_certificate(
         return False, str(exc)
     if cert.blin is not None and len(cert.blin) != n:
         return False, "linear part has wrong length"
-    # min G = -max y.A_Y for the prices y = -(a, blin, c)
+    # G(Y) = -y.A_Y for the prices y = -(a, blin, c), so min G = -max y.A_Y
     y = [-cert.a[i][j] for i, j in pair_list(n)]
     y += [-v for v in cert.blin] if cert.blin is not None else []
-    min_cfg, top = _price_config(y + [-cert.c], target)
+    y.append(-cert.c)
+    min_cfg, top = _price_config(y, target)
     if top > 0:
         return False, f"functional attains {-top} < 0 at {min_cfg.multiplicity}"
+    if not _admissible(cert.minimizer, target):
+        return False, "stored minimizer is not an admissible configuration"
+    column = _config_column(cert.minimizer, n, cert.blin is not None)
+    if sum((u * v for u, v in zip(y, column)), Fraction(0)) != top:
+        return False, "stored minimizer does not attain the global minimum"
     pairing = cert.pairing(target)
     if pairing >= 0:
         return False, f"pairing with the target is {pairing} >= 0"
@@ -417,10 +436,7 @@ def _trivial_certificate(
         gap=Fraction(0),
         minimizer=Configuration((0,) * n),
     )
-    pairing = cert.pairing(target)
-    return PPCertificate(
-        n=n, c=cert.c, a=cert.a, blin=None, gap=-pairing, minimizer=cert.minimizer
-    )
+    return replace(cert, gap=-cert.pairing(target))
 
 
 CARDINALITY_POWERS = (2, 3, 4)
@@ -495,14 +511,35 @@ def realize_pp(
             limit=enum_limit, hardcore_strict=target.hardcore_strict,
         )
     except CapExceeded:
-        # the empty configuration and the one-point ones
+        # the empty configuration, and the one-point ones unless the cap is 0
         units = [
-            Configuration(tuple(int(i == k) for i in range(target.n))) for k in range(-1, target.n)
+            Configuration(tuple(int(i == k) for i in range(target.n)))
+            for k in range(-1, target.n if target.cap else 0)
         ]
         return _from_column_generation(column_generation(oracle, b, units), target, objective)
 
     cols = [oracle.column(cfg) for cfg in configs]
-    res = solve_lp(cols, b)
+    if objective is None:
+        res = solve_lp(cols, b)
+    else:
+        # the objective LP proves feasibility itself; the feasibility LP runs
+        # only when the finite sub-LP has no optimum
+        chi_vals = [objective(cfg) for cfg in configs]
+        finite = [k for k, v in enumerate(chi_vals) if v != INF]
+        res = solve_lp([cols[k] for k in finite], b, obj=[chi_vals[k] for k in finite])
+        if res.status == "optimal":
+            return RealizePPResult(
+                status="feasible",
+                mixture=_mixture_from([configs[k] for k in finite], res.x),
+                objective_value=res.objective,
+                dual_value=_dual_objective(res.duals, b),
+                residual=Fraction(0),
+                method="enumeration",
+            )
+        if len(finite) < len(configs):
+            res = solve_lp(cols, b)
+        elif res.status != "infeasible":
+            raise RuntimeError(f"optimising solve reported {res.status}")
     if res.status == "infeasible":
         farkas, witness = exact_farkas(res.farkas, b, oracle.best)
         cert = _certificate_from_dual(farkas, witness, target)
@@ -511,46 +548,13 @@ def realize_pp(
         return RealizePPResult(
             status="infeasible", certificate=cert, gap=cert.gap, method="enumeration"
         )
-    if objective is None:
-        mix = _mixture_from(configs, res.x)
-        return RealizePPResult(
-            status="feasible", mixture=mix, residual=Fraction(0), method="enumeration"
-        )
-
-    chi_vals = [objective(cfg) for cfg in configs]
-    finite = [k for k, v in enumerate(chi_vals) if v != INF]
-    if len(finite) < len(configs):
-        sub_cols = [cols[k] for k in finite]
-        sub = solve_lp(sub_cols, b, obj=[chi_vals[k] for k in finite])
-        if sub.status == "optimal":
-            mix = _mixture_from([configs[k] for k in finite], sub.x)
-            return RealizePPResult(
-                status="feasible",
-                mixture=mix,
-                objective_value=sub.objective,
-                dual_value=_dual_objective(sub.duals, b),
-                residual=Fraction(0),
-                method="enumeration",
-            )
-        mix = _mixture_from(configs, res.x)
-        return RealizePPResult(
-            status="feasible",
-            mixture=mix,
-            objective_value=INF,
-            residual=Fraction(0),
-            note="every realising mixture has infinite objective",
-            method="enumeration",
-        )
-    opt = solve_lp(cols, b, obj=chi_vals)
-    if opt.status != "optimal":
-        raise RuntimeError(f"optimising solve reported {opt.status}")
-    mix = _mixture_from(configs, opt.x)
+    infinite = objective is not None
     return RealizePPResult(
         status="feasible",
-        mixture=mix,
-        objective_value=opt.objective,
-        dual_value=_dual_objective(opt.duals, b),
+        mixture=_mixture_from(configs, res.x),
+        objective_value=INF if infinite else None,
         residual=Fraction(0),
+        note="every realising mixture has infinite objective" if infinite else None,
         method="enumeration",
     )
 

@@ -129,7 +129,7 @@ class RealizeResult:
 
 @dataclass(frozen=True)
 class RealizeOptions:
-    max_exact: int = 15
+    max_exact: int = 12
     force_column_generation: bool = False
 
 

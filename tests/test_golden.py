@@ -40,6 +40,9 @@ CASES = {
     "verify-cert-pp": (["verify-cert", "pp-infeasible.json", "cert-pp.json"], 0),
     "verify-cert-pp-tampered": (["verify-cert", "pp-infeasible.json", "cert-pp-tampered.json"], 1),
     "verify-cert-pp-lowered": (["verify-cert", "pp-infeasible.json", "cert-pp-lowered.json"], 1),
+    "verify-cert-pp-minimizer-moved": (
+        ["verify-cert", "pp-infeasible.json", "cert-pp-minimizer-moved.json"], 1
+    ),
     "realize-pp-feasible": (["realize-pp", "pp-feasible.json"], 0),
     "realize-pp-infeasible": (["realize-pp", "pp-infeasible.json"], 1),
     "realize-pp-diagonal": (["realize-pp", "pp-diagonal.json"], 1),

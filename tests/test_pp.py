@@ -300,6 +300,14 @@ class TestColumnGeneration:
         ok, reason = verify_pp_certificate(result.certificate, target)
         assert ok, reason
 
+    def test_cap_zero_seeds_no_point(self):
+        # only the empty configuration is admissible, so no intensity is
+        target = CorrelationTarget.build(n=2, rho_entries=[], rho1=["1/4", "0"], cap=0)
+        result = realize_pp(target, enum_limit=0)
+        assert result.status == "infeasible"
+        ok, reason = verify_pp_certificate(result.certificate, target)
+        assert ok, reason
+
 
 class TestRandomTargets:
     def test_every_verdict_is_verified(self):
@@ -446,12 +454,17 @@ class TestAgainstEnumerationOracle:
 
 class TestColumnGenerationAgainstEnumerationOracle:
     """The driver seeded with the empty and the one-point configurations
-    (enumeration refused by a zero limit) against the same oracle."""
+    (enumeration refused by a zero limit) against the same oracle, under
+    either batch size (the configuration oracle prices one column a round
+    whatever the batch)."""
 
+    @pytest.mark.parametrize("batch", [1, 64])
     @settings(max_examples=80, deadline=None)
     @given(small_targets())
-    def test_verdict_matches_the_oracle(self, target):
-        result = realize_pp(target, enum_limit=0)
+    def test_verdict_matches_the_oracle(self, batch, target):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lp, "PRICING_BATCH", batch)
+            result = realize_pp(target, enum_limit=0)
         verdict, _ = oracle(target)
         assert result.status == verdict
         if verdict == "infeasible":
@@ -465,6 +478,57 @@ class TestColumnGenerationAgainstEnumerationOracle:
         assert hat == target.rho
         if target.rho1 is not None:
             assert r1_hat == target.rho1
+
+
+def relabel_target(target, perm):
+    """New point k is old point perm[k]."""
+    back = {old: new for new, old in enumerate(perm)}
+    entries = [(back[i], back[j], w) for (i, j), w in target.rho.items()]
+    return CorrelationTarget.build(
+        rho_entries=[(min(i, j), max(i, j), w) for i, j, w in entries],
+        rho1=[target.rho1[k] for k in perm] if target.rho1 is not None else None,
+        cap=target.cap,
+        simple=target.simple,
+        space=make_space([[target.space.dist[a][b] for b in perm] for a in perm]),
+    )
+
+
+class TestRelabelling:
+    """Permuting the points leaves the verdict unchanged, and the permuted
+    mixture or certificate answers the permuted target."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_targets(), st.randoms(use_true_random=False))
+    def test_verdict_is_invariant(self, target, rng):
+        perm = list(range(target.n))
+        rng.shuffle(perm)
+        moved = relabel_target(target, perm)
+        result = realize_pp(target)
+        assert realize_pp(moved).status == result.status
+        if result.status == "feasible":
+            mix = ConfigMixture(
+                n=target.n,
+                atoms=tuple(
+                    (Configuration(tuple(c.multiplicity[k] for k in perm)), w)
+                    for c, w in result.mixture.atoms
+                ),
+            )
+            hat, r1_hat = pp_moments(mix)
+            assert hat == moved.rho
+            if moved.rho1 is not None:
+                assert r1_hat == moved.rho1
+        else:
+            cert = result.certificate
+            cert = pp.PPCertificate(
+                n=cert.n,
+                c=cert.c,
+                a=tuple(tuple(cert.a[i][j] for j in perm) for i in perm),
+                blin=tuple(cert.blin[k] for k in perm) if cert.blin is not None else None,
+                gap=cert.gap,
+                minimizer=Configuration(tuple(cert.minimizer.multiplicity[k] for k in perm)),
+            )
+            ok, why = verify_pp_certificate(cert, moved)
+            assert ok, why
 
 
 class TestNoEnumeration:
@@ -505,6 +569,35 @@ class TestCertificateShape:
         assert verify_pp_certificate(self.certificate(a, blin), self.TARGET) == (False, reason)
 
 
+class TestStoredMinimizer:
+    # G = 1 - (m_0 + m_1 + m_2) + (pair count), min 0 at every one-point
+    # configuration
+    TARGET = CorrelationTarget.build(
+        n=3, rho_entries=[], rho1=["0.5", "0.5", "0.5"], cap=3, simple=True
+    )
+
+    def test_the_certificate_verifies_with_its_own_minimizer(self):
+        cert = realize_pp(self.TARGET).certificate
+        assert verify_pp_certificate(cert, self.TARGET) == (True, "certificate valid")
+
+    @pytest.mark.parametrize(
+        "minimizer, reason",
+        [
+            ((1, 1, 1), "stored minimizer does not attain the global minimum"),
+            ((0, 0, 0), "stored minimizer does not attain the global minimum"),
+            ((2, 0, 0), "stored minimizer is not an admissible configuration"),
+            ((1, 1), "stored minimizer is not an admissible configuration"),
+        ],
+    )
+    def test_a_moved_minimizer_is_rejected(self, minimizer, reason):
+        cert = realize_pp(self.TARGET).certificate
+        moved = pp.PPCertificate(
+            n=cert.n, c=cert.c, a=cert.a, blin=cert.blin, gap=cert.gap,
+            minimizer=Configuration(minimizer),
+        )
+        assert verify_pp_certificate(moved, self.TARGET) == (False, reason)
+
+
 class TestFloatFallbacks:
     """A float answer that rational arithmetic cannot confirm is solved
     again by the exact simplex, and the verdict stays exact."""
@@ -532,6 +625,31 @@ class TestFloatFallbacks:
     def test_confirmed_answers_need_no_fallback(self, simplex_calls):
         assert realize_pp(self.FEASIBLE, objective=objective_cardinality(2)).status == "feasible"
         assert realize_pp(self.INFEASIBLE).status == "infeasible"
+        assert simplex_calls == []
+
+    def test_an_objective_request_solves_one_lp(self, monkeypatch, simplex_calls):
+        calls = []
+
+        def counted(name):
+            solve = getattr(lp, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return solve(*args)
+
+            return wrapper
+
+        for name in ("float_phase1", "float_lp_min"):
+            monkeypatch.setattr(lp, name, counted(name))
+        objective = objective_cardinality(2)
+        assert realize_pp(self.FEASIBLE, objective=objective).status == "feasible"
+        assert calls == ["float_lp_min"]
+        calls.clear()
+        # a float "infeasible" objective solve is confirmed by the Farkas path
+        result = realize_pp(self.INFEASIBLE, objective=objective)
+        assert result.status == "infeasible"
+        assert verify_pp_certificate(result.certificate, self.INFEASIBLE)[0]
+        assert calls == ["float_lp_min", "float_phase1"]
         assert simplex_calls == []
 
     def test_float_feasible_on_an_infeasible_target(self, monkeypatch, simplex_calls):

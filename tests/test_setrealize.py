@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from realkit import lp
 from realkit.errors import CapExceeded, InvalidGroup, InvalidInstance
 from realkit.lp import column_generation, exact_simplex
 from realkit.setrealize import (
@@ -238,11 +239,14 @@ def set_lps(draw):
 
 class TestDriverAgainstExactOracle:
     """Both seeds of the set driver against `exact_simplex` over all 2^n
-    columns, built here from the definition."""
+    columns, built here from the definition. At n <= 6 a batch of 64 takes
+    every column in one round, so a batch of 1 keeps the multi-round path
+    covered."""
 
+    @pytest.mark.parametrize("batch", [1, 64])
     @settings(max_examples=60, deadline=None)
     @given(set_lps())
-    def test_verdict_under_both_seeds(self, lp_instance):
+    def test_verdict_under_both_seeds(self, batch, lp_instance):
         from realkit.setrealize import _SubsetOracle
 
         n, b = lp_instance
@@ -254,7 +258,9 @@ class TestDriverAgainstExactOracle:
         verdict = exact_simplex(list(columns.values()), b).status
         singletons = sorted({0, (1 << n) - 1} | {1 << i for i in range(n)})
         for seed in (list(range(1 << n)), singletons):
-            res = column_generation(_SubsetOracle(n), b, seed)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(lp, "PRICING_BATCH", batch)
+                res = column_generation(_SubsetOracle(n), b, seed)
             assert (res.status == "feasible") == (verdict == "optimal")
             if res.status == "feasible":
                 assert all(w >= 0 for w in res.x)
@@ -265,6 +271,76 @@ class TestDriverAgainstExactOracle:
                 assert sum(y * v for y, v in zip(res.farkas, b)) > 0
                 prices = {k: sum(y * v for y, v in zip(res.farkas, col)) for k, col in columns.items()}
                 assert max(prices.values()) == 0 == prices[res.witness]
+
+
+class TestWideRounds:
+    def test_half_size_cyclic_design_at_n20(self, monkeypatch):
+        # the moments of n half-size cyclic intervals with weights 1..4;
+        # rounds of 8 columns with eviction took 231 float masters here
+        n = 20
+        weights = [F(k % 4 + 1) for k in range(n)]
+        total = sum(weights)
+        p = [[F(0)] * n for _ in range(n)]
+        for k, w in enumerate(weights):
+            members = [(k + t) % n for t in range(n // 2)]
+            for i in members:
+                for j in members:
+                    p[i][j] += w / total
+        t = TwoPointTarget.from_matrix(p)
+        masters = []
+        float_phase1 = lp.float_phase1
+
+        def counted(A, b):
+            masters.append(A.shape[1])
+            return float_phase1(A, b)
+
+        monkeypatch.setattr(lp, "float_phase1", counted)
+        r = realize_subsets(t)
+        assert r.status == "feasible"
+        assert r.method == "column-generation"
+        assert moments_of_mixture(r.mixture).p == t.p
+        assert len(masters) <= 40
+
+
+def relabel(perm, p):
+    """New point k is old point perm[k]."""
+    return [[p[a][b] for b in perm] for a in perm]
+
+
+class TestRelabelling:
+    """Permuting the points leaves the verdict unchanged, and the permuted
+    mixture or certificate answers the permuted target."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(set_lps(), st.randoms(use_true_random=False), st.booleans())
+    def test_verdict_is_invariant(self, lp_instance, rng, force_cg):
+        n, b = lp_instance
+        values = iter(b)
+        p = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                p[i][j] = p[j][i] = next(values)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        t = TwoPointTarget.from_matrix(p)
+        moved = TwoPointTarget.from_matrix(relabel(perm, p))
+        opts = RealizeOptions(force_column_generation=force_cg)
+        r = realize_subsets(t, opts)
+        assert realize_subsets(moved, opts).status == r.status
+        back = {old: new for new, old in enumerate(perm)}
+        if r.status == "feasible":
+            mix = SubsetMixture(
+                n=n, atoms=tuple((frozenset(back[i] for i in s), w) for s, w in r.mixture.atoms)
+            )
+            assert moments_of_mixture(mix).p == moved.p
+        else:
+            cert = replace(
+                r.certificate,
+                a=tuple(tuple(row) for row in relabel(perm, r.certificate.a)),
+                minimizer=frozenset(back[i] for i in r.certificate.minimizer),
+            )
+            ok, why = verify_certificate(cert, moved)
+            assert ok, why
 
 
 class TestMoments:
