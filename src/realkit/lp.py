@@ -21,6 +21,10 @@
   exact Farkas vector: its normalisation entry becomes minus the exact
   maximum of y.A_j over every column.
 
+* `negative_direction` — the moment screens' test for a rational matrix
+  that is not positive semidefinite: `numpy.linalg.eigh` locates a
+  direction, integers confirm it.
+
 * `exact_simplex` — a dense two-phase tableau simplex with Bland's rule over
   `Fraction`, returning exact primal/dual solutions and, on infeasibility,
   an exact Farkas vector. Deterministic and immune to cycling; the
@@ -68,6 +72,8 @@ FLOAT_TOL = 1e-9
 MAX_ROUNDS = 2000
 # priced columns asked for per round
 PRICING_BATCH = 64
+# largest entry of a rounded eigenvector in `negative_direction`
+DIRECTION_SCALE = 1 << 10
 
 
 def solve_lp(
@@ -151,6 +157,8 @@ def exact_farkas(y: Sequence, b: Sequence, best: Callable) -> tuple[list[Fractio
 class ColumnOracle(Protocol):
     """The columns of one LP, keyed by hashable keys (bitmasks, configurations)."""
 
+    size: int | None  # the number of columns, when the oracle can count them
+
     def matrix(self, keys: list) -> np.ndarray:
         """Float matrix with one column per key."""
 
@@ -205,7 +213,9 @@ def column_generation(oracle: ColumnOracle, b: list, seed: list) -> ColumnGenera
                 return ColumnGenerationResult("feasible", [master[j] for j in support], x=weights)
             break
         known = set(master)
-        new = [key for key in oracle.price(y, PRICING_BATCH) if key not in known]
+        # a master holding every column leaves nothing to price
+        priced = [] if len(known) == oracle.size else oracle.price(y, PRICING_BATCH)
+        new = [key for key in priced if key not in known]
         if not new:
             farkas, witness = exact_farkas(y, b, oracle.best)
             if _dot(farkas, b) > 0:
@@ -228,6 +238,30 @@ def column_generation(oracle: ColumnOracle, b: list, seed: list) -> ColumnGenera
         if witness in master:
             raise RuntimeError("exact pricing returned a column of the master")
         master.append(witness)
+
+
+def negative_direction(M: Sequence[Sequence[Fraction]]) -> list[int] | None:
+    """An integer vector v with v.M.v < 0 for the symmetric rational matrix
+    M, or None if none is found.
+
+    `numpy.linalg.eigh` locates the eigenvector of the smallest eigenvalue,
+    taken only when that eigenvalue is below -FLOAT_TOL; it is rounded to
+    integers with max |v| = DIRECTION_SCALE, and v.M.v < 0 is confirmed in
+    integers after clearing denominators.
+    """
+    values, vectors = np.linalg.eigh(np.array(M, dtype=float))
+    if values[0] >= -FLOAT_TOL:
+        return None
+    u = vectors[:, 0]
+    v = [int(x) for x in np.rint(u * (DIRECTION_SCALE / np.abs(u).max()))]
+    scale = lcm(*(x.denominator for row in M for x in row))
+    form = sum(
+        v[i] * v[j] * x.numerator * (scale // x.denominator)
+        for i, row in enumerate(M)
+        for j, x in enumerate(row)
+        if v[i] and v[j]
+    )
+    return v if form < 0 else None
 
 
 def _confirm_optimum(cols, b, obj, A, bf) -> ExactLPResult | None:

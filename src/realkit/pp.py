@@ -18,15 +18,19 @@ cardinality power or of a distance-weighted close-pair sum.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import CapExceeded, InvalidInstance
-from .lp import FLOAT_TOL, MAX_ROUNDS, column_generation, exact_farkas, solve_lp
+from .lp import (
+    FLOAT_TOL, MAX_ROUNDS, column_generation, exact_farkas, negative_direction, solve_lp,
+)
 from .metric import Configuration, FiniteMetricSpace
 from .numbers import INF, parse_rational, validate_mixture
 from .qubo import check_symmetric, pair_list, pair_matrix
@@ -236,18 +240,53 @@ def check_hardcore_support(
     return (not offenders), offenders
 
 
-def _forbidden_pairs(
-    n: int, space: FiniteMetricSpace | None, eps: Fraction | None, strict: bool
-) -> set[tuple[int, int]]:
-    """Unordered point pairs that an admissible support may not contain."""
-    if eps is None:
-        return set()
-    return {
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if (space.dist[i][j] <= eps if strict else space.dist[i][j] < eps)
-    }
+@dataclass(frozen=True)
+class _Rules:
+    """Which multiplicity vectors are admissible: total mass at most cap, at
+    most per_point at each point (1 for simple and hard-core targets), and
+    no two occupied points closer than the hard-core distance. The one
+    place that decides it, for enumeration, pricing, seeding and
+    certificate checks."""
+
+    n: int
+    cap: int
+    per_point: int
+    conflicts: tuple[tuple[int, ...], ...]  # conflicts[k]: points i < k that k may not join
+
+    @staticmethod
+    def build(n, cap, simple, eps, space, strict) -> "_Rules":
+        def close(i: int, k: int) -> bool:
+            d = space.dist[i][k]
+            return d <= eps if strict else d < eps
+
+        return _Rules(
+            n=n,
+            cap=cap,
+            per_point=1 if (simple or eps is not None) else cap,
+            conflicts=tuple(
+                tuple(i for i in range(k) if eps is not None and close(i, k)) for k in range(n)
+            ),
+        )
+
+    @staticmethod
+    def of(target: CorrelationTarget) -> "_Rules":
+        return _Rules.build(
+            target.n, target.cap, target.simple, target.hardcore_eps, target.space,
+            target.hardcore_strict,
+        )
+
+    def choices(self, prefix: Sequence[int], mass_left: int) -> range:
+        """Multiplicities point len(prefix) may take after `prefix` with
+        `mass_left` still to place."""
+        if any(prefix[i] for i in self.conflicts[len(prefix)]):
+            return range(1)
+        return range(min(self.per_point, mass_left) + 1)
+
+    def admits(self, m: Sequence[int]) -> bool:
+        """Whether m is one of the configurations the target's LP ranges over."""
+        return len(m) == self.n and all(
+            v in self.choices(m[:k], self.cap - sum(m[:k])) for k, v in enumerate(m)
+        )
 
 
 def enumerate_configs(
@@ -263,43 +302,25 @@ def enumerate_configs(
     in lexicographic order. Raises CapExceeded past `limit` columns."""
     if hardcore_eps is not None and space is None:
         raise InvalidInstance("hard-core enumeration needs the metric space")
-    per_point = 1 if (simple or hardcore_eps is not None) else cap
     eps = hardcore_eps
     if eps is not None and not isinstance(eps, Fraction):
         eps = parse_rational(eps)
-    forbidden = _forbidden_pairs(n, space, eps, hardcore_strict)
+    rules = _Rules.build(n, cap, simple, eps, space, hardcore_strict)
     out: list[Configuration] = []
 
     def extend(prefix: list[int], mass_left: int) -> None:
-        k = len(prefix)
-        if k == n:
+        if len(prefix) == n:
             out.append(Configuration(tuple(prefix)))
             if len(out) > limit:
                 raise CapExceeded(f"configuration count exceeds {limit}")
             return
-        for m in range(min(per_point, mass_left) + 1):
-            if m > 0 and any(
-                (min(i, k), max(i, k)) in forbidden for i in range(k) if prefix[i] > 0
-            ):
-                break
+        for m in rules.choices(prefix, mass_left):
             prefix.append(m)
             extend(prefix, mass_left - m)
             prefix.pop()
 
     extend([], cap)
     return out
-
-
-def _admissible(config: Configuration, target: CorrelationTarget) -> bool:
-    """Whether `config` is one of the configurations the target's LP ranges over."""
-    m = config.multiplicity
-    per_point = 1 if (target.simple or target.hardcore_eps is not None) else target.cap
-    if len(m) != target.n or any(not 0 <= v <= per_point for v in m) or sum(m) > target.cap:
-        return False
-    forbidden = _forbidden_pairs(
-        target.n, target.space, target.hardcore_eps, target.hardcore_strict
-    )
-    return not any(m[i] and m[j] for i, j in forbidden)
 
 
 def _config_column(config: Configuration, n: int, with_intensity: bool) -> list[int]:
@@ -317,6 +338,7 @@ class _ConfigOracle:
 
     def __init__(self, target: CorrelationTarget):
         self.target = target
+        self.size = None
 
     def matrix(self, configs: list[Configuration]) -> np.ndarray:
         return np.array([self.column(cfg) for cfg in configs], dtype=float).T
@@ -404,7 +426,7 @@ def verify_pp_certificate(
     min_cfg, top = _price_config(y, target)
     if top > 0:
         return False, f"functional attains {-top} < 0 at {min_cfg.multiplicity}"
-    if not _admissible(cert.minimizer, target):
+    if not _Rules.of(target).admits(cert.minimizer.multiplicity):
         return False, "stored minimizer is not an admissible configuration"
     column = _config_column(cert.minimizer, n, cert.blin is not None)
     if sum((u * v for u, v in zip(y, column)), Fraction(0)) != top:
@@ -437,6 +459,73 @@ def _trivial_certificate(
         minimizer=Configuration((0,) * n),
     )
     return replace(cert, gap=-cert.pairing(target))
+
+
+def _psd_functional(target: CorrelationTarget):
+    """(a, blin) of a square G = (v_0 + sum_i v_i m_i)^2, whose constant is
+    v_0^2, with a negative pairing v.M.v, or None. M = [[1, rho1_i],
+    [rho1_i, rho_ij + delta_ij rho1_i]] is the second-moment matrix of
+    (1, m); with m_i^2 = m_i (m_i - 1) + m_i, blin_i = 2 v_0 v_i + v_i^2,
+    a_ii = v_i^2 and a_ij = 2 v_i v_j."""
+    n, r1 = target.n, target.rho1
+    M = [[Fraction(1), *r1]]
+    M += [[r1[i], *(target.rho_value(i, j) for j in range(n))] for i in range(n)]
+    for i in range(n):
+        M[i + 1][i + 1] += r1[i]
+    v = negative_direction(M)
+    if v is None:
+        return None
+    v0, v = v[0], v[1:]
+    a = {(i, i): v[i] * v[i] for i in range(n)}
+    a.update({(i, j): 2 * v[i] * v[j] for i, j in itertools.combinations(range(n), 2)})
+    return a, [2 * v0 * v[i] + v[i] * v[i] for i in range(n)]
+
+
+def _cap_functional(target: CorrelationTarget):
+    """(a, blin) of G = (cap - 1) N - N (N - 1) = N (cap - N) >= 0 when
+    its pairing (cap - 1) E[N] - E[N (N - 1)] is negative, or None
+    (Kuna, Lebowitz & Speer, Realizability of point processes, J. Stat.
+    Phys. 129, 2007)."""
+    pair_mass = sum(w if i == j else 2 * w for (i, j), w in target.rho.items())
+    if (target.cap - 1) * sum(target.rho1) >= pair_mass:
+        return None
+    a = {(i, j): -1 if i == j else -2 for i, j in pair_list(target.n)}
+    return a, [target.cap - 1] * target.n
+
+
+# (method, functional, note): each screen proves infeasibility without an LP
+SCREENS = (
+    ("psd-screen", _psd_functional, "moment matrix not positive semidefinite; no LP solve needed"),
+    ("cap-screen", _cap_functional,
+     "pair mass exceeds what the cardinality cap allows; no LP solve needed"),
+)
+
+
+def _screen(target: CorrelationTarget) -> RealizePPResult | None:
+    """The verdict of the first screen that fires on a target with an
+    intensity, or None.
+
+    A screen returns the integer coefficients ({(i, j): a_ij, i <= j},
+    blin) of a functional that is non-negative on every configuration and
+    pairs negatively with the target, both confirmed exactly. They become an LP certificate:
+    `exact_farkas` sets the constant to minus the exact minimum of the
+    rest, from `_price_config` (never above the screen's own constant, so
+    the pairing stays negative), and `_certificate_from_dual` scales to
+    max |(a, blin)| = 1.
+    """
+    if target.rho1 is None:
+        return None
+    for method, functional, note in SCREENS:
+        found = functional(target)
+        if found is not None:
+            a, blin = found
+            y = [-a.get(pair, 0) for pair in pair_list(target.n)] + [-v for v in blin] + [0]
+            y, witness = exact_farkas(y, _target_rhs(target), _ConfigOracle(target).best)
+            cert = _certificate_from_dual(y, witness, target)
+            return RealizePPResult(
+                status="infeasible", certificate=cert, gap=cert.gap, note=note, method=method
+            )
+    return None
 
 
 CARDINALITY_POWERS = (2, 3, 4)
@@ -479,6 +568,13 @@ def realize_pp(
     """Decide realisability of a correlation target; optionally minimise an
     expectation over the realising mixtures and report the optimum.
 
+    Checks that need no LP run first: diagonal mass on a simple target or
+    mass inside the hard-core distance ("validation"), then, for targets
+    with an intensity, a moment matrix of (1, m) that is not positive
+    semidefinite ("psd-screen") and E[N(N-1)] > (cap-1) E[N]
+    ("cap-screen"). The LP decides the rest, over every configuration
+    ("enumeration") or by column generation past `enum_limit`.
+
     The optimum of a close-pair objective is pinned by the moment rows, so
     the primal value doubles as a consistency check on the data.
     """
@@ -503,6 +599,9 @@ def realize_pp(
                 note="correlation mass inside the hard-core distance",
                 method="validation",
             )
+    screened = _screen(target)
+    if screened is not None:
+        return screened
     oracle = _ConfigOracle(target)
     b = _target_rhs(target)
     try:
@@ -511,10 +610,12 @@ def realize_pp(
             limit=enum_limit, hardcore_strict=target.hardcore_strict,
         )
     except CapExceeded:
-        # the empty configuration, and the one-point ones unless the cap is 0
+        # the empty configuration and the admissible one-point ones
+        rules = _Rules.of(target)
         units = [
-            Configuration(tuple(int(i == k) for i in range(target.n)))
-            for k in range(-1, target.n if target.cap else 0)
+            Configuration(m)
+            for m in (tuple(int(i == k) for i in range(target.n)) for k in range(-1, target.n))
+            if rules.admits(m)
         ]
         return _from_column_generation(column_generation(oracle, b, units), target, objective)
 
@@ -610,20 +711,25 @@ def _price_config(y: Sequence, target: CorrelationTarget) -> tuple[Configuration
 
     y holds the pair prices, then n intensity prices if it is long enough,
     then the normalisation price. Float prices give a float search;
-    `Fraction` prices give an exact one, whose maximum is exact.
+    `Fraction` prices give an exact one, whose maximum is exact. It runs
+    in integers after clearing denominators, a positive scaling that
+    changes no comparison.
     """
     n = target.n
     pairs = pair_list(n)
-    num = Fraction if isinstance(y[-1], Fraction) else float
+    scale = None
+    num = float
+    if isinstance(y[-1], Fraction):
+        y = [Fraction(v) for v in y]
+        scale = lcm(*(v.denominator for v in y))
+        y = [v.numerator * (scale // v.denominator) for v in y]
+        num = int
     y_pair = {pair: num(v) for pair, v in zip(pairs, y)}
     y_int = None
     if len(y) > len(pairs) + 1:
         y_int = [num(v) for v in y[len(pairs) : len(pairs) + n]]
     y_norm = num(y[-1])
-    per_point = 1 if (target.simple or target.hardcore_eps is not None) else target.cap
-    forbidden = _forbidden_pairs(
-        n, target.space, target.hardcore_eps, target.hardcore_strict
-    )
+    rules = _Rules.of(target)
 
     def value(m: list[int]):
         total = y_norm
@@ -646,7 +752,7 @@ def _price_config(y: Sequence, target: CorrelationTarget) -> tuple[Configuration
         k = len(prefix)
         gain = 0
         for i in range(k, n):
-            hi = min(per_point, mass_left)
+            hi = min(rules.per_point, mass_left)
             if y_int is not None and y_int[i] > 0:
                 gain += y_int[i] * hi
             if y_pair[(i, i)] > 0:
@@ -671,17 +777,13 @@ def _price_config(y: Sequence, target: CorrelationTarget) -> tuple[Configuration
         base = value(prefix + [0] * (n - k))
         if base + upper_tail(prefix, mass_left) <= best_val:
             return
-        for m in range(min(per_point, mass_left) + 1):
-            if m > 0 and any(
-                (min(i, k), max(i, k)) in forbidden for i in range(k) if prefix[i] > 0
-            ):
-                break
+        for m in rules.choices(prefix, mass_left):
             prefix.append(m)
             visit(prefix, mass_left - m)
             prefix.pop()
 
     visit([], target.cap)
-    return Configuration(tuple(best_cfg)), best_val
+    return Configuration(tuple(best_cfg)), best_val if scale is None else Fraction(best_val, scale)
 
 
 @dataclass

@@ -9,12 +9,22 @@ is linear-programming feasibility over the 2^n deterministic subsets:
 Feasible targets come back with an explicit mixture whose moments are
 reproduced exactly in rational arithmetic; infeasible ones come back with
 a certificate (c, a) whose induced set functional is non-negative on every
-subset while its pairing with p is negative — re-verified exactly before
-being returned, whatever path produced it.
+subset while its pairing with p is negative. `realize_subsets` does not
+re-verify a certificate before returning it; its construction is the
+proof. Every certificate, from a screen or from the LP, is an exact
+vector whose constant c is set by `lp.exact_farkas` to minus the exact
+maximum of the pair part, which `qubo_min` computes over all 2^n subsets,
+so the functional's minimum is exactly 0. A negative pairing is what each
+path establishes in rationals: a screen from a violated Fréchet bound,
+triangle facet or square, whose own constant is never below c; the LP
+from an exact Farkas vector, whose pairing with the target is checked.
+`verify_certificate` re-checks any certificate from scratch, and the tests
+do so for every path.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
@@ -22,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapExceeded, InvalidGroup, InvalidInstance
-from .lp import FLOAT_TOL, MAX_ROUNDS, column_generation
+from .lp import FLOAT_TOL, MAX_ROUNDS, column_generation, exact_farkas, negative_direction
 from .numbers import parse_rational, validate_mixture
 from .qubo import (
     MAX_N, _mask_to_subset, evaluate_g, pair_list, pair_matrix, qubo_min, qubo_topk_float,
@@ -153,6 +163,7 @@ class _SubsetOracle:
 
     def __init__(self, n: int):
         self.n = n
+        self.size = 1 << n
 
     def matrix(self, masks: list[int]) -> np.ndarray:
         return _column_matrix(masks, self.n)
@@ -257,55 +268,131 @@ def verify_certificate(
     return True, "certificate valid"
 
 
-def _frechet_certificate(target: TwoPointTarget) -> InfeasibilityCertificate:
-    kind, i, j = target.frechet_violations()[0]
-    n = target.n
-    a = [[Fraction(0)] * n for _ in range(n)]
+def _frechet_functional(target: TwoPointTarget) -> dict | None:
+    """a of the first violated Fréchet bound, p_ij <= p_k (constant 0) or
+    p_i + p_j - p_ij <= 1 (constant 1), or None."""
+    violations = target.frechet_violations()
+    if not violations:
+        return None
+    kind, i, j = violations[0]
     if kind == "upper":
         k = i if target.p[i][i] <= target.p[j][j] else j
-        other = j if k == i else i
-        lo, hi = min(k, other), max(k, other)
-        a[k][k] = Fraction(1)
-        a[lo][hi] = Fraction(-1)
-        a[hi][lo] = Fraction(-1)
-        c = Fraction(0)
-    else:
-        a[i][i] = Fraction(-1)
-        a[j][j] = Fraction(-1)
-        a[i][j] = Fraction(1)
-        a[j][i] = Fraction(1)
-        c = Fraction(1)
-    a_t = tuple(tuple(row) for row in a)
-    minimizer, mval = qubo_min(c, a_t, n)
-    assert mval == 0
-    cert = InfeasibilityCertificate(
-        n=n, c=c, a=a_t, gap=Fraction(0), minimizer=minimizer
-    )
-    return replace(cert, gap=-cert.pairing(target))
+        return {(k, k): 1, (i, j): -1}
+    return {(i, i): -1, (j, j): -1, (i, j): 1}
+
+
+def _triangle_functional(target: TwoPointTarget) -> dict | None:
+    """a of a violated triangle facet of the correlation polytope, or
+    None: p_i + p_j + p_k - p_ij - p_ik - p_jk <= 1, and p_ij + p_ik - p_jk
+    <= p_i with apex i (Deza & Laurent, Geometry of Cuts and Metrics,
+    1997). Violations are located in floats, largest first, and each is
+    confirmed in rationals."""
+    n = target.n
+    if n < 3:
+        return None
+    P = np.array(target.p, dtype=float)
+    d = np.diag(P)
+    r = np.arange(n)
+    i, j, k = r[:, None, None], r[None, :, None], r[None, None, :]
+    # excess[0, i, j, k] of the first facet over i < j < k, excess[1, i, j, k]
+    # of the second with apex i over j < k
+    excess = np.stack([
+        d[i] + d[j] + d[k] - P[i, j] - P[i, k] - P[j, k] - 1,
+        P[i, j] + P[i, k] - P[j, k] - d[i],
+    ])
+    excess[0][~((i < j) & (j < k))] = -np.inf
+    excess[1][~((j < k) & (i != j) & (i != k))] = -np.inf
+    if excess.max() <= FLOAT_TOL:
+        return None
+    for pos in np.argsort(-excess, axis=None, kind="stable"):
+        facet, x, y, z = (int(v) for v in np.unravel_index(pos, excess.shape))
+        if excess[facet, x, y, z] <= FLOAT_TOL:
+            return None
+        if facet == 0:
+            c = 1
+            a = {(x, x): -1, (y, y): -1, (z, z): -1, (x, y): 1, (x, z): 1, (y, z): 1}
+        else:
+            c = 0
+            a = {(x, x): 1, (min(x, y), max(x, y)): -1, (min(x, z), max(x, z)): -1, (y, z): 1}
+        if c + sum(v * target.p[e][f] for (e, f), v in a.items()) < 0:
+            return a
+    return None
+
+
+def _psd_functional(target: TwoPointTarget) -> dict | None:
+    """a of a square G(F) = (v_0 + sum_{i in F} v_i)^2, whose constant is
+    v_0^2, with a negative pairing v.M.v, M = [[1, p_i], [p_i, p_ij]] being
+    the second-moment matrix of (1, 1{i in F}), or None."""
+    n = target.n
+    M = [[Fraction(1), *(target.p[i][i] for i in range(n))]]
+    M += [[target.p[i][i], *target.p[i]] for i in range(n)]
+    v = negative_direction(M)
+    if v is None:
+        return None
+    v0, v = v[0], v[1:]
+    a = {(i, i): 2 * v0 * v[i] + v[i] * v[i] for i in range(n)}
+    a.update({(i, j): 2 * v[i] * v[j] for i, j in itertools.combinations(range(n), 2)})
+    return a
+
+
+# (method, functional, note): each screen proves infeasibility without an LP
+SCREENS = (
+    ("frechet-screen", _frechet_functional,
+     "necessary two-point bound violated; no LP solve needed"),
+    ("triangle-screen", _triangle_functional,
+     "triangle inequality of the correlation polytope violated; no LP solve needed"),
+    ("psd-screen", _psd_functional,
+     "moment matrix not positive semidefinite; no LP solve needed"),
+)
+
+
+def _screen(target: TwoPointTarget) -> RealizeResult | None:
+    """The verdict of the first screen that fires, or None.
+
+    A screen returns the integer coefficients {(i, j): a_ij, i <= j} of a
+    functional that is non-negative on every subset and pairs negatively
+    with the target, both confirmed exactly. They become an LP certificate: `exact_farkas`
+    sets the constant to minus the exact minimum of the pair part, from
+    `qubo_min` (never above the screen's own constant, so the pairing
+    stays negative), and `certificate_from_dual` scales to max |a| = 1.
+    """
+    for method, functional, note in SCREENS:
+        a = functional(target)
+        if a is not None:
+            y = [-a.get(pair, 0) for pair in pair_list(target.n)] + [0]
+            y, witness = exact_farkas(y, _rhs(target), _SubsetOracle(target.n).best)
+            cert = certificate_from_dual(y, witness, target)
+            return RealizeResult(
+                status="infeasible", certificate=cert, gap=cert.gap, note=note, method=method
+            )
+    return None
 
 
 def realize_subsets(target: TwoPointTarget, opts: RealizeOptions | None = None) -> RealizeResult:
     """Decide realisability of a two-point covering target.
 
-    One column-generation driver decides every carrier past the Fréchet
-    screen: for n <= opts.max_exact its first master holds all 2^n
-    subsets (one HiGHS solve, "enumeration"), larger carriers start from
-    the empty set, the full set and the singletons ("column-generation").
-    Either way the verdict is exact; a float answer that rational
-    arithmetic cannot confirm is finished by exact masters and exact
-    pricing ("exact-column-generation").
+    Exact screens run first, in this order, and the first that fires
+    returns its certificate without an LP: a violated Fréchet bound
+    ("frechet-screen"), a violated triangle facet ("triangle-screen") and
+    a moment matrix [[1, p_i], [p_i, p_ij]] that is not positive
+    semidefinite ("psd-screen"). A screen only fires on an exactly
+    confirmed violation, so it never answers a feasible target.
+
+    One column-generation driver decides every target that passes them:
+    for n <= opts.max_exact its first master holds all 2^n subsets (one
+    HiGHS solve, "enumeration"), larger carriers start from the empty set,
+    the full set and the singletons ("column-generation"). Either way the
+    verdict is exact; a float answer that rational arithmetic cannot
+    confirm is finished by exact masters and exact pricing
+    ("exact-column-generation").
     """
     opts = opts or RealizeOptions()
     n = target.n
-    if target.frechet_violations():
-        cert = _frechet_certificate(target)
-        return RealizeResult(
-            status="infeasible",
-            certificate=cert,
-            gap=cert.gap,
-            note="necessary two-point bound violated; no LP solve needed",
-            method="frechet-screen",
-        )
+    if n > MAX_N:  # every certificate and every priced column needs qubo_min
+        raise CapExceeded(f"carrier too large for the exact pricing oracle (n > {MAX_N})")
+    screened = _screen(target)
+    if screened is not None:
+        return screened
     if n == 1:
         p1 = target.p[0][0]
         atoms = []
@@ -321,8 +408,6 @@ def realize_subsets(target: TwoPointTarget, opts: RealizeOptions | None = None) 
             method="degenerate",
         )
     if opts.force_column_generation or n > opts.max_exact:
-        if n > MAX_N:
-            raise CapExceeded(f"carrier too large for the exact pricing oracle (n > {MAX_N})")
         method = "column-generation"
         seed = sorted({0, (1 << n) - 1} | {1 << i for i in range(n)})
     else:

@@ -1,7 +1,8 @@
 """Regression corpus: every CLI command on small committed instances.
 
 Each case runs `cli.main` on files under `golden/instances` and compares
-the exit code and the report bytes with `golden/reports/<case>.json`.
+the exit code and the report bytes with `golden/reports/<case>.json`; every
+certificate a report carries must pass `verify-cert` against its instance.
 After a deliberate change of output, rewrite the reports with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -35,6 +37,9 @@ CASES = {
     "realize-set-enum-6-feasible": (["realize-set", "set-cg-feasible.json"], 0),
     "realize-set-enum-6-infeasible": (["realize-set", "set-cg-infeasible.json"], 1),
     "realize-set-group": (["realize-set", "set-symmetric.json", "--group", "group-c3.json"], 0),
+    # passes every screen, so the LP proves it, by enumeration and by column generation
+    "realize-set-pentagonal": (["realize-set", "set-pentagonal.json"], 1),
+    "realize-set-cg-pentagonal": (["realize-set", "set-pentagonal.json", "--max-exact", "3"], 1),
     "verify-cert-set": (["verify-cert", "set-infeasible.json", "cert-set.json"], 0),
     "verify-cert-set-tampered": (["verify-cert", "set-infeasible.json", "cert-set-tampered.json"], 1),
     "verify-cert-pp": (["verify-cert", "pp-infeasible.json", "cert-pp.json"], 0),
@@ -46,6 +51,7 @@ CASES = {
     "realize-pp-feasible": (["realize-pp", "pp-feasible.json"], 0),
     "realize-pp-infeasible": (["realize-pp", "pp-infeasible.json"], 1),
     "realize-pp-diagonal": (["realize-pp", "pp-diagonal.json"], 1),
+    "realize-pp-pentagonal": (["realize-pp", "pp-pentagonal.json"], 1),
     "realize-pp-card2": (["realize-pp", "pp-objective.json", "--objective", "card2"], 0),
     "realize-pp-card3": (["realize-pp", "pp-objective.json", "--objective", "card3"], 0),
     "realize-pp-card4": (["realize-pp", "pp-objective.json", "--objective", "card4"], 0),
@@ -105,6 +111,28 @@ def test_report_is_byte_identical(case, tmp_path):
     out = tmp_path / "report.json"
     assert _run(case, out) == CASES[case][1]
     assert out.read_bytes() == (REPORTS / f"{case}.json").read_bytes()
+
+
+def _certified() -> list[str]:
+    """Cases whose committed report carries a certificate."""
+    return sorted(
+        case
+        for case in CASES
+        if (REPORTS / f"{case}.json").exists()
+        and "certificate" in json.loads((REPORTS / f"{case}.json").read_text())["payload"]
+    )
+
+
+@pytest.mark.parametrize("case", _certified())
+def test_certificate_passes_verify_cert(case, tmp_path):
+    report = json.loads((REPORTS / f"{case}.json").read_text())
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(report["payload"]["certificate"]))
+    instance = next(a for a in CASES[case][0] if a.endswith(".json"))
+    out = tmp_path / "verdict.json"
+    with contextlib.redirect_stderr(io.StringIO()):
+        code = main(["verify-cert", str(INSTANCES / instance), str(cert), "--out", str(out)])
+    assert code == 0, json.loads(out.read_text())["payload"]["reason"]
 
 
 if __name__ == "__main__":

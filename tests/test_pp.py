@@ -30,6 +30,16 @@ from realkit.setrealize import SubsetMixture, TwoPointTarget, realize_subsets
 from helpers import random_simple_config_mixture
 
 PAIR_TARGET = CorrelationTarget.build(n=2, rho_entries=[(0, 1, "1")], cap=2, simple=True)
+# infeasible, yet passes the PSD and cap screens, so only the LP proves it: the
+# pp twin of a pentagonal hypermetric violation (golden pp-pentagonal.json)
+PENTAGONAL = CorrelationTarget.build(
+    n=4,
+    rho_entries=[(0, 1, "37/120"), (0, 2, "37/120"), (0, 3, "37/120"),
+                 (1, 2, "37/120"), (1, 3, "37/120"), (2, 3, "2/15")],
+    rho1=["37/60", "37/60", "23/60", "23/60"],
+    cap=4,
+    simple=True,
+)
 
 
 def indicator(n, i, j):
@@ -291,9 +301,7 @@ class TestColumnGeneration:
         assert hat == {(0, 1): F(1)}
 
     def test_infeasible_with_tiny_enumeration_limit(self):
-        target = CorrelationTarget.build(
-            n=3, rho_entries=[], rho1=["0.5", "0.5", "0.5"], cap=3, simple=True
-        )
+        target = PENTAGONAL
         result = realize_pp(target, enum_limit=3)
         assert result.status == "infeasible"
         assert result.method == "column-generation"
@@ -539,9 +547,7 @@ class TestNoEnumeration:
             raise CapExceeded("configuration count exceeds the limit")
 
         monkeypatch.setattr(pp, "enumerate_configs", refuse)
-        target = CorrelationTarget.build(
-            n=3, rho_entries=[], rho1=["0.5", "0.5", "0.5"], cap=3, simple=True
-        )
+        target = PENTAGONAL
         result = realize_pp(target)
         assert result.status == "infeasible"
         assert result.method == "column-generation"
@@ -606,9 +612,7 @@ class TestFloatFallbacks:
     FEASIBLE = CorrelationTarget.build(
         n=3, rho_entries=[(0, 1, "1/2"), (1, 2, "1/4")], rho1=["3/4", "3/4", "1/4"], cap=3
     )
-    INFEASIBLE = CorrelationTarget.build(
-        n=3, rho_entries=[], rho1=["0.5", "0.5", "0.5"], cap=3, simple=True
-    )
+    INFEASIBLE = PENTAGONAL
 
     @pytest.fixture
     def simplex_calls(self, monkeypatch):

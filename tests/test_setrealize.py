@@ -29,6 +29,14 @@ DISJOINT_3 = TwoPointTarget.from_matrix(
     [["0.5", "0", "0"], ["0", "0.5", "0"], ["0", "0", "0.5"]]
 )
 C3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+# infeasible, yet passes every screen (it violates a pentagonal hypermetric
+# inequality), so only the LP proves it; golden set-pentagonal.json
+PENTAGONAL = TwoPointTarget.from_matrix([
+    ["37/60", "37/120", "37/120", "37/120"],
+    ["37/120", "37/60", "37/120", "37/120"],
+    ["37/120", "37/120", "23/60", "2/15"],
+    ["37/120", "37/120", "2/15", "23/60"],
+])
 
 
 def target_for(n, p_diag, p_off):
@@ -182,13 +190,14 @@ class TestDegenerateTargets:
             return 0.0, np.zeros(A.shape[1]), np.zeros(A.shape[0])
 
         rng = random.Random(89)
+        # the screens answer the random infeasible targets without an LP
+        targets = [PENTAGONAL]
         for trial in range(10):
             n = rng.randint(2, 6)
-            t = (
-                self.degenerate_target(rng, n)
-                if trial % 2
-                else mixture_moments_target(rng, n)
+            targets.append(
+                self.degenerate_target(rng, n) if trial % 2 else mixture_moments_target(rng, n)
             )
+        for t in targets:
             if t.frechet_violations():
                 continue
             a = realize_subsets(t)
@@ -271,6 +280,24 @@ class TestDriverAgainstExactOracle:
                 assert sum(y * v for y, v in zip(res.farkas, b)) > 0
                 prices = {k: sum(y * v for y, v in zip(res.farkas, col)) for k, col in columns.items()}
                 assert max(prices.values()) == 0 == prices[res.witness]
+
+
+class TestPricingCalls:
+    def test_a_full_master_is_not_priced(self, monkeypatch):
+        from realkit import setrealize
+
+        calls = []
+        topk = setrealize.qubo_topk_float
+
+        def counted(*args):
+            calls.append(args)
+            return topk(*args)
+
+        monkeypatch.setattr(setrealize, "qubo_topk_float", counted)
+        r = realize_subsets(PENTAGONAL)
+        assert (r.status, r.method, calls) == ("infeasible", "enumeration", [])
+        r = realize_subsets(PENTAGONAL, RealizeOptions(max_exact=3))
+        assert (r.status, r.method) == ("infeasible", "column-generation") and calls
 
 
 class TestWideRounds:
