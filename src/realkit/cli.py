@@ -92,18 +92,12 @@ def _load_json(path: str) -> dict:
 
 
 def _fmt(value):
-    if value is None:
-        return None
-    if value == INF:
-        return "inf"
-    if isinstance(value, float):
-        return format_rational(Fraction(value))
-    return format_rational(value)
+    return None if value is None else format_rational(value)
 
 
 def _mixture_payload(mix: SubsetMixture) -> list[dict]:
     return [
-        {"subset": sorted(subset), "weight": _fmt(Fraction(w) if not isinstance(w, Fraction) else w)}
+        {"subset": sorted(subset), "weight": _fmt(w)}
         for subset, w in mix.atoms
     ]
 
@@ -121,10 +115,7 @@ def _certificate_payload(cert: InfeasibilityCertificate) -> dict:
 
 def _pp_mixture_payload(mix) -> list[dict]:
     return [
-        {
-            "multiplicity": list(cfg.multiplicity),
-            "weight": _fmt(Fraction(w) if not isinstance(w, Fraction) else w),
-        }
+        {"multiplicity": list(cfg.multiplicity), "weight": _fmt(w)}
         for cfg, w in mix.atoms
     ]
 
@@ -332,7 +323,7 @@ def _cmd_screen_pp(args) -> tuple[dict, int]:
     violations = [
         {
             "trial": t,
-            "h": [[format_rational(Fraction(v)) for v in row] for row in h],
+            "h": [[format_rational(v) for v in row] for row in h],
             "pairing": _fmt(phi),
             "infimum": _fmt(inf_val),
         }

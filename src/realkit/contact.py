@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import Infeasible, InvalidInstance
-from .numbers import compare_rational_to_sqrt, norm_sq, parse_rational, sqrt_interval, to_float
+from .numbers import compare_rational_to_sqrt, norm_sq, parse_rational, sqrt_interval
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,7 @@ def construct_two_point_set(
     if l_sq == 0:
         if tau1.jumps != tau2.jumps:
             raise Infeasible("coinciding reference points require identical cdfs")
-        a = (to_float(p1[0] + r1),) + tuple(to_float(c) for c in p1[1:])
+        a = (float(p1[0] + r1),) + tuple(float(c) for c in p1[1:])
         return TwoPointSet(no_point=False, r1=r1, r2=r2, points=(a,))
     # |R1 - R2| <= l, exactly
     if compare_rational_to_sqrt(abs(r1 - r2), l_sq) > 0:
@@ -166,12 +166,12 @@ def construct_two_point_set(
             f"the sandwich test cannot have passed at this u"
         )
     l_lo, l_hi = sqrt_interval(l_sq)
-    l_float = to_float((l_lo + l_hi) / 2)
-    f1 = [to_float(v) for v in p1]
-    f2 = [to_float(v) for v in p2]
+    l_float = float((l_lo + l_hi) / 2)
+    f1 = [float(v) for v in p1]
+    f2 = [float(v) for v in p2]
     direction = [(a - b) / l_float for a, b in zip(f1, f2)]
-    a1 = tuple(a + to_float(r1) * d for a, d in zip(f1, direction))
-    a2 = tuple(b - to_float(r2) * d for b, d in zip(f2, direction))
+    a1 = tuple(a + float(r1) * d for a, d in zip(f1, direction))
+    a2 = tuple(b - float(r2) * d for b, d in zip(f2, direction))
     return TwoPointSet(no_point=False, r1=r1, r2=r2, points=(a1, a2))
 
 
@@ -364,7 +364,7 @@ def monte_carlo_contact(
 
     def sample_jump_indices(tau: StepCdf) -> np.ndarray:
         """-1 codes distance 0 (u = 0), len(jumps) codes a miss (+inf)."""
-        values = np.array([to_float(v) for _, v in tau.jumps])
+        values = np.array([float(v) for _, v in tau.jumps])
         idx = np.searchsorted(values, u, side="left").astype(np.int64)
         idx[u == 0.0] = -1
         return idx
@@ -383,12 +383,12 @@ def monte_carlo_contact(
 
     emp1 = empirical(tau1, idx1)
     emp2 = empirical(tau2, idx2)
-    t1 = [to_float(tau1.value(A)) for A in grid_exact]
-    t2 = [to_float(tau2.value(A)) for A in grid_exact]
+    t1 = [float(tau1.value(A)) for A in grid_exact]
+    t2 = [float(tau2.value(A)) for A in grid_exact]
     dev1 = max((abs(e - t) for e, t in zip(emp1, t1)), default=0.0)
     dev2 = max((abs(e - t) for e, t in zip(emp2, t2)), default=0.0)
     no_point = float(np.mean((idx1 == len(tau1.jumps)) & (idx2 == len(tau2.jumps))))
-    grid = [to_float(A) for A in grid_exact]
+    grid = [float(A) for A in grid_exact]
     return MonteCarloReport(
         abscissae=grid,
         target1=t1,

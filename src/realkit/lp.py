@@ -1,21 +1,25 @@
 """Linear programming over exact rationals: HiGHS locates, rationals confirm.
 
-* `solve_lp` — the LP over an explicit column list. It locates the answer
-  with HiGHS (`float_phase1` for feasibility, `float_lp_min` for an
-  objective) and confirms it in rational arithmetic: a feasible point is
-  rebuilt on its float support by `solve_nonneg_exact`, an optimum gets
-  exact duals from the float-tight columns and an exact check of every
-  reduced cost and of the duality gap, and a Farkas direction is made exact
-  by `exact_farkas`. Whatever fails to confirm is solved again by
+* `solve_lp` — the LP over an explicit column list; it serves the
+  objective LP of `realize-pp --objective`. It locates the answer with
+  HiGHS (`float_phase1` for feasibility, `float_lp_min` for an objective)
+  and confirms it in rational arithmetic: a feasible point is rebuilt on
+  its float support by `solve_nonneg_exact`, an optimum gets exact duals
+  from the float-tight columns and an exact check of every reduced cost
+  and of the duality gap, and a Farkas direction is made exact by
+  `exact_farkas`. Whatever fails to confirm is solved again by
   `exact_simplex`, the Bland simplex fallback.
 
-* `column_generation` — the feasibility LP over columns that a caller's
-  oracle prices (subsets, configurations) instead of listing. Float masters
-  go to `float_phase1`, a batch of priced columns joins each round, and the
-  stop is confirmed in rationals: a feasible point is rebuilt on its
-  support, and "no column prices out" becomes an exact Farkas vector
-  through the oracle's exact maximum. Whatever fails to confirm continues
-  with exact masters (`exact_simplex`) and exact pricing.
+* `column_generation` — the feasibility LP of every set and point-process
+  target that reaches an LP, over columns that a caller's oracle prices
+  (subsets, configurations). The caller seeds the first master, with
+  every column when they are few enough to list (then nothing is priced)
+  or with a handful. Float masters go to `float_phase1`, a batch of priced
+  columns joins each round, and the stop is confirmed in rationals: a
+  feasible point is rebuilt on its support, and "no column prices out"
+  becomes an exact Farkas vector through the oracle's exact maximum.
+  Whatever fails to confirm continues with exact masters (`exact_simplex`)
+  and exact pricing.
 
 * `exact_farkas` — the one step that turns a float or exact dual into an
   exact Farkas vector: its normalisation entry becomes minus the exact
@@ -196,11 +200,13 @@ def column_generation(oracle: ColumnOracle, b: list, seed: list) -> ColumnGenera
     exact maximum proves infeasibility.
 
     Exact rounds: if either confirmation fails, `exact_simplex` solves
-    masters seeded with the float support, and each exact Farkas vector
-    that `exact_farkas` cannot confirm hands over its maximising column,
-    which prices out and joins the master. Every round enlarges the
-    master, so the exact rounds always end with a verdict; only the float
-    rounds are capped, at MAX_ROUNDS.
+    masters seeded with the float support when the float master was
+    feasible, and with every master column when it was not (an infeasible
+    master's phase-1 point says nothing about where a solution lies). Each
+    exact Farkas vector that `exact_farkas` cannot confirm hands over its
+    maximising column, which prices out and joins the master. Every round
+    enlarges the master, so the exact rounds always end with a verdict;
+    only the float rounds are capped, at MAX_ROUNDS.
     """
     bf = np.array(b, dtype=float)
     master = list(seed)
@@ -211,6 +217,7 @@ def column_generation(oracle: ColumnOracle, b: list, seed: list) -> ColumnGenera
             if found is not None:
                 support, weights = found
                 return ColumnGenerationResult("feasible", [master[j] for j in support], x=weights)
+            master = [key for key, w in zip(master, q) if w > 0]
             break
         known = set(master)
         # a master holding every column leaves nothing to price
@@ -224,7 +231,6 @@ def column_generation(oracle: ColumnOracle, b: list, seed: list) -> ColumnGenera
         master.extend(new)
     else:
         return ColumnGenerationResult("indeterminate")
-    master = [key for key, w in zip(master, q) if w > 0]
     while True:
         res = exact_simplex([oracle.column(key) for key in master], b)
         if res.status == "optimal":

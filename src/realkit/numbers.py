@@ -9,12 +9,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
 
 from .errors import InvalidInstance
-
-Rational = Fraction
-Number = Union[int, float, Fraction]
 
 INF = math.inf
 
@@ -50,8 +46,6 @@ def format_rational(x) -> str:
         return "inf"
     if x == -INF:
         return "-inf"
-    if isinstance(x, float):
-        x = Fraction(x)
     x = Fraction(x)
     num, den = x.numerator, x.denominator
     if den == 1:
@@ -73,12 +67,6 @@ def format_rational(x) -> str:
     sign = "-" if scaled < 0 else ""
     s = str(abs(scaled)).rjust(digits + 1, "0")
     return f"{sign}{s[:-digits]}.{s[-digits:]}" if digits else f"{sign}{s}"
-
-
-def to_float(x) -> float:
-    if isinstance(x, Fraction):
-        return x.numerator / x.denominator
-    return float(x)
 
 
 def sqrt_interval(x: Fraction, bits: int = 96) -> tuple[Fraction, Fraction]:
@@ -142,9 +130,9 @@ def compare_rational_to_sqrt(q: Fraction, s_sq: Fraction) -> int:
     return 1 if left > s_sq else -1
 
 
-def validate_mixture(atoms, kind: str, tol: float = 1e-12) -> None:
+def validate_mixture(atoms, kind: str) -> None:
     """Distinct `kind` (the first item of each atom), positive weights (the
-    second) summing to one within `tol`; raises InvalidInstance otherwise."""
+    second) summing to exactly one; raises InvalidInstance otherwise."""
     seen = set()
     total = 0
     for key, w in atoms:
@@ -154,5 +142,5 @@ def validate_mixture(atoms, kind: str, tol: float = 1e-12) -> None:
         if w <= 0:
             raise InvalidInstance("mixture weights must be positive")
         total = total + w
-    if abs(total - 1) > tol:
+    if total != 1:
         raise InvalidInstance(f"mixture weights sum to {total}, not 1")

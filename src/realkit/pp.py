@@ -3,7 +3,7 @@
 Configurations are multiplicity vectors with total mass at most a cap,
 optionally simple (no multiplicities) and optionally hard-core (support
 pairwise at least eps apart). The decision problem is LP feasibility over
-the enumerated configurations:
+the admissible configurations:
 
     sum_Y q_Y * pair_count_Y(i,j) = rho_ij   for every index pair (i <= j),
     sum_Y q_Y * m_i               = rho1_i   when an intensity is prescribed,
@@ -29,7 +29,8 @@ import numpy as np
 
 from .errors import CapExceeded, InvalidInstance
 from .lp import (
-    FLOAT_TOL, MAX_ROUNDS, column_generation, exact_farkas, negative_direction, solve_lp,
+    FLOAT_TOL, MAX_ROUNDS, ColumnGenerationResult, column_generation, exact_farkas,
+    negative_direction, solve_lp,
 )
 from .metric import Configuration, FiniteMetricSpace
 from .numbers import INF, parse_rational, validate_mixture
@@ -150,8 +151,8 @@ class ConfigMixture:
     n: int
     atoms: tuple[tuple[Configuration, object], ...]
 
-    def validate(self, tol: float = 1e-12) -> None:
-        validate_mixture(self.atoms, "configurations", tol)
+    def validate(self) -> None:
+        validate_mixture(self.atoms, "configurations")
 
 
 @dataclass(frozen=True)
@@ -196,23 +197,12 @@ class RealizePPResult:
 
 def g_h_eval(config: Configuration, h: Sequence[Sequence]) -> object:
     """Sum of h over ordered pairs of distinct particles (the empty sum is 0)."""
-    _check_test_matrix(h, len(config.multiplicity))
-    return _g_h(config, h)
-
-
-def _check_test_matrix(h: Sequence[Sequence], n: int) -> None:
-    if len(h) != n or any(len(row) != n for row in h):
-        raise InvalidInstance("h must be n x n")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if h[i][j] != h[j][i]:
-                raise InvalidInstance("h must be symmetric")
-
-
-def _g_h(config: Configuration, h: Sequence[Sequence]) -> object:
-    """`g_h_eval` without the shape and symmetry checks."""
     m = config.multiplicity
     n = len(m)
+    if len(h) != n or any(len(row) != n for row in h):
+        raise InvalidInstance("h must be n x n")
+    if any(h[i][j] != h[j][i] for i, j in itertools.combinations(range(n), 2)):
+        raise InvalidInstance("h must be symmetric")
     total = 0
     for i in range(n):
         if m[i] == 0:
@@ -336,9 +326,9 @@ class _ConfigOracle:
     """The columns of the pp LP for `lp.column_generation`, keyed by
     configuration; `_price_config` prices them, in floats or exactly."""
 
-    def __init__(self, target: CorrelationTarget):
+    def __init__(self, target: CorrelationTarget, size: int | None = None):
         self.target = target
-        self.size = None
+        self.size = size  # the configuration count, when they were enumerated
 
     def matrix(self, configs: list[Configuration]) -> np.ndarray:
         return np.array([self.column(cfg) for cfg in configs], dtype=float).T
@@ -368,15 +358,14 @@ def pp_moments(mix: ConfigMixture) -> tuple[dict, tuple[Fraction, ...]]:
     rho_hat: dict[tuple[int, int], Fraction] = {}
     rho1_hat = [Fraction(0)] * n
     for config, w in mix.atoms:
-        wf = w if isinstance(w, Fraction) else Fraction(w)
         m = config.multiplicity
         for i in range(n):
-            rho1_hat[i] += wf * m[i]
+            rho1_hat[i] += w * m[i]
             for j in range(i, n):
                 count = m[i] * (m[i] - 1) if i == j else m[i] * m[j]
                 if count:
                     key = (i, j)
-                    rho_hat[key] = rho_hat.get(key, Fraction(0)) + wf * count
+                    rho_hat[key] = rho_hat.get(key, Fraction(0)) + w * count
     return rho_hat, tuple(rho1_hat)
 
 
@@ -572,11 +561,21 @@ def realize_pp(
     mass inside the hard-core distance ("validation"), then, for targets
     with an intensity, a moment matrix of (1, m) that is not positive
     semidefinite ("psd-screen") and E[N(N-1)] > (cap-1) E[N]
-    ("cap-screen"). The LP decides the rest, over every configuration
-    ("enumeration") or by column generation past `enum_limit`.
+    ("cap-screen").
 
-    The optimum of a close-pair objective is pinned by the moment rows, so
-    the primal value doubles as a consistency check on the data.
+    `lp.column_generation` decides the rest, seeded as `realize_subsets`
+    seeds it: with every configuration up to `enum_limit` of them, so
+    nothing is priced ("enumeration"), else with the empty and the
+    admissible one-point ones ("column-generation"). A verdict from its
+    exact rounds reports "exact-column-generation".
+
+    An objective is minimised by `lp.solve_lp` over the enumerated
+    configurations where it is finite; that LP's exact Farkas vector is
+    the verdict when every value is finite. Past `enum_limit` the first
+    exact realisation is reported, with an objective value that is not
+    certified minimal. The optimum of a close-pair objective is pinned by
+    the moment rows, so the primal value doubles as a consistency check on
+    the data.
     """
     for i, j, w in target.atoms():
         if target.simple and i == j and w > 0:
@@ -602,68 +601,50 @@ def realize_pp(
     screened = _screen(target)
     if screened is not None:
         return screened
-    oracle = _ConfigOracle(target)
     b = _target_rhs(target)
     try:
-        configs = enumerate_configs(
+        seed = enumerate_configs(
             target.n, target.cap, target.simple, target.hardcore_eps, target.space,
             limit=enum_limit, hardcore_strict=target.hardcore_strict,
         )
+        method, oracle = "enumeration", _ConfigOracle(target, len(seed))
+        # under an objective the driver runs only when the finite sub-LP is infeasible
+        note = "every realising mixture has infinite objective"
     except CapExceeded:
         # the empty configuration and the admissible one-point ones
         rules = _Rules.of(target)
-        units = [
+        seed = [
             Configuration(m)
             for m in (tuple(int(i == k) for i in range(target.n)) for k in range(-1, target.n))
             if rules.admits(m)
         ]
-        return _from_column_generation(column_generation(oracle, b, units), target, objective)
-
-    cols = [oracle.column(cfg) for cfg in configs]
-    if objective is None:
-        res = solve_lp(cols, b)
-    else:
-        # the objective LP proves feasibility itself; the feasibility LP runs
-        # only when the finite sub-LP has no optimum
-        chi_vals = [objective(cfg) for cfg in configs]
+        method, oracle = "column-generation", _ConfigOracle(target)
+        note = (
+            "column generation stops at the first exact realisation; "
+            "the objective value is not certified minimal"
+        )
+    if objective is not None and oracle.size is not None:
+        chi_vals = [objective(cfg) for cfg in seed]
         finite = [k for k, v in enumerate(chi_vals) if v != INF]
-        res = solve_lp([cols[k] for k in finite], b, obj=[chi_vals[k] for k in finite])
+        res = solve_lp(
+            [oracle.column(seed[k]) for k in finite], b, obj=[chi_vals[k] for k in finite]
+        )
         if res.status == "optimal":
             return RealizePPResult(
                 status="feasible",
-                mixture=_mixture_from([configs[k] for k in finite], res.x),
+                mixture=_mixture_from([seed[k] for k in finite], res.x),
                 objective_value=res.objective,
-                dual_value=_dual_objective(res.duals, b),
+                dual_value=sum((y * v for y, v in zip(res.duals, b)), Fraction(0)),
                 residual=Fraction(0),
-                method="enumeration",
+                method=method,
             )
-        if len(finite) < len(configs):
-            res = solve_lp(cols, b)
-        elif res.status != "infeasible":
-            raise RuntimeError(f"optimising solve reported {res.status}")
-    if res.status == "infeasible":
-        farkas, witness = exact_farkas(res.farkas, b, oracle.best)
-        cert = _certificate_from_dual(farkas, witness, target)
-        if cert.gap <= 0:
-            raise RuntimeError("exact Farkas vector failed certification")
-        return RealizePPResult(
-            status="infeasible", certificate=cert, gap=cert.gap, method="enumeration"
-        )
-    infinite = objective is not None
-    return RealizePPResult(
-        status="feasible",
-        mixture=_mixture_from(configs, res.x),
-        objective_value=INF if infinite else None,
-        residual=Fraction(0),
-        note="every realising mixture has infinite objective" if infinite else None,
-        method="enumeration",
-    )
-
-
-def _dual_objective(duals: list[Fraction] | None, b: list[Fraction]) -> Fraction | None:
-    if duals is None:
-        return None
-    return sum((y * v for y, v in zip(duals, b)), Fraction(0))
+        if len(finite) == len(seed):
+            if res.status != "infeasible":
+                raise RuntimeError(f"optimising solve reported {res.status}")
+            farkas, witness = exact_farkas(res.farkas, b, oracle.best)
+            res = ColumnGenerationResult("infeasible", farkas=farkas, witness=witness)
+            return _verdict(res, target, method)
+    return _verdict(column_generation(oracle, b, seed), target, method, objective, note)
 
 
 def _mixture_from(configs: Sequence[Configuration], weights) -> ConfigMixture:
@@ -675,32 +656,38 @@ def _mixture_from(configs: Sequence[Configuration], weights) -> ConfigMixture:
     return ConfigMixture(n=n, atoms=tuple(atoms))
 
 
-def _from_column_generation(res, target, objective) -> RealizePPResult:
-    """The verdict of `lp.column_generation` over configurations, for
-    carriers too large to enumerate."""
+def _verdict(res, target, method, objective=None, note=None) -> RealizePPResult:
+    """The verdict of `lp.column_generation` over configurations. Under an
+    objective, a realising mixture carries its objective value and
+    `note`."""
+    if res.exact_rounds:
+        method = "exact-column-generation"
     if res.status == "infeasible":
         cert = _certificate_from_dual(res.farkas, res.witness, target)
+        if cert.gap <= 0:
+            raise RuntimeError("exact Farkas vector failed certification")
         return RealizePPResult(
-            status="infeasible", certificate=cert, gap=cert.gap, method="column-generation"
+            status="infeasible", certificate=cert, gap=cert.gap, method=method
         )
     if res.status == "indeterminate":
         return RealizePPResult(
             status="indeterminate",
             note=f"column generation found no verdict in {MAX_ROUNDS} rounds",
-            method="column-generation",
+            method=method,
         )
     mix = _mixture_from(res.keys, res.x)
     value = None
-    if objective is not None:
+    if objective is None:
+        note = None
+    else:
         value = sum((w * objective(cfg) for cfg, w in mix.atoms), Fraction(0))
     return RealizePPResult(
         status="feasible",
         mixture=mix,
         objective_value=value,
         residual=Fraction(0),
-        note="column generation stops at the first exact realisation; "
-        "the objective value is not certified minimal",
-        method="column-generation",
+        note=note,
+        method=method,
     )
 
 
@@ -798,13 +785,12 @@ def positivity_screen(target: CorrelationTarget, trials: int, seed: int) -> Scre
 
     Entries are uniform in [-1, 1]; both sides are evaluated in exact
     arithmetic (binary floats are rationals), so any reported violation is
-    a sound witness of infeasibility.
+    a sound witness of infeasibility. The infimum of g_h is minus the
+    exact maximum of `_price_config` under the prices y_ii = -h_ii,
+    y_ij = -2 h_ij (i < j) and y_norm = 0, with no intensity part; no
+    configuration is enumerated, so no carrier is too large.
     """
     rng = random.Random(seed)
-    configs = enumerate_configs(
-        target.n, target.cap, target.simple, target.hardcore_eps, target.space,
-        hardcore_strict=target.hardcore_strict,
-    )
     violations = []
     n = target.n
     for trial in range(trials):
@@ -819,8 +805,9 @@ def positivity_screen(target: CorrelationTarget, trials: int, seed: int) -> Scre
         for i in range(n):
             for j in range(n):
                 pairing += h[i][j] * target.rho_value(i, j)
-        _check_test_matrix(h, n)
-        inf_val = min(_g_h(cfg, h) for cfg in configs)
+        # y.A_Y = -g_h(Y) for these prices, so the infimum is minus the maximum
+        y = [-h[i][j] if i == j else -2 * h[i][j] for i, j in pair_list(n)]
+        inf_val = -_price_config([*y, Fraction(0)], target)[1]
         if pairing < inf_val:
             h_float = [[float(v) for v in row] for row in h]
             violations.append((trial, h_float, pairing, inf_val))

@@ -100,11 +100,8 @@ class SubsetMixture:
     n: int
     atoms: tuple[tuple[frozenset[int], object], ...]  # (subset, weight)
 
-    def validate(self, tol: float = 1e-12) -> None:
-        validate_mixture(self.atoms, "subsets", tol)
-
-    def is_exact(self) -> bool:
-        return all(isinstance(w, (Fraction, int)) for _, w in self.atoms)
+    def validate(self) -> None:
+        validate_mixture(self.atoms, "subsets")
 
 
 @dataclass(frozen=True)
@@ -140,7 +137,6 @@ class RealizeResult:
 @dataclass(frozen=True)
 class RealizeOptions:
     max_exact: int = 12
-    force_column_generation: bool = False
 
 
 def _column_matrix(masks: Sequence[int], n: int) -> np.ndarray:
@@ -197,19 +193,14 @@ def _mixture_from_weights(masks: Sequence[int], weights, n: int) -> SubsetMixtur
 
 
 def moments_of_mixture(mix: SubsetMixture) -> TwoPointTarget:
-    """Forward map: p_hat[i][j] = sum of weights of subsets containing both.
-
-    Float weights are promoted to exact fractions (binary floats are
-    rationals), so the output is always an exact matrix.
-    """
+    """Forward map: p_hat[i][j] = sum of weights of subsets containing both."""
     n = mix.n
     acc = [[Fraction(0)] * n for _ in range(n)]
     for subset, w in mix.atoms:
-        wf = w if isinstance(w, Fraction) else Fraction(w)
         for i in subset:
             for j in subset:
                 if i <= j:
-                    acc[i][j] += wf
+                    acc[i][j] += w
     for i in range(n):
         for j in range(i + 1, n):
             acc[j][i] = acc[i][j]
@@ -407,7 +398,7 @@ def realize_subsets(target: TwoPointTarget, opts: RealizeOptions | None = None) 
             note=FINITE_CARRIER_NOTE,
             method="degenerate",
         )
-    if opts.force_column_generation or n > opts.max_exact:
+    if n > opts.max_exact:
         method = "column-generation"
         seed = sorted({0, (1 << n) - 1} | {1 << i for i in range(n)})
     else:
@@ -468,13 +459,11 @@ def symmetrize(mix: SubsetMixture, perms: Sequence[Sequence[int]]) -> SubsetMixt
     """
     group = validate_group(perms, mix.n)
     size = len(group)
-    acc: dict[frozenset[int], object] = {}
-    exact = mix.is_exact()
+    acc: dict[frozenset[int], Fraction] = {}
     for g in group:
         for subset, w in mix.atoms:
             image = frozenset(g[i] for i in subset)
-            share = (Fraction(w) / size) if exact else (w / size)
-            acc[image] = acc.get(image, Fraction(0) if exact else 0.0) + share
+            acc[image] = acc.get(image, Fraction(0)) + Fraction(w) / size
     atoms = sorted(acc.items(), key=lambda kv: _subset_sort_key(kv[0]))
     return SubsetMixture(n=mix.n, atoms=tuple((s, w) for s, w in atoms if w > 0))
 

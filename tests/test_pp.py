@@ -448,7 +448,7 @@ class TestAgainstEnumerationOracle:
             assert ok, why
             assert_certificate_holds(target, result.certificate)
             return
-        result.mixture.validate(tol=0)
+        result.mixture.validate()
         hat, r1_hat = pp_moments(result.mixture)
         assert hat == target.rho
         if target.rho1 is not None:
@@ -481,7 +481,7 @@ class TestColumnGenerationAgainstEnumerationOracle:
             assert_certificate_holds(target, result.certificate)
             return
         assert result.method == "column-generation"
-        result.mixture.validate(tol=0)
+        result.mixture.validate()
         hat, r1_hat = pp_moments(result.mixture)
         assert hat == target.rho
         if target.rho1 is not None:
@@ -766,6 +766,68 @@ class TestScreen:
         trial, h, pairing, infimum = report.violations[0]
         assert pairing < infimum
         assert h[0][0] < 0
+
+    def test_no_configuration_is_enumerated(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("screen-pp enumerated the configurations")
+
+        monkeypatch.setattr(pp, "enumerate_configs", refuse)
+        target = CorrelationTarget.build(n=2, rho_entries=[(0, 0, "1")], cap=2, simple=True)
+        assert positivity_screen(target, trials=200, seed=7).violations
+        assert positivity_screen(PAIR_TARGET, trials=50, seed=7).violations == []
+
+
+@st.composite
+def screen_targets(draw):
+    """n <= 4 and cap <= 3, simple or not, with or without an intensity and
+    a hard-core distance (points at |i - j| / 2, eps 1, plain or strict)."""
+    n = draw(st.integers(1, 4))
+    weight = st.integers(0, 6).map(lambda v: F(v, 4))
+    entries = [(i, j, draw(weight)) for i in range(n) for j in range(i, n)]
+    rho1 = draw(st.none() | st.lists(weight, min_size=n, max_size=n))
+    hardcore = draw(st.booleans())
+    return CorrelationTarget.build(
+        rho_entries=entries, rho1=rho1, cap=draw(st.integers(0, 3)), simple=draw(st.booleans()),
+        space=make_space([[F(abs(i - j), 2) for j in range(n)] for i in range(n)]),
+        hardcore_eps="1" if hardcore else None,
+        hardcore_strict=hardcore and draw(st.booleans()),
+    )
+
+
+class TestScreenAgainstEnumeration:
+    @settings(max_examples=100, deadline=None)
+    @given(screen_targets(), st.integers(0, 20), st.integers(0, 2**16))
+    def test_violations_match_an_enumerated_screen(self, target, trials, seed):
+        n, eps = target.n, target.hardcore_eps
+        per_point = 1 if target.simple or eps is not None else target.cap
+
+        def separated(m):
+            occupied = [i for i in range(n) if m[i]]
+            return eps is None or all(
+                (target.space.dist[i][j] > eps) if target.hardcore_strict
+                else (target.space.dist[i][j] >= eps)
+                for i, j in itertools.combinations(occupied, 2)
+            )
+
+        admissible = [
+            Configuration(m)
+            for m in itertools.product(range(per_point + 1), repeat=n)
+            if sum(m) <= target.cap and separated(m)
+        ]
+        rng = random.Random(seed)
+        expected = []
+        for trial in range(trials):
+            h = [[F(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    h[i][j] = h[j][i] = F(rng.uniform(-1.0, 1.0))
+            pairing = sum(h[i][j] * target.rho_value(i, j) for i in range(n) for j in range(n))
+            infimum = min(g_h_eval(cfg, h) for cfg in admissible)
+            if pairing < infimum:
+                expected.append((trial, [[float(v) for v in row] for row in h], pairing, infimum))
+        report = positivity_screen(target, trials, seed)
+        assert report.trials == trials
+        assert report.violations == expected
 
 
 class TestIngestion:

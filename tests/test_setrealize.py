@@ -118,7 +118,7 @@ class TestRealizeInfeasible:
         ok, reason = verify_certificate(result.certificate, t)
         assert ok, reason
         # the full LP agrees with the screen
-        full = realize_subsets(t, RealizeOptions(force_column_generation=True))
+        full = realize_subsets(t, RealizeOptions(max_exact=0))
         assert full.status == "infeasible"
 
 
@@ -128,7 +128,7 @@ class TestOracleEquivalence:
         for _ in range(15):
             t = random_two_point_target(rng, rng.randint(2, 9))
             a = realize_subsets(t)
-            b = realize_subsets(t, RealizeOptions(force_column_generation=True))
+            b = realize_subsets(t, RealizeOptions(max_exact=0))
             assert a.status == b.status
             assert a.status in ("feasible", "infeasible")
 
@@ -220,11 +220,36 @@ class TestFloatReconstructionFailure:
         rng = random.Random(61)
         for _ in range(5):
             t = mixture_moments_target(rng, rng.randint(3, 7))
-            r = realize_subsets(t, RealizeOptions(force_column_generation=True))
+            r = realize_subsets(t, RealizeOptions(max_exact=0))
             assert r.status == "feasible"
             assert r.residual == 0
             assert all(isinstance(w, F) for _, w in r.mixture.atoms)
             assert moments_of_mixture(r.mixture).p == t.p
+
+
+class TestFloatInfeasibleMaster:
+    def test_exact_rounds_start_from_every_master_column(self, monkeypatch):
+        # an infeasible float master's phase-1 point says nothing about where
+        # a solution lies, so the exact rounds keep all 16 enumerated columns
+        def claims_infeasible(A, b):
+            y = np.zeros(A.shape[0])
+            y[-1] = 1.0
+            return 1.0, np.zeros(A.shape[1]), y
+
+        masters = []
+        exact = lp.exact_simplex
+
+        def counted(cols, b, obj=None):
+            masters.append(len(cols))
+            return exact(cols, b, obj)
+
+        monkeypatch.setattr(lp, "float_phase1", claims_infeasible)
+        monkeypatch.setattr(lp, "exact_simplex", counted)
+        t = target_for(4, "1/2", "1/4")
+        r = realize_subsets(t)
+        assert (r.status, r.method) == ("feasible", "exact-column-generation")
+        assert moments_of_mixture(r.mixture).p == t.p
+        assert masters == [16]
 
 
 @st.composite
@@ -351,7 +376,7 @@ class TestRelabelling:
         rng.shuffle(perm)
         t = TwoPointTarget.from_matrix(p)
         moved = TwoPointTarget.from_matrix(relabel(perm, p))
-        opts = RealizeOptions(force_column_generation=force_cg)
+        opts = RealizeOptions(max_exact=0 if force_cg else 12)
         r = realize_subsets(t, opts)
         assert realize_subsets(moved, opts).status == r.status
         back = {old: new for new, old in enumerate(perm)}
