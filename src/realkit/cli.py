@@ -29,7 +29,7 @@ from .contact import (
 )
 from .errors import CapExceeded, InvalidInstance, RealkitError
 from .metric import Configuration, FiniteMetricSpace, gamma_min_pairs, packing_number
-from .numbers import INF, format_rational, parse_rational
+from .numbers import INF, format_rational, parse_int, parse_rational
 from .pp import (
     CorrelationTarget,
     PPCertificate,
@@ -346,8 +346,19 @@ def _parse_finite_measure(obj: dict) -> tuple[FiniteMetricSpace, AtomicMeasure2D
     for k, atom in enumerate(obj.get("rho", [])):
         if not isinstance(atom, list) or len(atom) != 3:
             raise InvalidInstance(f"/rho/{k}: expected [i, j, weight-string]")
-        atoms.append((int(atom[0]), int(atom[1]), atom[2]))
+        i, j = (parse_int(v, f"/rho/{k}") for v in atom[:2])
+        atoms.append((i, j, atom[2]))
     return space, AtomicMeasure2D.on_space(space, atoms)
+
+
+def _atoms(atoms, size: int, shape: str) -> list:
+    """Euclidean atoms: lists of `size` entries, points (lists) and then a weight."""
+    for k, atom in enumerate(atoms if isinstance(atoms, list) else [None]):
+        if not isinstance(atom, list) or len(atom) != size or any(
+            not isinstance(point, list) for point in atom[:-1]
+        ):
+            raise InvalidInstance(f"/atoms/{k}: expected {shape}")
+    return atoms
 
 
 def _verdict_from_enclosure(value, bound) -> str:
@@ -410,7 +421,7 @@ def _cmd_regularity(args) -> tuple[dict, int]:
         if "d" not in obj or "atoms" not in obj or "radii" not in obj:
             raise InvalidInstance("instance: shells need keys 'd', 'atoms', 'radii'")
         measure = AtomicMeasure2D.euclidean(
-            int(obj["d"]), [(a, b, w) for a, b, w in obj["atoms"]]
+            parse_int(obj["d"], "/d"), _atoms(obj["atoms"], 3, "[x, y, weight-string]")
         )
         if not args.beta:
             raise InvalidInstance("--check shells needs --beta")
@@ -426,8 +437,8 @@ def _cmd_regularity(args) -> tuple[dict, int]:
     elif args.check == "reduced":
         if "d" not in obj or "atoms" not in obj or "ball_radius" not in obj:
             raise InvalidInstance("instance: reduced needs keys 'd', 'atoms', 'ball_radius'")
-        atoms = [(a, w) for a, w in obj["atoms"]]
-        result = reduced_measure_check(atoms, obj["ball_radius"], int(obj["d"]))
+        atoms = _atoms(obj["atoms"], 2, "[y, weight-string]")
+        result = reduced_measure_check(atoms, obj["ball_radius"], parse_int(obj["d"], "/d"))
         payload["value"] = [_fmt(result.value[0]), _fmt(result.value[1])]
         payload["origin_atom"] = result.origin_atom
         payload["bound"] = _fmt(bound)
@@ -527,9 +538,13 @@ def _cmd_sample(args) -> tuple[dict, int]:
     payload_mix = obj.get("payload", {}).get("mixture") if "payload" in obj else obj.get("mixture")
     if payload_mix is None:
         raise InvalidInstance("source: no mixture found (expected 'mixture' or payload.mixture)")
-    weights = np.array([float(Fraction(atom["weight"])) for atom in payload_mix])
-    if weights.sum() <= 0:
-        raise InvalidInstance("mixture weights must be positive")
+    if not isinstance(payload_mix, list) or any(
+        not isinstance(atom, dict) or "weight" not in atom for atom in payload_mix
+    ):
+        raise InvalidInstance("source: the mixture must be a list of atoms with a 'weight'")
+    weights = np.array([float(parse_rational(atom["weight"], "weight")) for atom in payload_mix])
+    if (weights < 0).any() or weights.sum() <= 0:
+        raise InvalidInstance("mixture weights must be non-negative, with a positive sum")
     weights = weights / weights.sum()
     rng = np.random.default_rng(args.seed)
     picks = rng.choice(len(payload_mix), size=args.n, p=weights)

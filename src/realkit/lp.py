@@ -1,25 +1,14 @@
 """Linear programming over exact rationals: HiGHS locates, rationals confirm.
 
-* `solve_lp` — the LP over an explicit column list; it serves the
-  objective LP of `realize-pp --objective`. It locates the answer with
-  HiGHS (`float_phase1` for feasibility, `float_lp_min` for an objective)
-  and confirms it in rational arithmetic: a feasible point is rebuilt on
-  its float support by `solve_nonneg_exact`, an optimum gets exact duals
-  from the float-tight columns and an exact check of every reduced cost
-  and of the duality gap, and a Farkas direction is made exact by
-  `exact_farkas`. Whatever fails to confirm is solved again by
-  `exact_simplex`, the Bland simplex fallback.
-
-* `column_generation` — the feasibility LP of every set and point-process
-  target that reaches an LP, over columns that a caller's oracle prices
-  (subsets, configurations). The caller seeds the first master, with
-  every column when they are few enough to list (then nothing is priced)
-  or with a handful. Float masters go to `float_phase1`, a batch of priced
-  columns joins each round, and the stop is confirmed in rationals: a
-  feasible point is rebuilt on its support, and "no column prices out"
-  becomes an exact Farkas vector through the oracle's exact maximum.
-  Whatever fails to confirm continues with exact masters (`exact_simplex`)
-  and exact pricing.
+* `column_generation` — the one LP driver. It decides feasibility for
+  every set and point-process target that reaches an LP and, given an exact
+  cost per column, minimises it for `realize-pp --objective`. A caller's
+  oracle prices the columns, or `ColumnList` lists them all in the first
+  master. HiGHS solves the float masters (`float_phase1`, or `float_lp_min`
+  under a cost); a point or optimum is rebuilt on its support, an optimum's
+  duals and reduced costs are checked exactly, and "no column prices out"
+  becomes an exact Farkas vector. Whatever fails to confirm continues with
+  exact masters (`exact_simplex`) and exact pricing.
 
 * `exact_farkas` — the one step that turns a float or exact dual into an
   exact Farkas vector: its normalisation entry becomes minus the exact
@@ -35,8 +24,9 @@
   fallback of last resort.
 
 * `solve_nonneg_exact` — given a candidate support (usually located by a
-  float solve), reconstructs an exact non-negative solution of A q = b by
-  fraction-free elimination, or reports that the support does not work.
+  float solve, heaviest column first), reconstructs an exact non-negative
+  solution of A q = b by fraction-free elimination, or reports that the
+  support does not work.
 
 * `float_phase1` / `float_lp_min` — thin wrappers around scipy's HiGHS for
   locating supports and dual vectors quickly; every verdict derived from
@@ -53,6 +43,7 @@ from collections.abc import Callable, Hashable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 from typing import Protocol
 
 import numpy as np
@@ -80,48 +71,6 @@ PRICING_BATCH = 64
 DIRECTION_SCALE = 1 << 10
 
 
-def solve_lp(
-    cols: list[list[Fraction]],
-    b: list[Fraction],
-    obj: list[Fraction] | None = None,
-) -> ExactLPResult:
-    """Solve min obj.q s.t. [cols] q = b, q >= 0 exactly: HiGHS locates the
-    answer, rational arithmetic confirms it, `exact_simplex` is the fallback.
-
-    Same contract as `exact_simplex`. With obj=None the HiGHS phase-1 point
-    is rebuilt exactly on its support, heaviest column first, or its Farkas
-    direction is made exact. With an objective the HiGHS optimum is rebuilt
-    on its support, exact duals are solved from the float-tight columns,
-    and every reduced cost and the duality gap are checked in rationals.
-    A float "infeasible" objective solve is confirmed like a feasibility
-    solve's, by an exact Farkas vector. Whatever fails to confirm is solved
-    again by `exact_simplex`; so is a float "unbounded" objective solve,
-    which is never reported from floats alone.
-    """
-    A = np.array(cols, dtype=float).T
-    bf = np.array(b, dtype=float)
-    if obj is None:
-        res = _confirm_feasibility(cols, b, A, bf)
-    else:
-        res = _confirm_optimum(cols, b, obj, A, bf)
-    return res if res is not None else exact_simplex(cols, b, obj)
-
-
-def _confirm_feasibility(cols, b, A, bf) -> ExactLPResult | None:
-    value, q, y = float_phase1(A, bf)
-    if value < FLOAT_TOL:
-        x = _dense_rebuild(cols, b, q)
-        if x is None:
-            return None
-        return ExactLPResult(status="optimal", x=x, objective=Fraction(0))
-    if any(col[-1] != 1 for col in cols):
-        return None  # no normalisation row to absorb the rounding
-    farkas, _ = exact_farkas(y, b, lambda y: (None, max(_dot(y, col) for col in cols)))
-    if _dot(farkas, b) <= 0:
-        return None
-    return ExactLPResult(status="infeasible", farkas=farkas)
-
-
 def _rebuild_on_support(column: Callable[[int], list], b, q):
     """Exact x >= 0 with A x = b on the columns where the float q is
     positive, heaviest first, as (support, weights); `column(j)` is
@@ -129,17 +78,6 @@ def _rebuild_on_support(column: Callable[[int], list], b, q):
     support = [int(j) for j in np.argsort(-q, kind="stable") if q[j] > 0]
     weights = solve_nonneg_exact([column(j) for j in support], b)
     return None if weights is None else (support, weights)
-
-
-def _dense_rebuild(cols, b, q) -> list[Fraction] | None:
-    """`_rebuild_on_support` as a full vector, zero off the support."""
-    found = _rebuild_on_support(cols.__getitem__, b, q)
-    if found is None:
-        return None
-    x = [Fraction(0)] * len(cols)
-    for j, v in zip(*found):
-        x[j] = v
-    return x
 
 
 def exact_farkas(y: Sequence, b: Sequence, best: Callable) -> tuple[list[Fraction], Hashable]:
@@ -176,18 +114,43 @@ class ColumnOracle(Protocol):
         """A key maximising the exact y.A_j over every column, and the maximum."""
 
 
+class ColumnList:
+    """The oracle of an explicit {key: exact column} dict. A master seeded
+    with every key leaves nothing to price; the exact maximum is a scan."""
+
+    def __init__(self, columns: dict):
+        self.columns = columns
+        self.size = len(columns)
+
+    def matrix(self, keys: list) -> np.ndarray:
+        return np.array([self.columns[key] for key in keys], dtype=float).T
+
+    def column(self, key) -> list:
+        return self.columns[key]
+
+    def price(self, y: np.ndarray, k: int) -> list:
+        return []
+
+    def best(self, y: list[Fraction]) -> tuple[Hashable, Fraction]:
+        return max(((key, _dot(y, col)) for key, col in self.columns.items()), key=itemgetter(1))
+
+
 @dataclass
 class ColumnGenerationResult:
     status: str  # "feasible" | "infeasible" | "indeterminate"
     keys: list = field(default_factory=list)  # columns with weights x
     x: list[Fraction] | None = None
+    duals: list[Fraction] | None = None  # exact optimal duals, under a cost
     farkas: list[Fraction] | None = None
     witness: Hashable = None  # the column where farkas.A_j attains its maximum 0
     exact_rounds: bool = False  # the verdict came from exact masters
 
 
-def column_generation(oracle: ColumnOracle, b: list, seed: list) -> ColumnGenerationResult:
-    """Decide A q = b, q >= 0 over every column the oracle knows.
+def column_generation(
+    oracle: ColumnOracle, b: list, seed: list, cost=None
+) -> ColumnGenerationResult:
+    """Decide A q = b, q >= 0 over every column the oracle knows; under a
+    `cost` (cost[key], the exact cost of a column), minimise cost.q.
 
     Float rounds: `float_phase1` solves the master, which starts as `seed`;
     the oracle prices up to PRICING_BATCH columns under the float dual, and
@@ -199,25 +162,48 @@ def column_generation(oracle: ColumnOracle, b: list, seed: list) -> ColumnGenera
     support; when no column prices out, `exact_farkas` with the oracle's
     exact maximum proves infeasibility.
 
-    Exact rounds: if either confirmation fails, `exact_simplex` solves
-    masters seeded with the float support when the float master was
-    feasible, and with every master column when it was not (an infeasible
-    master's phase-1 point says nothing about where a solution lies). Each
-    exact Farkas vector that `exact_farkas` cannot confirm hands over its
-    maximising column, which prices out and joins the master. Every round
-    enlarges the master, so the exact rounds always end with a verdict;
-    only the float rounds are capped, at MAX_ROUNDS.
+    A cost is priced by nothing, so `seed` must hold every column.
+    `float_lp_min` solves the master, whose optimum is rebuilt on its
+    support and certified by `_exact_duals` (Applegate, Cook, Dash &
+    Espinoza, Oper. Res. Lett. 35 (2007)); a float "infeasible" goes
+    through `float_phase1` and `exact_farkas` as above.
+
+    Exact rounds: if a confirmation fails, `exact_simplex` solves masters
+    seeded with the float support when the float master was feasible, and
+    with every master column when it was not (an infeasible master's
+    phase-1 point says nothing about where a solution lies); under a cost
+    it solves the whole master with the cost. Each exact Farkas vector that
+    `exact_farkas` cannot confirm hands over its maximising column, which
+    prices out and joins the master. Every round enlarges the master, so
+    the exact rounds always end with a verdict; only the float rounds are
+    capped, at MAX_ROUNDS.
     """
     bf = np.array(b, dtype=float)
     master = list(seed)
+    if cost is not None and len(set(master)) != oracle.size:
+        raise ValueError("a cost needs every column in the first master")
     for _ in range(MAX_ROUNDS):
-        value, q, y = float_phase1(oracle.matrix(master), bf)
+        A = oracle.matrix(master)
+        if cost is not None:
+            c = np.array([float(cost[key]) for key in master])
+            status, q, y, _ = float_lp_min(A, bf, c)
+            if status == "optimal":
+                found = _rebuild_on_support(lambda j: oracle.column(master[j]), b, q)
+                duals = found and _exact_duals(oracle, master, cost, b, y, c - y @ A, *found)
+                if duals:
+                    keys = [master[j] for j in found[0]]
+                    return ColumnGenerationResult("feasible", keys, x=found[1], duals=duals)
+            if status != "infeasible":
+                break
+        value, q, y = float_phase1(A, bf)
         if value < FLOAT_TOL:
-            found = _rebuild_on_support(lambda j: oracle.column(master[j]), b, q)
-            if found is not None:
-                support, weights = found
-                return ColumnGenerationResult("feasible", [master[j] for j in support], x=weights)
-            master = [key for key, w in zip(master, q) if w > 0]
+            if cost is None:
+                found = _rebuild_on_support(lambda j: oracle.column(master[j]), b, q)
+                if found is not None:
+                    support, weights = found
+                    keys = [master[j] for j in support]
+                    return ColumnGenerationResult("feasible", keys, x=weights)
+                master = [key for key, w in zip(master, q) if w > 0]
             break
         known = set(master)
         # a master holding every column leaves nothing to price
@@ -232,9 +218,12 @@ def column_generation(oracle: ColumnOracle, b: list, seed: list) -> ColumnGenera
     else:
         return ColumnGenerationResult("indeterminate")
     while True:
-        res = exact_simplex([oracle.column(key) for key in master], b)
+        cols = [oracle.column(key) for key in master]
+        res = exact_simplex(cols, b, None if cost is None else [cost[key] for key in master])
         if res.status == "optimal":
-            return ColumnGenerationResult("feasible", master, x=res.x, exact_rounds=True)
+            return ColumnGenerationResult(
+                "feasible", master, x=res.x, duals=res.duals, exact_rounds=True
+            )
         farkas, witness = exact_farkas(res.farkas, b, oracle.best)
         if _dot(farkas, b) > 0:
             return ColumnGenerationResult(
@@ -244,6 +233,32 @@ def column_generation(oracle: ColumnOracle, b: list, seed: list) -> ColumnGenera
         if witness in master:
             raise RuntimeError("exact pricing returned a column of the master")
         master.append(witness)
+
+
+def _exact_duals(oracle, master, cost, b, y, reduced, support, weights) -> list[Fraction] | None:
+    """Exact duals proving `weights` on `support` (indices into `master`)
+    optimal under `cost`, or None. The master's float duals y are corrected
+    so that the primal support and the other float-tight columns (by the
+    float `reduced` costs) have reduced cost exactly 0; coordinates those
+    columns do not pin keep their float value. Every reduced cost and the
+    duality gap are then checked in rationals."""
+    cols = [oracle.column(key) for key in master]
+    costs = [cost[key] for key in master]
+    y0 = [Fraction(float(v)) for v in y]
+    primal = {j for j, w in zip(support, weights) if w > 0}
+    rows = [j for j in range(len(master)) if j in primal or abs(reduced[j]) <= FLOAT_TOL]
+    shift = _solve_exact(
+        [[cols[j][i] for j in rows] for i in range(len(b))],
+        [costs[j] - _dot(y0, cols[j]) for j in rows],
+        list(range(len(b))),
+    )
+    if shift is None:
+        return None
+    duals = [u + v for u, v in zip(y0, shift)]
+    value = sum((costs[j] * w for j, w in zip(support, weights)), Fraction(0))
+    if _dot(duals, b) != value or any(c < _dot(duals, col) for c, col in zip(costs, cols)):
+        return None
+    return duals
 
 
 def negative_direction(M: Sequence[Sequence[Fraction]]) -> list[int] | None:
@@ -268,40 +283,6 @@ def negative_direction(M: Sequence[Sequence[Fraction]]) -> list[int] | None:
         if v[i] and v[j]
     )
     return v if form < 0 else None
-
-
-def _confirm_optimum(cols, b, obj, A, bf) -> ExactLPResult | None:
-    c = np.array(obj, dtype=float)
-    status, q, y, _ = float_lp_min(A, bf, c)
-    if status == "infeasible":  # taken only if an exact Farkas vector confirms it
-        res = _confirm_feasibility(cols, b, A, bf)
-        return res if res is not None and res.status == "infeasible" else None
-    if status != "optimal":
-        return None
-    x = _dense_rebuild(cols, b, q)
-    if x is None:
-        return None
-    # duals: the float y, corrected so that y.A_j = obj_j holds exactly on
-    # the primal support and the other float-tight columns; coordinates
-    # those columns do not pin keep their float value, because the tight
-    # columns may span less than the row space
-    y0 = [Fraction(float(v)) for v in y]
-    tight = np.abs(c - y @ A) <= FLOAT_TOL
-    rows = [j for j in range(len(cols)) if x[j] > 0 or tight[j]]
-    shift = _solve_exact(
-        [[cols[j][i] for j in rows] for i in range(len(b))],
-        [obj[j] - _dot(y0, cols[j]) for j in rows],
-        list(range(len(b))),
-    )
-    if shift is None:
-        return None
-    duals = [u + v for u, v in zip(y0, shift)]
-    value = sum((c * v for c, v in zip(obj, x) if v), Fraction(0))
-    if _dot(duals, b) != value:
-        return None
-    if any(c < _dot(duals, col) for c, col in zip(obj, cols)):
-        return None
-    return ExactLPResult(status="optimal", x=x, objective=value, duals=duals)
 
 
 def _dot(y: list[Fraction], col: list[Fraction]) -> Fraction:
@@ -426,19 +407,16 @@ def exact_simplex(
     return ExactLPResult(status="optimal", x=x, objective=value, duals=duals)
 
 
-def solve_nonneg_exact(
-    cols: list[list[Fraction]],
-    b: list[Fraction],
-    prefer: list[int] | None = None,
-) -> list[Fraction] | None:
-    """Exact q >= 0 with sum_j q_j cols[j] = b, pivoting on `prefer` first.
+def solve_nonneg_exact(cols: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
+    """Exact q >= 0 with sum_j q_j cols[j] = b, pivoting on the columns in
+    their given order.
 
-    Free (non-pivot) columns are fixed to zero, so when `prefer` ranks the
-    support of a float solution by weight this reproduces that vertex
-    exactly. Returns None if the system is inconsistent or the resulting
-    q has a negative entry.
+    Free (non-pivot) columns are fixed to zero, so when the columns are the
+    support of a float solution ranked by weight this reproduces that
+    vertex exactly. Returns None if the system is inconsistent or the
+    resulting q has a negative entry.
     """
-    q = _solve_exact(cols, b, list(prefer) if prefer is not None else list(range(len(cols))))
+    q = _solve_exact(cols, b, list(range(len(cols))))
     if q is None or any(v < 0 for v in q):
         return None
     return q

@@ -40,6 +40,13 @@ def parse_rational(value, where: str = "value") -> Fraction:
     raise InvalidInstance(f"{where}: cannot parse {type(value).__name__} as a rational")
 
 
+def parse_int(value, where: str = "value") -> int:
+    """An integer field: a JSON integer, not a bool, float or string."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidInstance(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
 def format_rational(x) -> str:
     """Format exactly: terminating decimal when possible, else 'p/q'."""
     if x == INF:

@@ -29,11 +29,10 @@ import numpy as np
 
 from .errors import CapExceeded, InvalidInstance
 from .lp import (
-    FLOAT_TOL, MAX_ROUNDS, ColumnGenerationResult, column_generation, exact_farkas,
-    negative_direction, solve_lp,
+    FLOAT_TOL, MAX_ROUNDS, ColumnList, column_generation, exact_farkas, negative_direction,
 )
 from .metric import Configuration, FiniteMetricSpace
-from .numbers import INF, parse_rational, validate_mixture
+from .numbers import INF, parse_int, parse_rational, validate_mixture
 from .qubo import check_symmetric, pair_list, pair_matrix
 
 ENUM_LIMIT = 2_000_000
@@ -131,12 +130,13 @@ class CorrelationTarget:
         for k, atom in enumerate(obj["rho"]):
             if not isinstance(atom, list) or len(atom) != 3:
                 raise InvalidInstance(f"/rho/{k}: expected [i, j, weight-string]")
-            entries.append((atom[0], atom[1], atom[2]))
+            i, j = (parse_int(v, f"/rho/{k}") for v in atom[:2])
+            entries.append((i, j, atom[2]))
         return CorrelationTarget.build(
-            n=n,
+            n=None if n is None else parse_int(n, "/n"),
             rho_entries=entries,
             rho1=obj.get("rho1"),
-            cap=int(obj["cap"]),
+            cap=parse_int(obj["cap"], "/cap"),
             simple=bool(obj.get("simple", False)),
             hardcore_eps=obj.get("hardcore_eps"),
             space=space,
@@ -569,13 +569,14 @@ def realize_pp(
     admissible one-point ones ("column-generation"). A verdict from its
     exact rounds reports "exact-column-generation".
 
-    An objective is minimised by `lp.solve_lp` over the enumerated
-    configurations where it is finite; that LP's exact Farkas vector is
-    the verdict when every value is finite. Past `enum_limit` the first
-    exact realisation is reported, with an objective value that is not
-    certified minimal. The optimum of a close-pair objective is pinned by
-    the moment rows, so the primal value doubles as a consistency check on
-    the data.
+    An objective is minimised by the same driver with the objective as its
+    cost, over the enumerated configurations. When every value is finite
+    its verdict is the answer. Otherwise it runs over the finite ones
+    (`lp.ColumnList`), and when they realise nothing the feasibility
+    driver above decides. Past `enum_limit` the first exact realisation is
+    reported, with an objective value that is not certified minimal. The
+    optimum of a close-pair objective is pinned by the moment rows, so the
+    primal value doubles as a consistency check on the data.
     """
     for i, j, w in target.atoms():
         if target.simple and i == j and w > 0:
@@ -624,26 +625,13 @@ def realize_pp(
             "the objective value is not certified minimal"
         )
     if objective is not None and oracle.size is not None:
-        chi_vals = [objective(cfg) for cfg in seed]
-        finite = [k for k, v in enumerate(chi_vals) if v != INF]
-        res = solve_lp(
-            [oracle.column(seed[k]) for k in finite], b, obj=[chi_vals[k] for k in finite]
-        )
-        if res.status == "optimal":
-            return RealizePPResult(
-                status="feasible",
-                mixture=_mixture_from([seed[k] for k in finite], res.x),
-                objective_value=res.objective,
-                dual_value=sum((y * v for y, v in zip(res.duals, b)), Fraction(0)),
-                residual=Fraction(0),
-                method=method,
-            )
+        chi = {cfg: objective(cfg) for cfg in seed}
+        finite = [cfg for cfg in seed if chi[cfg] != INF]
         if len(finite) == len(seed):
-            if res.status != "infeasible":
-                raise RuntimeError(f"optimising solve reported {res.status}")
-            farkas, witness = exact_farkas(res.farkas, b, oracle.best)
-            res = ColumnGenerationResult("infeasible", farkas=farkas, witness=witness)
-            return _verdict(res, target, method)
+            return _verdict(column_generation(oracle, b, seed, chi), target, method, objective)
+        res = column_generation(ColumnList({c: oracle.column(c) for c in finite}), b, finite, chi)
+        if res.status == "feasible":
+            return _verdict(res, target, method, objective)
     return _verdict(column_generation(oracle, b, seed), target, method, objective, note)
 
 
@@ -658,8 +646,8 @@ def _mixture_from(configs: Sequence[Configuration], weights) -> ConfigMixture:
 
 def _verdict(res, target, method, objective=None, note=None) -> RealizePPResult:
     """The verdict of `lp.column_generation` over configurations. Under an
-    objective, a realising mixture carries its objective value and
-    `note`."""
+    objective, a realising mixture carries its objective value and `note`,
+    and an optimum the value of its exact duals."""
     if res.exact_rounds:
         method = "exact-column-generation"
     if res.status == "infeasible":
@@ -676,15 +664,18 @@ def _verdict(res, target, method, objective=None, note=None) -> RealizePPResult:
             method=method,
         )
     mix = _mixture_from(res.keys, res.x)
-    value = None
+    value = dual = None
     if objective is None:
         note = None
     else:
         value = sum((w * objective(cfg) for cfg, w in mix.atoms), Fraction(0))
+    if res.duals is not None:
+        dual = sum((y * v for y, v in zip(res.duals, _target_rhs(target))), Fraction(0))
     return RealizePPResult(
         status="feasible",
         mixture=mix,
         objective_value=value,
+        dual_value=dual,
         residual=Fraction(0),
         note=note,
         method=method,

@@ -342,6 +342,47 @@ class TestSample:
         assert len(draws) == 20
 
 
+class TestMalformedInput:
+    """Malformed fields are invalid input (exit 2), not internal errors."""
+
+    def assert_invalid(self, tmp_path, *argv):
+        code, report = run(tmp_path, *argv)
+        assert code == 2
+        assert report["status"] == "invalid"
+        return report["payload"]["error"]
+
+    def test_pp_cap_not_an_integer(self, tmp_path):
+        inst = write(tmp_path, "pp.json", {**TestRealizePP.INSTANCE, "cap": "abc"})
+        assert "/cap" in self.assert_invalid(tmp_path, "realize-pp", inst)
+
+    def test_pp_atom_index_not_an_integer(self, tmp_path):
+        inst = write(tmp_path, "pp.json", {**TestRealizePP.INSTANCE, "rho": [["a", 0, "1/2"]]})
+        assert "/rho/0" in self.assert_invalid(tmp_path, "realize-pp", inst)
+
+    def test_sample_negative_weight(self, tmp_path):
+        mixture = {"mixture": [{"subset": [0], "weight": "-1/2"}, {"subset": [], "weight": "3/2"}]}
+        src = write(tmp_path, "mix.json", mixture)
+        self.assert_invalid(tmp_path, "sample", src, "--n", "5", "--seed", "1")
+
+    def test_sample_atom_without_weight(self, tmp_path):
+        src = write(tmp_path, "mix.json", {"mixture": [{"subset": [0]}]})
+        error = self.assert_invalid(tmp_path, "sample", src, "--n", "5", "--seed", "1")
+        assert "'weight'" in error
+
+    def test_reduced_dimension_not_an_integer(self, tmp_path):
+        inst = write(tmp_path, "m.json", {"d": "x", "atoms": [[["1"], "1"]], "ball_radius": "2"})
+        error = self.assert_invalid(tmp_path, "regularity", inst, "--check", "reduced")
+        assert "/d" in error
+
+    def test_shells_atom_of_two_entries(self, tmp_path):
+        inst = write(tmp_path, "m.json", {"d": 1, "atoms": [[["0"], "1"]], "radii": ["1", "2"]})
+        beta = write(tmp_path, "beta.json", {"beta": ["1"]})
+        error = self.assert_invalid(
+            tmp_path, "regularity", inst, "--check", "shells", "--beta", beta
+        )
+        assert "/atoms/0" in error
+
+
 class TestInternalError:
     def test_runtime_error_is_not_a_verdict(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):

@@ -5,7 +5,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from realkit.lp import exact_simplex, float_phase1, solve_lp, solve_nonneg_exact
+from realkit.lp import (
+    ColumnList, column_generation, exact_simplex, float_phase1, solve_nonneg_exact,
+)
 
 
 def cols_from_rows(rows):
@@ -85,24 +87,24 @@ class TestExactSimplex:
             assert dual_obj == res.objective
 
 
-class TestSolveLp:
+class TestColumnGeneration:
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_agrees_with_exact_simplex(self, data):
-        # random small LPs, half of them with a normalisation row sum q = 1
+        # random small LPs over an explicit column list; the last row is the
+        # normalisation sum q = 1 that the driver's exact Farkas step needs
         m = data.draw(st.integers(1, 4))
         k = data.draw(st.integers(1, 6))
         entry = st.integers(-2, 3)
         rows = [data.draw(st.lists(entry, min_size=k, max_size=k)) for _ in range(m)]
-        if data.draw(st.booleans()):
-            rows.append([1] * k)
-        cols = cols_from_rows(rows)
-        b = [F(data.draw(st.integers(-3, 6)), data.draw(st.integers(1, 4))) for _ in rows]
+        cols = cols_from_rows([*rows, [1] * k])
+        b = [F(data.draw(st.integers(-3, 6)), data.draw(st.integers(1, 4))) for _ in rows] + [F(1)]
         obj = None
         if data.draw(st.booleans()):
             obj = [F(v) for v in data.draw(st.lists(st.integers(0, 5), min_size=k, max_size=k))]
-        got, ref = solve_lp(cols, b, obj), exact_simplex(cols, b, obj)
-        assert got.status == ref.status
+        got = column_generation(ColumnList(dict(enumerate(cols))), b, list(range(k)), obj)
+        ref = exact_simplex(cols, b, obj)
+        assert got.status == {"optimal": "feasible", "infeasible": "infeasible"}[ref.status]
         if got.status == "infeasible":
             y = got.farkas
             assert sum(yi * bi for yi, bi in zip(y, b)) > 0
@@ -110,10 +112,11 @@ class TestSolveLp:
             return
         assert all(v >= 0 for v in got.x)
         for i in range(len(b)):
-            assert sum(col[i] * v for col, v in zip(cols, got.x)) == b[i]
-        assert got.objective == ref.objective
+            assert sum(cols[j][i] * v for j, v in zip(got.keys, got.x)) == b[i]
         if obj is not None:
-            assert sum(yi * bi for yi, bi in zip(got.duals, b)) == got.objective
+            value = sum((obj[j] * v for j, v in zip(got.keys, got.x)), F(0))
+            assert value == ref.objective
+            assert sum(yi * bi for yi, bi in zip(got.duals, b)) == value
             for c, col in zip(obj, cols):
                 assert c - sum(yi * ci for yi, ci in zip(got.duals, col)) >= 0
 
@@ -137,9 +140,11 @@ class TestSolveNonnegExact:
         assert solve_nonneg_exact(cols, [F(1), F(2)]) is None
 
     def test_prefer_order_selects_support(self):
-        # both single columns solve it; prefer the second
+        # both single columns solve it; listing the second first prefers it
         cols = cols_from_rows([[1, 1]])
-        q = solve_nonneg_exact(cols, [F(1)], prefer=[1, 0])
+        prefer = [1, 0]
+        got = solve_nonneg_exact([cols[j] for j in prefer], [F(1)])
+        q = [got[prefer.index(j)] for j in range(len(cols))]
         assert q == [F(0), F(1)]
 
 

@@ -695,6 +695,14 @@ class TestFloatFallbacks:
         assert sum(w * objective(c) for c, w in result.mixture.atoms) == optimum
         assert len(simplex_calls) == 1 and simplex_calls[0] is not None
 
+    def test_float_optimum_that_does_not_rebuild(self, monkeypatch, simplex_calls):
+        monkeypatch.setattr(lp, "_rebuild_on_support", lambda *args: None)
+        objective = objective_cardinality(4)
+        result = realize_pp(self.FEASIBLE, objective=objective)
+        _, optimum = oracle(self.FEASIBLE, objective)
+        assert result.objective_value == result.dual_value == optimum
+        assert len(simplex_calls) == 1 and simplex_calls[0] is not None
+
     @pytest.mark.parametrize("status", ["infeasible", "unbounded"])
     def test_float_failure_of_the_finite_sub_lp(self, monkeypatch, simplex_calls, status):
         monkeypatch.setattr(lp, "float_lp_min", lambda A, b, c: (status, None, None, None))

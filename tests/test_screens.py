@@ -4,8 +4,8 @@ Screens run before any LP: Fréchet, triangle and PSD for sets; PSD and cap
 for point processes with an intensity. A screen may only fire on an
 infeasible target, and what it returns must be a full certificate. The
 oracles enumerate every subset or configuration by hand and decide
-feasibility with `solve_lp` or `exact_simplex` over those columns, so no
-screen, pricing oracle or column-generation driver takes part.
+feasibility over those columns, with `exact_simplex` or with the LP driver
+over an explicit column list, so no screen or pricing oracle takes part.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from realkit import pp, setrealize
-from realkit.lp import exact_simplex, solve_lp
+from realkit.lp import ColumnList, column_generation, exact_simplex
 from realkit.pp import CorrelationTarget, verify_pp_certificate
 from realkit.setrealize import TwoPointTarget, realize_subsets, verify_certificate
 
@@ -35,13 +35,14 @@ def set_moments(n, masks, weights):
 
 
 def set_verdict(p) -> str:
-    """Feasibility over all 2^n subsets by `solve_lp`, exact like
-    `exact_simplex` and much faster at 2^6 columns."""
+    """Feasibility over all 2^n subsets by `lp.column_generation` over an
+    explicit column list, exact like `exact_simplex` and much faster at 2^6
+    columns."""
     n = len(p)
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    cols = [[F(m >> i & m >> j & 1) for i, j in pairs] + [F(1)] for m in range(1 << n)]
-    status = solve_lp(cols, [p[i][j] for i, j in pairs] + [F(1)]).status
-    return "feasible" if status == "optimal" else "infeasible"
+    cols = {m: [F(m >> i & m >> j & 1) for i, j in pairs] + [F(1)] for m in range(1 << n)}
+    b = [p[i][j] for i, j in pairs] + [F(1)]
+    return column_generation(ColumnList(cols), b, list(cols)).status
 
 
 def assert_set_certificate(cert, p):
