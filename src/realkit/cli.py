@@ -76,19 +76,29 @@ _STATUS_EXIT = {
 }
 
 
-def _digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
-def _load_json(path: str) -> dict:
+def _load(path: str, digests: dict, key: str):
+    """The JSON document at `path`, read once; the sha256 of its bytes goes
+    into digests[key]."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except FileNotFoundError as exc:
         raise InvalidInstance(f"file not found: {path}") from exc
+    except OSError as exc:
+        raise InvalidInstance(f"{path}: cannot read ({exc.strerror})") from exc
+    digests[key] = hashlib.sha256(data).hexdigest()
+    try:
+        return json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise InvalidInstance(f"{path}: not UTF-8 ({exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise InvalidInstance(f"{path}: malformed JSON ({exc})") from exc
+
+
+def _psi(args, digests: dict, command: str) -> PsiFunction:
+    if not args.psi:
+        raise InvalidInstance(f"{command} needs --psi")
+    return PsiFunction.from_json(_load(args.psi, digests, "psi"))
 
 
 def _fmt(value):
@@ -198,34 +208,51 @@ def _report(command: str, status: str, payload: dict, digests: dict, **extra) ->
 # ---------------------------------------------------------------- commands
 
 
-def _cmd_packing(args) -> tuple[dict, int]:
-    space = FiniteMetricSpace.from_json(_load_json(args.instance))
+def _cmd_packing(args, digests: dict) -> dict:
+    space = FiniteMetricSpace.from_json(_load(args.instance, digests, "instance"))
     t = parse_rational(args.t, "--t")
     value = packing_number(space, t)
     payload = {"packing_number": value, "t": _fmt(t), "points": space.n}
-    report = _report("packing", "pass", payload, {"instance": _digest(args.instance)})
-    return report, EXIT_OK
+    return _report("packing", "pass", payload, digests)
 
 
-def _cmd_gamma(args) -> tuple[dict, int]:
-    space = FiniteMetricSpace.from_json(_load_json(args.instance))
+def _cmd_gamma(args, digests: dict) -> dict:
+    space = FiniteMetricSpace.from_json(_load(args.instance, digests, "instance"))
     t = parse_rational(args.t, "--t")
     value = gamma_min_pairs(space, args.n, t)
     payload = {"gamma": value, "n": args.n, "t": _fmt(t)}
-    report = _report("gamma", "pass", payload, {"instance": _digest(args.instance)})
-    return report, EXIT_OK
+    return _report("gamma", "pass", payload, digests)
 
 
-def _cmd_realize_set(args) -> tuple[dict, int]:
-    target = TwoPointTarget.from_json(_load_json(args.instance))
+def _verdict_report(command: str, result, digests: dict, mixture, certificate) -> dict:
+    """The report of a `lp.RealizeResult`; `mixture` and `certificate`
+    serialise the target's mixture and certificate."""
+    payload: dict = {"method": result.method}
+    if result.mixture is not None:
+        payload["mixture"] = mixture(result.mixture)
+    if result.certificate is not None:
+        payload["certificate"] = certificate(result.certificate)
+    if result.objective_value is not None:
+        payload["objective_value"] = _fmt(result.objective_value)
+    if result.dual_value is not None:
+        payload["dual_value"] = _fmt(result.dual_value)
+    return _report(
+        command,
+        result.status,
+        payload,
+        digests,
+        residual=_fmt(result.residual),
+        gap=_fmt(result.gap),
+        note=result.note,
+    )
+
+
+def _cmd_realize_set(args, digests: dict) -> dict:
+    target = TwoPointTarget.from_json(_load(args.instance, digests, "instance"))
     opts = RealizeOptions(max_exact=args.max_exact)
     result = realize_subsets(target, opts)
-    digests = {"instance": _digest(args.instance)}
-    payload: dict = {"method": result.method}
-    note = result.note
     if result.status == "feasible" and args.group:
-        perms = _load_json(args.group)
-        digests["group"] = _digest(args.group)
+        perms = _load(args.group, digests, "group")
         if not isinstance(perms, list):
             raise InvalidInstance("group file must hold a list of permutations")
         validate_group(perms, target.n)
@@ -241,25 +268,14 @@ def _cmd_realize_set(args) -> tuple[dict, int]:
         if hat.p != target.p:
             raise RuntimeError("symmetrised mixture lost the target moments")
         result.mixture = mix
-    if result.mixture is not None:
-        payload["mixture"] = _mixture_payload(result.mixture)
-    if result.certificate is not None:
-        payload["certificate"] = _certificate_payload(result.certificate)
-    report = _report(
-        "realize-set",
-        result.status,
-        payload,
-        digests,
-        residual=_fmt(result.residual),
-        gap=_fmt(result.gap),
-        note=note,
+    return _verdict_report(
+        "realize-set", result, digests, _mixture_payload, _certificate_payload
     )
-    return report, _STATUS_EXIT[result.status]
 
 
-def _cmd_verify_cert(args) -> tuple[dict, int]:
-    instance = _load_json(args.instance)
-    kind, cert = _certificate_from_payload(_load_json(args.certificate))
+def _cmd_verify_cert(args, digests: dict) -> dict:
+    instance = _load(args.instance, digests, "instance")
+    kind, cert = _certificate_from_payload(_load(args.certificate, digests, "certificate"))
     if kind == "set":
         target = TwoPointTarget.from_json(instance)
         ok, reason = verify_certificate(cert, target)
@@ -268,57 +284,35 @@ def _cmd_verify_cert(args) -> tuple[dict, int]:
         ok, reason = verify_pp_certificate(cert, target)
     payload = {"kind": kind, "valid": ok, "reason": reason}
     status = "pass" if ok else "fail"
-    report = _report(
-        "verify-cert",
-        status,
-        payload,
-        {"instance": _digest(args.instance), "certificate": _digest(args.certificate)},
-        note=None if ok else "certificate invalid",
+    return _report(
+        "verify-cert", status, payload, digests, note=None if ok else "certificate invalid"
     )
-    return report, _STATUS_EXIT[status]
 
 
-def _cmd_realize_pp(args) -> tuple[dict, int]:
-    target = CorrelationTarget.from_json(_load_json(args.instance))
-    digests = {"instance": _digest(args.instance)}
+def _cmd_realize_pp(args, digests: dict) -> dict:
+    target = CorrelationTarget.from_json(_load(args.instance, digests, "instance"))
     objective = None
     if args.objective:
         if args.objective.startswith("card"):
             objective = objective_cardinality(int(args.objective[4:]))
         elif args.objective == "chi-hc":
-            if not args.psi:
-                raise InvalidInstance("--objective chi-hc needs --psi")
+            psi = _psi(args, digests, "--objective chi-hc")
             if target.space is None:
                 raise InvalidInstance("a chi-hc objective needs the target's space")
-            psi = PsiFunction.from_json(_load_json(args.psi))
-            digests["psi"] = _digest(args.psi)
             objective = objective_chi_hc(psi, target.space)
         else:
             raise InvalidInstance(f"unknown objective {args.objective!r}")
-    result = realize_pp(target, objective=objective)
-    payload: dict = {"method": result.method}
-    if result.mixture is not None:
-        payload["mixture"] = _pp_mixture_payload(result.mixture)
-    if result.certificate is not None:
-        payload["certificate"] = _pp_certificate_payload(result.certificate)
-    if result.objective_value is not None:
-        payload["objective_value"] = _fmt(result.objective_value)
-    if result.dual_value is not None:
-        payload["dual_value"] = _fmt(result.dual_value)
-    report = _report(
+    return _verdict_report(
         "realize-pp",
-        result.status,
-        payload,
+        realize_pp(target, objective=objective),
         digests,
-        residual=_fmt(result.residual),
-        gap=_fmt(result.gap),
-        note=result.note,
+        _pp_mixture_payload,
+        _pp_certificate_payload,
     )
-    return report, _STATUS_EXIT[result.status]
 
 
-def _cmd_screen_pp(args) -> tuple[dict, int]:
-    target = CorrelationTarget.from_json(_load_json(args.instance))
+def _cmd_screen_pp(args, digests: dict) -> dict:
+    target = CorrelationTarget.from_json(_load(args.instance, digests, "instance"))
     screen = positivity_screen(target, trials=args.trials, seed=args.seed)
     violations = [
         {
@@ -332,10 +326,7 @@ def _cmd_screen_pp(args) -> tuple[dict, int]:
     payload = {"trials": screen.trials, "violations": violations, "seed": args.seed}
     status = "pass" if not violations else "fail"
     note = None if not violations else "a sampled test functional violates positivity"
-    report = _report(
-        "screen-pp", status, payload, {"instance": _digest(args.instance)}, note=note
-    )
-    return report, _STATUS_EXIT[status]
+    return _report("screen-pp", status, payload, digests, note=note)
 
 
 def _parse_finite_measure(obj: dict) -> tuple[FiniteMetricSpace, AtomicMeasure2D]:
@@ -372,17 +363,13 @@ def _verdict_from_enclosure(value, bound) -> str:
     return "indeterminate"
 
 
-def _cmd_regularity(args) -> tuple[dict, int]:
-    obj = _load_json(args.instance)
-    digests = {"instance": _digest(args.instance)}
+def _cmd_regularity(args, digests: dict) -> dict:
+    obj = _load(args.instance, digests, "instance")
     bound = parse_rational(args.r, "--r") if args.r is not None else None
     payload: dict = {"check": args.check}
     if args.check == "chi":
         space, measure = _parse_finite_measure(obj)
-        if not args.psi:
-            raise InvalidInstance("--check chi needs --psi")
-        psi = PsiFunction.from_json(_load_json(args.psi))
-        digests["psi"] = _digest(args.psi)
+        psi = _psi(args, digests, "--check chi")
         value = chi_hc_integral(measure, psi)
         payload["value"] = _fmt(value)
         payload["bound"] = _fmt(bound)
@@ -395,10 +382,7 @@ def _cmd_regularity(args) -> tuple[dict, int]:
         status = _verdict_from_enclosure((value, value), bound)
     elif args.check == "psi":
         space, _ = _parse_finite_measure({**obj, "rho": []})
-        if not args.psi:
-            raise InvalidInstance("--check psi needs --psi")
-        psi = PsiFunction.from_json(_load_json(args.psi))
-        digests["psi"] = _digest(args.psi)
+        psi = _psi(args, digests, "--check psi")
         threshold = bound if bound is not None else Fraction(1)
         rep = psi_admissibility(psi, space, threshold)
         payload["profile"] = [
@@ -425,8 +409,7 @@ def _cmd_regularity(args) -> tuple[dict, int]:
         )
         if not args.beta:
             raise InvalidInstance("--check shells needs --beta")
-        beta_obj = _load_json(args.beta)
-        digests["beta"] = _digest(args.beta)
+        beta_obj = _load(args.beta, digests, "beta")
         if "beta" not in beta_obj:
             raise InvalidInstance("beta file: expected key 'beta'")
         result = shell_series(measure, obj["radii"], beta_obj["beta"])
@@ -445,26 +428,22 @@ def _cmd_regularity(args) -> tuple[dict, int]:
         status = _verdict_from_enclosure(result.value, bound)
     else:
         raise InvalidInstance(f"unknown regularity check {args.check!r}")
-    report = _report("regularity", status, payload, digests)
-    return report, _STATUS_EXIT[status]
+    return _report("regularity", status, payload, digests)
 
 
 def _parse_point(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
-def _cmd_contact_check(args) -> tuple[dict, int]:
-    tau1 = StepCdf.from_json(_load_json(args.tau1))
-    digests = {"tau1": _digest(args.tau1)}
+def _cmd_contact_check(args, digests: dict) -> dict:
+    tau1 = StepCdf.from_json(_load(args.tau1, digests, "tau1"))
     if args.tau2 is None:
         payload = {
             "feasible": True,
             "note": "a single valid step cdf is always realisable",
         }
-        report = _report("contact-check", "pass", payload, digests)
-        return report, EXIT_OK
-    tau2 = StepCdf.from_json(_load_json(args.tau2))
-    digests["tau2"] = _digest(args.tau2)
+        return _report("contact-check", "pass", payload, digests)
+    tau2 = StepCdf.from_json(_load(args.tau2, digests, "tau2"))
     if args.l is None:
         raise InvalidInstance("checking two cdfs needs --l")
     result = check_two_point(tau1, tau2, parse_rational(args.l, "--l"))
@@ -474,13 +453,12 @@ def _cmd_contact_check(args) -> tuple[dict, int]:
         "side": result.side,
     }
     status = "pass" if result.feasible else "fail"
-    report = _report("contact-check", status, payload, digests)
-    return report, _STATUS_EXIT[status]
+    return _report("contact-check", status, payload, digests)
 
 
-def _cmd_contact_simulate(args) -> tuple[dict, int]:
-    tau1 = StepCdf.from_json(_load_json(args.tau1))
-    tau2 = StepCdf.from_json(_load_json(args.tau2))
+def _cmd_contact_simulate(args, digests: dict) -> dict:
+    tau1 = StepCdf.from_json(_load(args.tau1, digests, "tau1"))
+    tau2 = StepCdf.from_json(_load(args.tau2, digests, "tau2"))
     x1 = _parse_point(args.x1)
     x2 = _parse_point(args.x2)
     report_mc = monte_carlo_contact(tau1, tau2, x1, x2, samples=args.samples, seed=args.seed)
@@ -496,21 +474,24 @@ def _cmd_contact_simulate(args) -> tuple[dict, int]:
         "samples": report_mc.samples,
         "seed": report_mc.seed,
     }
-    digests = {"tau1": _digest(args.tau1), "tau2": _digest(args.tau2)}
-    report = _report("contact-simulate", "pass", payload, digests)
-    return report, EXIT_OK
+    return _report("contact-simulate", "pass", payload, digests)
 
 
-def _cmd_contact_screen(args) -> tuple[dict, int]:
-    obj = _load_json(args.instance)
-    digests = {"instance": _digest(args.instance)}
-    if "system" not in obj or "taus" not in obj or "probe_points" not in obj:
+def _cmd_contact_screen(args, digests: dict) -> dict:
+    obj = _load(args.instance, digests, "instance")
+    if not isinstance(obj, dict) or any(
+        key not in obj for key in ("system", "taus", "probe_points")
+    ):
         raise InvalidInstance("instance: expected keys 'system', 'taus', 'probe_points'")
     system = BallSystem.from_json(obj["system"])
+    if not isinstance(obj["taus"], list):
+        raise InvalidInstance("/taus: expected a list of {point, cdf} entries")
     taus = {}
-    for entry in obj["taus"]:
-        point = tuple(parse_rational(c) for c in entry["point"])
-        taus[point] = StepCdf.from_json(entry["cdf"])
+    for k, entry in enumerate(obj["taus"]):
+        if not isinstance(entry, dict) or not isinstance(entry.get("point"), list):
+            raise InvalidInstance(f"/taus/{k}: expected a 'point' list and a 'cdf'")
+        point = tuple(parse_rational(c, f"/taus/{k}/point") for c in entry["point"])
+        taus[point] = StepCdf.from_json(entry.get("cdf"))
     from .contact import ball_positivity_screen
 
     rep = ball_positivity_screen(
@@ -528,13 +509,13 @@ def _cmd_contact_screen(args) -> tuple[dict, int]:
         payload["note"] = "system is not non-negative on the probe subsets; no cdf test"
     else:
         status = "pass" if rep.passes else "fail"
-    report = _report("contact-screen", status, payload, digests)
-    return report, _STATUS_EXIT[status]
+    return _report("contact-screen", status, payload, digests)
 
 
-def _cmd_sample(args) -> tuple[dict, int]:
-    obj = _load_json(args.source)
-    digests = {"source": _digest(args.source)}
+def _cmd_sample(args, digests: dict) -> dict:
+    if args.n < 0:
+        raise InvalidInstance("--n must be a non-negative draw count")
+    obj = _load(args.source, digests, "source")
     payload_mix = obj.get("payload", {}).get("mixture") if "payload" in obj else obj.get("mixture")
     if payload_mix is None:
         raise InvalidInstance("source: no mixture found (expected 'mixture' or payload.mixture)")
@@ -553,8 +534,7 @@ def _cmd_sample(args) -> tuple[dict, int]:
         atom = payload_mix[int(k)]
         draws.append(atom.get("subset", atom.get("multiplicity")))
     payload = {"draws": draws, "n": args.n, "seed": args.seed}
-    report = _report("sample", "pass", payload, digests)
-    return report, EXIT_OK
+    return _report("sample", "pass", payload, digests)
 
 
 @functools.cache
@@ -658,7 +638,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report, code = args.func(args)
+        # a command fills the dict with the digests of the files it reads
+        report = args.func(args, {})
     except CapExceeded as exc:
         # a size cap of an exact method, not a fault of the input
         _emit(_error_report(args.command, "indeterminate", exc), args.out)
@@ -674,7 +655,7 @@ def main(argv: list[str] | None = None) -> int:
         traceback.print_exc(file=sys.stderr)
         return EXIT_ERROR
     _emit(report, args.out)
-    return code
+    return _STATUS_EXIT[report["status"]]
 
 
 if __name__ == "__main__":

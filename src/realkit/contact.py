@@ -87,7 +87,7 @@ def check_two_point(tau1: StepCdf, tau2: StepCdf, l) -> TwoPointCheck:
     tau1 and tau2 shifted by 0 or +-l, so the grid of those points (clipped
     at 0) is decisive; the first violating grid point is reported.
     """
-    l = l if isinstance(l, Fraction) else parse_rational(l, "l")
+    l = parse_rational(l, "l")
     if l < 0:
         raise InvalidInstance("separation l must be non-negative")
     grid = {Fraction(0)}
@@ -141,8 +141,8 @@ def construct_two_point_set(
     the sandwich condition forces |R1 - R2| <= l; this is verified exactly
     before returning.
     """
-    p1 = tuple(v if isinstance(v, Fraction) else parse_rational(v) for v in x1)
-    p2 = tuple(v if isinstance(v, Fraction) else parse_rational(v) for v in x2)
+    p1 = tuple(parse_rational(v) for v in x1)
+    p2 = tuple(parse_rational(v) for v in x2)
     if len(p1) != len(p2):
         raise InvalidInstance("reference points must share a dimension")
     l_sq = norm_sq(p1, p2)
@@ -231,7 +231,7 @@ def ball_positivity_screen(
     """
     m = len(system.coefficients)
     probes = [
-        tuple(v if isinstance(v, Fraction) else parse_rational(v) for v in p)
+        tuple(parse_rational(v) for v in p)
         for p in probe_points
     ]
     if not probes:
@@ -343,8 +343,8 @@ def monte_carlo_contact(
     the construction work), so the recorded distances are exactly the
     generalised inverses; a draw beyond a total mass records +inf.
     """
-    p1 = tuple(v if isinstance(v, Fraction) else parse_rational(v) for v in x1)
-    p2 = tuple(v if isinstance(v, Fraction) else parse_rational(v) for v in x2)
+    p1 = tuple(parse_rational(v) for v in x1)
+    p2 = tuple(parse_rational(v) for v in x2)
     l_sq = norm_sq(p1, p2)
     l_lo, l_hi = sqrt_interval(l_sq)
     # the test weakens as l grows, so passing at the lower bound is sound

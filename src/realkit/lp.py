@@ -14,6 +14,11 @@
   exact Farkas vector: its normalisation entry becomes minus the exact
   maximum of y.A_j over every column.
 
+* `screen` and `verdict` — the two ways a set or point-process target
+  gets its `RealizeResult`: the first exact moment screen that fires, or
+  the driver's answer (an exact mixture, a certificate from the exact
+  Farkas vector, or no verdict within MAX_ROUNDS).
+
 * `negative_direction` — the moment screens' test for a rational matrix
   that is not positive semidefinite: `numpy.linalg.eigh` locates a
   direction, integers confirm it.
@@ -49,6 +54,8 @@ from typing import Protocol
 import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csc_matrix
+
+from .qubo import pair_list
 
 
 @dataclass
@@ -144,6 +151,74 @@ class ColumnGenerationResult:
     farkas: list[Fraction] | None = None
     witness: Hashable = None  # the column where farkas.A_j attains its maximum 0
     exact_rounds: bool = False  # the verdict came from exact masters
+
+
+@dataclass
+class RealizeResult:
+    """The verdict on a set or point-process target. `mixture` and
+    `certificate` are those of the target (`SubsetMixture` or
+    `ConfigMixture`, `InfeasibilityCertificate` or `PPCertificate`); the
+    objective and dual values are set only under a pp objective."""
+
+    status: str  # "feasible" | "infeasible" | "indeterminate"
+    mixture: object | None = None
+    certificate: object | None = None
+    residual: object | None = None
+    gap: object | None = None
+    note: str | None = None
+    method: str = ""
+    objective_value: object | None = None
+    dual_value: object | None = None
+
+
+def screen(screens, target, b: list, best: Callable, certify: Callable) -> RealizeResult | None:
+    """The verdict of the first of `screens` that fires on `target`, or None.
+
+    `screens` holds (method, functional, note). A functional returns None
+    or the integer coefficients ({(i, j): a_ij, i <= j}, linear part) of a
+    functional that is non-negative on every column and pairs negatively
+    with the target, both confirmed exactly; set targets have no linear
+    part. Their negation is a dual y on the rows of `b` (pairs, then the
+    linear rows, then normalisation). `exact_farkas` sets its constant to
+    minus the exact maximum `best` finds, which is never above the screen's
+    own constant, so the pairing stays negative; `certify(y, witness)`
+    turns it into the target's certificate.
+    """
+    for method, functional, note in screens:
+        found = functional(target)
+        if found is not None:
+            a, linear = found
+            y = [-a.get(pair, 0) for pair in pair_list(target.n)] + [-v for v in linear] + [0]
+            cert = certify(*exact_farkas(y, b, best))
+            return RealizeResult(
+                "infeasible", certificate=cert, gap=cert.gap, note=note, method=method
+            )
+    return None
+
+
+def verdict(
+    res: ColumnGenerationResult, method: str, mixture: Callable, certify: Callable, note=None
+) -> RealizeResult:
+    """The verdict of a `column_generation` result `res`: a feasible one
+    gets `mixture(keys, weights)` and `note`, an infeasible one
+    `certify(farkas, witness)`, whose gap must be positive. `method` turns
+    into "exact-column-generation" when exact rounds decided."""
+    if res.exact_rounds:
+        method = "exact-column-generation"
+    if res.status == "infeasible":
+        cert = certify(res.farkas, res.witness)
+        if cert.gap <= 0:
+            raise RuntimeError("exact Farkas vector failed certification")
+        return RealizeResult("infeasible", certificate=cert, gap=cert.gap, method=method)
+    if res.status == "indeterminate":
+        return RealizeResult(
+            "indeterminate",
+            note=f"column generation found no verdict in {MAX_ROUNDS} rounds",
+            method=method,
+        )
+    return RealizeResult(
+        "feasible", mixture=mixture(res.keys, res.x), residual=Fraction(0), note=note, method=method
+    )
 
 
 def column_generation(

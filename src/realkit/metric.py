@@ -60,7 +60,7 @@ def make_space(dist_rows: Sequence[Sequence], labels: Sequence[str] | None = Non
     if labels is None:
         labels = tuple(f"x{i}" for i in range(n))
     dist = tuple(
-        tuple(v if isinstance(v, Fraction) else parse_rational(v) for v in row)
+        tuple(parse_rational(v) for v in row)
         for row in dist_rows
     )
     space = FiniteMetricSpace(tuple(labels), dist)
@@ -79,10 +79,6 @@ class Configuration:
     @property
     def total_mass(self) -> int:
         return sum(self.multiplicity)
-
-    @property
-    def simple(self) -> bool:
-        return all(m <= 1 for m in self.multiplicity)
 
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, m in enumerate(self.multiplicity) if m > 0)
@@ -143,7 +139,7 @@ def packing_set(space: FiniteMetricSpace, t) -> frozenset[int]:
     greedy gives the initial incumbent, branching follows descending conflict
     degree with index tie-breaks, so the result is deterministic.
     """
-    t = t if isinstance(t, Fraction) else parse_rational(t, "t")
+    t = parse_rational(t, "t")
     if t < 0:
         raise InvalidInstance("t must be non-negative")
     n = space.n
@@ -195,7 +191,7 @@ def close_pair_count(space: FiniteMetricSpace, config: Configuration, t) -> int:
 
     Particles sharing a point are at distance 0 and always count.
     """
-    t = t if isinstance(t, Fraction) else parse_rational(t, "t")
+    t = parse_rational(t, "t")
     m = config.multiplicity
     n = space.n
     if len(m) != n:
@@ -233,7 +229,7 @@ def gamma_min_pairs(space: FiniteMetricSpace, n: int, t, cap: int = GAMMA_MASS_C
         raise CapExceeded(
             f"total mass {n} above the enumeration cap {cap}; use close_pair_envelope instead"
         )
-    t = t if isinstance(t, Fraction) else parse_rational(t, "t")
+    t = parse_rational(t, "t")
     best = None
     for m in _compositions(n, space.n):
         g = close_pair_count(space, Configuration(m), t)
@@ -289,7 +285,7 @@ def mass_transfer_reduce(
     pair is processed. One unit moves per step and the ordered close-pair
     count never increases along the recorded trace.
     """
-    t = t if isinstance(t, Fraction) else parse_rational(t, "t")
+    t = parse_rational(t, "t")
     masses = list(config.multiplicity)
     n = space.n
     trace: list[TransferStep] = []

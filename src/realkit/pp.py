@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import CapExceeded, InvalidInstance
 from .lp import (
-    FLOAT_TOL, MAX_ROUNDS, ColumnList, column_generation, exact_farkas, negative_direction,
+    FLOAT_TOL, ColumnList, RealizeResult, column_generation, negative_direction, screen, verdict,
 )
 from .metric import Configuration, FiniteMetricSpace
 from .numbers import INF, parse_int, parse_rational, validate_mixture
@@ -80,7 +80,7 @@ class CorrelationTarget:
         for i, j, w in rho_entries:
             if not (0 <= i < n and 0 <= j < n):
                 raise InvalidInstance(f"rho atom ({i},{j}) out of range")
-            wf = w if isinstance(w, Fraction) else parse_rational(w, f"rho[{i},{j}]")
+            wf = parse_rational(w, f"rho[{i},{j}]")
             if wf < 0:
                 raise InvalidInstance(f"rho atom ({i},{j}) has negative weight")
             ordered[(i, j)] = ordered.get((i, j), Fraction(0)) + wf
@@ -100,7 +100,7 @@ class CorrelationTarget:
         rho = {k: v for k, v in rho.items() if v != 0}
         r1 = None
         if rho1 is not None:
-            vals = [v if isinstance(v, Fraction) else parse_rational(v, "rho1") for v in rho1]
+            vals = [parse_rational(v, "rho1") for v in rho1]
             if len(vals) != n:
                 raise InvalidInstance("rho1 length does not match the point count")
             if any(v < 0 for v in vals):
@@ -108,9 +108,7 @@ class CorrelationTarget:
             r1 = tuple(vals)
         eps = None
         if hardcore_eps is not None:
-            eps = hardcore_eps if isinstance(hardcore_eps, Fraction) else parse_rational(
-                hardcore_eps, "hardcore_eps"
-            )
+            eps = parse_rational(hardcore_eps, "hardcore_eps")
             if eps <= 0:
                 raise InvalidInstance("hardcore_eps must be positive")
             if space is None:
@@ -182,19 +180,6 @@ class PPCertificate:
         return total
 
 
-@dataclass
-class RealizePPResult:
-    status: str  # "feasible" | "infeasible" | "indeterminate"
-    mixture: ConfigMixture | None = None
-    objective_value: object | None = None
-    dual_value: object | None = None
-    certificate: PPCertificate | None = None
-    residual: object | None = None
-    gap: object | None = None
-    note: str | None = None
-    method: str = ""
-
-
 def g_h_eval(config: Configuration, h: Sequence[Sequence]) -> object:
     """Sum of h over ordered pairs of distinct particles (the empty sum is 0)."""
     m = config.multiplicity
@@ -219,7 +204,7 @@ def check_hardcore_support(
 ) -> tuple[bool, list[tuple[int, int, Fraction]]]:
     """True iff every positive-weight atom sits at distance >= eps
     (> eps when the target uses the strict variant)."""
-    eps = eps if isinstance(eps, Fraction) else parse_rational(eps, "eps")
+    eps = parse_rational(eps, "eps")
     if target.space is None:
         raise InvalidInstance("hard-core support check needs the metric space")
     offenders = []
@@ -292,9 +277,7 @@ def enumerate_configs(
     in lexicographic order. Raises CapExceeded past `limit` columns."""
     if hardcore_eps is not None and space is None:
         raise InvalidInstance("hard-core enumeration needs the metric space")
-    eps = hardcore_eps
-    if eps is not None and not isinstance(eps, Fraction):
-        eps = parse_rational(eps)
+    eps = None if hardcore_eps is None else parse_rational(hardcore_eps)
     rules = _Rules.build(n, cap, simple, eps, space, hardcore_strict)
     out: list[Configuration] = []
 
@@ -490,31 +473,17 @@ SCREENS = (
 )
 
 
-def _screen(target: CorrelationTarget) -> RealizePPResult | None:
-    """The verdict of the first screen that fires on a target with an
-    intensity, or None.
-
-    A screen returns the integer coefficients ({(i, j): a_ij, i <= j},
-    blin) of a functional that is non-negative on every configuration and
-    pairs negatively with the target, both confirmed exactly. They become an LP certificate:
-    `exact_farkas` sets the constant to minus the exact minimum of the
-    rest, from `_price_config` (never above the screen's own constant, so
-    the pairing stays negative), and `_certificate_from_dual` scales to
-    max |(a, blin)| = 1.
-    """
+def _screen(target: CorrelationTarget) -> RealizeResult | None:
+    """The verdict of the first of SCREENS that fires on a target with an
+    intensity, or None, by `lp.screen`: the constant is minus the exact
+    minimum of the rest from `_price_config`, and `_certificate_from_dual`
+    scales to max |(a, blin)| = 1."""
     if target.rho1 is None:
         return None
-    for method, functional, note in SCREENS:
-        found = functional(target)
-        if found is not None:
-            a, blin = found
-            y = [-a.get(pair, 0) for pair in pair_list(target.n)] + [-v for v in blin] + [0]
-            y, witness = exact_farkas(y, _target_rhs(target), _ConfigOracle(target).best)
-            cert = _certificate_from_dual(y, witness, target)
-            return RealizePPResult(
-                status="infeasible", certificate=cert, gap=cert.gap, note=note, method=method
-            )
-    return None
+    return screen(
+        SCREENS, target, _target_rhs(target), _ConfigOracle(target).best,
+        lambda y, witness: _certificate_from_dual(y, witness, target),
+    )
 
 
 CARDINALITY_POWERS = (2, 3, 4)
@@ -553,7 +522,7 @@ def realize_pp(
     target: CorrelationTarget,
     objective: Callable[[Configuration], object] | None = None,
     enum_limit: int = ENUM_LIMIT,
-) -> RealizePPResult:
+) -> RealizeResult:
     """Decide realisability of a correlation target; optionally minimise an
     expectation over the realising mixtures and report the optimum.
 
@@ -580,7 +549,7 @@ def realize_pp(
     """
     for i, j, w in target.atoms():
         if target.simple and i == j and w > 0:
-            return RealizePPResult(
+            return RealizeResult(
                 status="infeasible",
                 certificate=_trivial_certificate(target, i, j),
                 gap=w,
@@ -592,7 +561,7 @@ def realize_pp(
         if not ok:
             i, j, w = offenders[0]
             cert = _trivial_certificate(target, i, j)
-            return RealizePPResult(
+            return RealizeResult(
                 status="infeasible",
                 certificate=cert,
                 gap=cert.gap,
@@ -644,42 +613,23 @@ def _mixture_from(configs: Sequence[Configuration], weights) -> ConfigMixture:
     return ConfigMixture(n=n, atoms=tuple(atoms))
 
 
-def _verdict(res, target, method, objective=None, note=None) -> RealizePPResult:
-    """The verdict of `lp.column_generation` over configurations. Under an
-    objective, a realising mixture carries its objective value and `note`,
-    and an optimum the value of its exact duals."""
-    if res.exact_rounds:
-        method = "exact-column-generation"
-    if res.status == "infeasible":
-        cert = _certificate_from_dual(res.farkas, res.witness, target)
-        if cert.gap <= 0:
-            raise RuntimeError("exact Farkas vector failed certification")
-        return RealizePPResult(
-            status="infeasible", certificate=cert, gap=cert.gap, method=method
-        )
-    if res.status == "indeterminate":
-        return RealizePPResult(
-            status="indeterminate",
-            note=f"column generation found no verdict in {MAX_ROUNDS} rounds",
-            method=method,
-        )
-    mix = _mixture_from(res.keys, res.x)
-    value = dual = None
-    if objective is None:
-        note = None
-    else:
-        value = sum((w * objective(cfg) for cfg, w in mix.atoms), Fraction(0))
-    if res.duals is not None:
-        dual = sum((y * v for y, v in zip(res.duals, _target_rhs(target))), Fraction(0))
-    return RealizePPResult(
-        status="feasible",
-        mixture=mix,
-        objective_value=value,
-        dual_value=dual,
-        residual=Fraction(0),
-        note=note,
-        method=method,
+def _verdict(res, target, method, objective=None, note=None) -> RealizeResult:
+    """`lp.verdict` over configurations. Under an objective, a realising
+    mixture carries its objective value and `note`, and an optimum the
+    value of its exact duals."""
+    result = verdict(
+        res, method, _mixture_from,
+        lambda y, witness: _certificate_from_dual(y, witness, target),
+        None if objective is None else note,
     )
+    if result.mixture is not None and objective is not None:
+        result.objective_value = sum(
+            (w * objective(cfg) for cfg, w in result.mixture.atoms), Fraction(0)
+        )
+    if res.duals is not None:
+        b = _target_rhs(target)
+        result.dual_value = sum((y * v for y, v in zip(res.duals, b)), Fraction(0))
+    return result
 
 
 def _price_config(y: Sequence, target: CorrelationTarget) -> tuple[Configuration, object]:

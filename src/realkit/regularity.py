@@ -20,7 +20,8 @@ from typing import Sequence
 from .errors import InvalidBeta, InvalidInstance, InvalidPsi
 from .metric import FiniteMetricSpace, packing_number
 from .numbers import INF, compare_rational_to_sqrt, norm_sq, parse_rational, pow_neg_half_d
-from .pp import CorrelationTarget, RealizePPResult, objective_chi_hc, realize_pp
+from .lp import RealizeResult
+from .pp import CorrelationTarget, objective_chi_hc, realize_pp
 
 
 @dataclass(frozen=True)
@@ -111,7 +112,7 @@ class AtomicMeasure2D:
     def on_space(space: FiniteMetricSpace, atoms) -> "AtomicMeasure2D":
         clean = []
         for a, b, w in atoms:
-            wf = w if isinstance(w, Fraction) else parse_rational(w, "weight")
+            wf = parse_rational(w, "weight")
             if wf < 0:
                 raise InvalidInstance("atom weights must be non-negative")
             if not (0 <= a < space.n and 0 <= b < space.n):
@@ -126,11 +127,11 @@ class AtomicMeasure2D:
             raise InvalidInstance("dimension must be at least 1")
         clean = []
         for a, b, w in atoms:
-            wf = w if isinstance(w, Fraction) else parse_rational(w, "weight")
+            wf = parse_rational(w, "weight")
             if wf < 0:
                 raise InvalidInstance("atom weights must be non-negative")
-            pa = tuple(x if isinstance(x, Fraction) else parse_rational(x) for x in a)
-            pb = tuple(x if isinstance(x, Fraction) else parse_rational(x) for x in b)
+            pa = tuple(parse_rational(x) for x in a)
+            pb = tuple(parse_rational(x) for x in b)
             if len(pa) != dim or len(pb) != dim:
                 raise InvalidInstance("atom coordinates do not match the dimension")
             if wf > 0:
@@ -196,7 +197,7 @@ def psi_admissibility(
     decided from finite data; the verdict is the stated proxy: the ratio at
     the smallest positive pairwise distance must exceed the threshold.
     """
-    threshold = threshold if isinstance(threshold, Fraction) else parse_rational(threshold)
+    threshold = parse_rational(threshold)
     dists = space.distance_values()
     abscissae = sorted(set(dists) | {t for t in psi.thresholds() if t > 0})
     profile = []
@@ -209,9 +210,8 @@ def psi_admissibility(
     ratio_small = None
     passes = False
     if smallest is not None:
-        pv = psi.value(smallest)
-        pk = packing_number(space, smallest)
-        ratio_small = INF if pv == INF else Fraction(pv, pk)
+        # every distance is an abscissa, so the profile holds its row
+        ratio_small = next(ratio for t, _, _, ratio in profile if t == smallest)
         passes = ratio_small == INF or ratio_small > threshold
     return PsiAdmissibilityReport(
         profile=profile,
@@ -260,12 +260,12 @@ def shell_series(
     """
     if rho.ambient != "euclidean":
         raise InvalidInstance("shell series need a euclidean measure")
-    radii_f = [r if isinstance(r, Fraction) else parse_rational(r, "radius") for r in radii]
+    radii_f = [parse_rational(r, "radius") for r in radii]
     if any(r <= 0 for r in radii_f) or any(
         radii_f[k] >= radii_f[k + 1] for k in range(len(radii_f) - 1)
     ):
         raise InvalidInstance("radii must be positive and strictly increasing")
-    beta_f = [v if isinstance(v, Fraction) else parse_rational(v, "beta") for v in beta]
+    beta_f = [parse_rational(v, "beta") for v in beta]
     if any(v <= 0 for v in beta_f):
         raise InvalidBeta("beta must be positive")
     if any(beta_f[k] < beta_f[k + 1] for k in range(len(beta_f) - 1)):
@@ -312,19 +312,19 @@ def reduced_measure_check(
     translation-averaged pair measure puts mass at the origin only through
     multiplicities.
     """
-    R = ball_radius if isinstance(ball_radius, Fraction) else parse_rational(ball_radius)
+    R = parse_rational(ball_radius)
     if R <= 0:
         raise InvalidInstance("ball radius must be positive")
     total: Enclosure = (Fraction(0), Fraction(0))
     origin = False
     R2 = R * R
     for y, w in atoms:
-        wf = w if isinstance(w, Fraction) else parse_rational(w, "weight")
+        wf = parse_rational(w, "weight")
         if wf < 0:
             raise InvalidInstance("weights must be non-negative")
         if wf == 0:
             continue
-        py = tuple(x if isinstance(x, Fraction) else parse_rational(x) for x in y)
+        py = tuple(parse_rational(x) for x in y)
         sq = norm_sq(py)
         if sq >= R2:
             continue
@@ -340,7 +340,7 @@ def reduced_measure_check(
 class SplitVerdict:
     integral: object
     integral_ok: bool
-    positivity: RealizePPResult | None
+    positivity: RealizeResult | None
     optimum: object | None
 
     @property
@@ -360,7 +360,7 @@ def hardcore_split_check(target: CorrelationTarget, psi: PsiFunction, r) -> Spli
     whenever the moment rows pin it (a strong-duality identity the tests
     assert).
     """
-    r = r if isinstance(r, Fraction) else parse_rational(r, "r")
+    r = parse_rational(r, "r")
     measure = AtomicMeasure2D.from_target(target)
     integral = chi_hc_integral(measure, psi)
     if integral == INF or integral > r:

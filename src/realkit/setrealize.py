@@ -32,10 +32,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapExceeded, InvalidGroup, InvalidInstance
-from .lp import FLOAT_TOL, MAX_ROUNDS, column_generation, exact_farkas, negative_direction
+from .lp import FLOAT_TOL, RealizeResult, column_generation, negative_direction, screen, verdict
 from .numbers import parse_rational, validate_mixture
 from .qubo import (
-    MAX_N, _mask_to_subset, evaluate_g, pair_list, pair_matrix, qubo_min, qubo_topk_float,
+    MAX_N, _mask_to_subset, check_symmetric, evaluate_g, pair_list, pair_matrix, qubo_min,
+    qubo_topk_float,
 )
 
 FINITE_CARRIER_NOTE = (
@@ -63,7 +64,7 @@ class TwoPointTarget:
         for i, row in enumerate(rows):
             conv = []
             for j, v in enumerate(row):
-                fr = v if isinstance(v, Fraction) else parse_rational(v, f"/p/{i}/{j}")
+                fr = parse_rational(v, f"/p/{i}/{j}")
                 if validate_range and not (0 <= fr <= 1):
                     raise InvalidInstance(f"/p/{i}/{j}: probability {fr} outside [0,1]")
                 conv.append(fr)
@@ -121,17 +122,6 @@ class InfeasibilityCertificate:
             for j in range(i, self.n):
                 total += self.a[i][j] * target.p[i][j]
         return total
-
-
-@dataclass
-class RealizeResult:
-    status: str  # "feasible" | "infeasible" | "indeterminate"
-    mixture: SubsetMixture | None = None
-    certificate: InfeasibilityCertificate | None = None
-    residual: object | None = None
-    gap: object | None = None
-    note: str | None = None
-    method: str = ""
 
 
 @dataclass(frozen=True)
@@ -236,12 +226,10 @@ def verify_certificate(
     n = cert.n
     if n != target.n:
         return False, "certificate size does not match target"
-    if len(cert.a) != n or any(len(row) != n for row in cert.a):
-        return False, "coefficient matrix has wrong shape"
-    for i in range(n):
-        for j in range(i + 1, n):
-            if cert.a[i][j] != cert.a[j][i]:
-                return False, f"coefficient matrix not symmetric at ({i},{j})"
+    try:
+        check_symmetric(cert.a, n)
+    except InvalidInstance as exc:
+        return False, str(exc)
     pairs = pair_list(n)
     if max(abs(cert.a[i][j]) for i, j in pairs) != 1:
         return False, "normalisation violated: max |a_ij| must equal 1"
@@ -259,8 +247,8 @@ def verify_certificate(
     return True, "certificate valid"
 
 
-def _frechet_functional(target: TwoPointTarget) -> dict | None:
-    """a of the first violated Fréchet bound, p_ij <= p_k (constant 0) or
+def _frechet_functional(target: TwoPointTarget):
+    """(a, ()) of the first violated Fréchet bound, p_ij <= p_k (constant 0) or
     p_i + p_j - p_ij <= 1 (constant 1), or None."""
     violations = target.frechet_violations()
     if not violations:
@@ -268,12 +256,12 @@ def _frechet_functional(target: TwoPointTarget) -> dict | None:
     kind, i, j = violations[0]
     if kind == "upper":
         k = i if target.p[i][i] <= target.p[j][j] else j
-        return {(k, k): 1, (i, j): -1}
-    return {(i, i): -1, (j, j): -1, (i, j): 1}
+        return {(k, k): 1, (i, j): -1}, ()
+    return {(i, i): -1, (j, j): -1, (i, j): 1}, ()
 
 
-def _triangle_functional(target: TwoPointTarget) -> dict | None:
-    """a of a violated triangle facet of the correlation polytope, or
+def _triangle_functional(target: TwoPointTarget):
+    """(a, ()) of a violated triangle facet of the correlation polytope, or
     None: p_i + p_j + p_k - p_ij - p_ik - p_jk <= 1, and p_ij + p_ik - p_jk
     <= p_i with apex i (Deza & Laurent, Geometry of Cuts and Metrics,
     1997). Violations are located in floats, largest first, and each is
@@ -306,12 +294,12 @@ def _triangle_functional(target: TwoPointTarget) -> dict | None:
             c = 0
             a = {(x, x): 1, (min(x, y), max(x, y)): -1, (min(x, z), max(x, z)): -1, (y, z): 1}
         if c + sum(v * target.p[e][f] for (e, f), v in a.items()) < 0:
-            return a
+            return a, ()
     return None
 
 
-def _psd_functional(target: TwoPointTarget) -> dict | None:
-    """a of a square G(F) = (v_0 + sum_{i in F} v_i)^2, whose constant is
+def _psd_functional(target: TwoPointTarget):
+    """(a, ()) of a square G(F) = (v_0 + sum_{i in F} v_i)^2, whose constant is
     v_0^2, with a negative pairing v.M.v, M = [[1, p_i], [p_i, p_ij]] being
     the second-moment matrix of (1, 1{i in F}), or None."""
     n = target.n
@@ -323,7 +311,7 @@ def _psd_functional(target: TwoPointTarget) -> dict | None:
     v0, v = v[0], v[1:]
     a = {(i, i): 2 * v0 * v[i] + v[i] * v[i] for i in range(n)}
     a.update({(i, j): 2 * v[i] * v[j] for i, j in itertools.combinations(range(n), 2)})
-    return a
+    return a, ()
 
 
 # (method, functional, note): each screen proves infeasibility without an LP
@@ -338,25 +326,13 @@ SCREENS = (
 
 
 def _screen(target: TwoPointTarget) -> RealizeResult | None:
-    """The verdict of the first screen that fires, or None.
-
-    A screen returns the integer coefficients {(i, j): a_ij, i <= j} of a
-    functional that is non-negative on every subset and pairs negatively
-    with the target, both confirmed exactly. They become an LP certificate: `exact_farkas`
-    sets the constant to minus the exact minimum of the pair part, from
-    `qubo_min` (never above the screen's own constant, so the pairing
-    stays negative), and `certificate_from_dual` scales to max |a| = 1.
-    """
-    for method, functional, note in SCREENS:
-        a = functional(target)
-        if a is not None:
-            y = [-a.get(pair, 0) for pair in pair_list(target.n)] + [0]
-            y, witness = exact_farkas(y, _rhs(target), _SubsetOracle(target.n).best)
-            cert = certificate_from_dual(y, witness, target)
-            return RealizeResult(
-                status="infeasible", certificate=cert, gap=cert.gap, note=note, method=method
-            )
-    return None
+    """The verdict of the first of SCREENS that fires, or None, by
+    `lp.screen`: the constant is minus the exact minimum of the pair part
+    from `qubo_min`, and `certificate_from_dual` scales to max |a| = 1."""
+    return screen(
+        SCREENS, target, _rhs(target), _SubsetOracle(target.n).best,
+        lambda y, witness: certificate_from_dual(y, witness, target),
+    )
 
 
 def realize_subsets(target: TwoPointTarget, opts: RealizeOptions | None = None) -> RealizeResult:
@@ -404,25 +380,12 @@ def realize_subsets(target: TwoPointTarget, opts: RealizeOptions | None = None) 
     else:
         method = "enumeration"
         seed = list(range(1 << n))
-    b = _rhs(target)
-    res = column_generation(_SubsetOracle(n), b, seed)
-    if res.exact_rounds:
-        method = "exact-column-generation"
-    if res.status == "feasible":
-        return RealizeResult(
-            status="feasible",
-            mixture=_mixture_from_weights(res.keys, res.x, n),
-            residual=Fraction(0),
-            note=FINITE_CARRIER_NOTE,
-            method=method,
-        )
-    if res.status == "infeasible":
-        cert = certificate_from_dual(res.farkas, res.witness, target)
-        return RealizeResult(status="infeasible", certificate=cert, gap=cert.gap, method=method)
-    return RealizeResult(
-        status="indeterminate",
-        note=f"column generation found no verdict in {MAX_ROUNDS} rounds",
-        method=method,
+    return verdict(
+        column_generation(_SubsetOracle(n), _rhs(target), seed),
+        method,
+        lambda masks, weights: _mixture_from_weights(masks, weights, n),
+        lambda y, witness: certificate_from_dual(y, witness, target),
+        FINITE_CARRIER_NOTE,
     )
 
 
@@ -470,7 +433,7 @@ def symmetrize(mix: SubsetMixture, perms: Sequence[Sequence[int]]) -> SubsetMixt
 
 def product_form_mixture(p_vec: Sequence) -> SubsetMixture:
     """Independent-coordinates distribution with given one-point probabilities."""
-    probs = [v if isinstance(v, Fraction) else parse_rational(v) for v in p_vec]
+    probs = [parse_rational(v) for v in p_vec]
     n = len(probs)
     if n > 15:
         raise CapExceeded("explicit product support is capped at 15 points")

@@ -382,6 +382,33 @@ class TestMalformedInput:
         )
         assert "/atoms/0" in error
 
+    def test_instance_not_utf8(self, tmp_path):
+        inst = tmp_path / "space.json"
+        inst.write_bytes(b"\xff\xfe{}")
+        assert "UTF-8" in self.assert_invalid(tmp_path, "packing", str(inst), "--t", "1")
+
+    def test_instance_is_a_directory(self, tmp_path):
+        self.assert_invalid(tmp_path, "packing", str(tmp_path), "--t", "1")
+
+    CONTACT = {
+        "system": {"centers": [["0"]], "radii": ["1"], "coefficients": ["1"]},
+        "probe_points": [["0"]],
+    }
+
+    def test_contact_tau_without_point(self, tmp_path):
+        taus = [{"cdf": {"jumps": [["1", "1"]]}}]
+        inst = write(tmp_path, "screen.json", {**self.CONTACT, "taus": taus})
+        assert "/taus/0" in self.assert_invalid(tmp_path, "contact", "screen", inst)
+
+    def test_contact_taus_not_a_list(self, tmp_path):
+        inst = write(tmp_path, "screen.json", {**self.CONTACT, "taus": {"point": ["0"]}})
+        assert "/taus" in self.assert_invalid(tmp_path, "contact", "screen", inst)
+
+    def test_sample_negative_count(self, tmp_path):
+        src = write(tmp_path, "mix.json", {"mixture": [{"subset": [0], "weight": "1"}]})
+        error = self.assert_invalid(tmp_path, "sample", src, "--n", "-1", "--seed", "1")
+        assert "--n" in error
+
 
 class TestInternalError:
     def test_runtime_error_is_not_a_verdict(self, tmp_path, monkeypatch):
