@@ -15,6 +15,7 @@ from .errors import (
     InvalidPsi,
     RealkitError,
 )
+from .lp import Certificate
 from .metric import (
     Configuration,
     FiniteMetricSpace,
@@ -50,7 +51,6 @@ from .regularity import (
     shell_series,
 )
 from .setrealize import (
-    InfeasibilityCertificate,
     RealizeOptions,
     SubsetMixture,
     TwoPointTarget,

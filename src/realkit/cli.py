@@ -28,11 +28,11 @@ from .contact import (
     monte_carlo_contact,
 )
 from .errors import CapExceeded, InvalidInstance, RealkitError
-from .metric import Configuration, FiniteMetricSpace, gamma_min_pairs, packing_number
+from .lp import Certificate
+from .metric import FiniteMetricSpace, gamma_min_pairs, packing_number
 from .numbers import INF, format_rational, parse_int, parse_rational
 from .pp import (
     CorrelationTarget,
-    PPCertificate,
     objective_cardinality,
     objective_chi_hc,
     positivity_screen,
@@ -49,7 +49,6 @@ from .regularity import (
     shell_series,
 )
 from .setrealize import (
-    InfeasibilityCertificate,
     RealizeOptions,
     SubsetMixture,
     TwoPointTarget,
@@ -112,17 +111,6 @@ def _mixture_payload(mix: SubsetMixture) -> list[dict]:
     ]
 
 
-def _certificate_payload(cert: InfeasibilityCertificate) -> dict:
-    return {
-        "kind": "set",
-        "n": cert.n,
-        "c": _fmt(cert.c),
-        "a": [[_fmt(v) for v in row] for row in cert.a],
-        "gap": _fmt(cert.gap),
-        "minimizer": sorted(cert.minimizer),
-    }
-
-
 def _pp_mixture_payload(mix) -> list[dict]:
     return [
         {"multiplicity": list(cfg.multiplicity), "weight": _fmt(w)}
@@ -130,19 +118,21 @@ def _pp_mixture_payload(mix) -> list[dict]:
     ]
 
 
-def _pp_certificate_payload(cert: PPCertificate) -> dict:
-    return {
-        "kind": "pp",
+def _certificate_payload(cert: Certificate) -> dict:
+    payload = {
+        "kind": cert.kind,
         "n": cert.n,
         "c": _fmt(cert.c),
         "a": [[_fmt(v) for v in row] for row in cert.a],
-        "blin": [_fmt(v) for v in cert.blin] if cert.blin is not None else None,
         "gap": _fmt(cert.gap),
-        "minimizer": list(cert.minimizer.multiplicity),
+        "minimizer": list(cert.minimizer),
     }
+    if cert.kind == "pp":
+        payload["blin"] = None if cert.blin is None else [_fmt(v) for v in cert.blin]
+    return payload
 
 
-def _certificate_from_payload(obj: dict) -> tuple[str, object]:
+def _certificate_from_payload(obj: dict) -> Certificate:
     if not isinstance(obj, dict) or obj.get("kind") not in ("set", "pp"):
         raise InvalidInstance("certificate: 'kind' must be 'set' or 'pp'")
     kind = obj["kind"]
@@ -161,24 +151,17 @@ def _certificate_from_payload(obj: dict) -> tuple[str, object]:
         raise InvalidInstance(f"certificate: 'blin' must be null or a list of {n} entries")
     if not isinstance(minimizer, list) or not all(isinstance(v, int) for v in minimizer):
         raise InvalidInstance("certificate: 'minimizer' must be a list of integers")
-    if kind == "pp" and len(minimizer) != n:
-        raise InvalidInstance(f"certificate: 'minimizer' must hold {n} multiplicities")
-    a = tuple(
-        tuple(parse_rational(v, f"/a/{i}/{j}") for j, v in enumerate(row))
-        for i, row in enumerate(rows)
-    )
-    c, gap = parse_rational(obj["c"], "/c"), parse_rational(obj["gap"], "/gap")
-    if kind == "set":
-        return kind, InfeasibilityCertificate(
-            n=n, c=c, a=a, gap=gap, minimizer=frozenset(minimizer)
-        )
-    return kind, PPCertificate(
+    return Certificate(
+        kind=kind,
         n=n,
-        c=c,
-        a=a,
-        blin=tuple(parse_rational(v, "/blin") for v in blin) if blin else None,
-        gap=gap,
-        minimizer=Configuration(tuple(minimizer)),
+        c=parse_rational(obj["c"], "/c"),
+        a=tuple(
+            tuple(parse_rational(v, f"/a/{i}/{j}") for j, v in enumerate(row))
+            for i, row in enumerate(rows)
+        ),
+        blin=None if blin is None else tuple(parse_rational(v, "/blin") for v in blin),
+        gap=parse_rational(obj["gap"], "/gap"),
+        minimizer=tuple(minimizer),
     )
 
 
@@ -275,14 +258,12 @@ def _cmd_realize_set(args, digests: dict) -> dict:
 
 def _cmd_verify_cert(args, digests: dict) -> dict:
     instance = _load(args.instance, digests, "instance")
-    kind, cert = _certificate_from_payload(_load(args.certificate, digests, "certificate"))
-    if kind == "set":
-        target = TwoPointTarget.from_json(instance)
-        ok, reason = verify_certificate(cert, target)
+    cert = _certificate_from_payload(_load(args.certificate, digests, "certificate"))
+    if cert.kind == "set":
+        ok, reason = verify_certificate(cert, TwoPointTarget.from_json(instance))
     else:
-        target = CorrelationTarget.from_json(instance)
-        ok, reason = verify_pp_certificate(cert, target)
-    payload = {"kind": kind, "valid": ok, "reason": reason}
+        ok, reason = verify_pp_certificate(cert, CorrelationTarget.from_json(instance))
+    payload = {"kind": cert.kind, "valid": ok, "reason": reason}
     status = "pass" if ok else "fail"
     return _report(
         "verify-cert", status, payload, digests, note=None if ok else "certificate invalid"
@@ -307,7 +288,7 @@ def _cmd_realize_pp(args, digests: dict) -> dict:
         realize_pp(target, objective=objective),
         digests,
         _pp_mixture_payload,
-        _pp_certificate_payload,
+        _certificate_payload,
     )
 
 
@@ -365,6 +346,8 @@ def _verdict_from_enclosure(value, bound) -> str:
 
 def _cmd_regularity(args, digests: dict) -> dict:
     obj = _load(args.instance, digests, "instance")
+    if not isinstance(obj, dict):
+        raise InvalidInstance("instance: expected a JSON object")
     bound = parse_rational(args.r, "--r") if args.r is not None else None
     payload: dict = {"check": args.check}
     if args.check == "chi":
@@ -516,7 +499,9 @@ def _cmd_sample(args, digests: dict) -> dict:
     if args.n < 0:
         raise InvalidInstance("--n must be a non-negative draw count")
     obj = _load(args.source, digests, "source")
-    payload_mix = obj.get("payload", {}).get("mixture") if "payload" in obj else obj.get("mixture")
+    # a report holds its mixture under "payload", a bare mixture file at the top
+    holder = obj.get("payload", obj) if isinstance(obj, dict) else None
+    payload_mix = holder.get("mixture") if isinstance(holder, dict) else None
     if payload_mix is None:
         raise InvalidInstance("source: no mixture found (expected 'mixture' or payload.mixture)")
     if not isinstance(payload_mix, list) or any(

@@ -19,6 +19,12 @@
   the driver's answer (an exact mixture, a certificate from the exact
   Farkas vector, or no verdict within MAX_ROUNDS).
 
+* `Certificate`, `certificate` and `check_certificate` — the one
+  infeasibility proof of both targets: its type, its builder from an exact
+  Farkas vector, and its exact re-verification. A target supplies only
+  what differs, the exact minimum of the functional over its columns and
+  the functional's value at a stored minimiser.
+
 * `negative_direction` — the moment screens' test for a rational matrix
   that is not positive semidefinite: `numpy.linalg.eigh` locates a
   direction, integers confirm it.
@@ -45,7 +51,7 @@ meets with a 1.
 from __future__ import annotations
 
 from collections.abc import Callable, Hashable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter
@@ -55,7 +61,8 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csc_matrix
 
-from .qubo import pair_list
+from .errors import InvalidInstance
+from .qubo import check_symmetric, pair_list, pair_matrix
 
 
 @dataclass
@@ -153,12 +160,117 @@ class ColumnGenerationResult:
     exact_rounds: bool = False  # the verdict came from exact masters
 
 
+@dataclass(frozen=True)
+class Certificate:
+    """Proof that a set ("set") or point-process ("pp") target has no
+    realisation: G(Y) = c + sum_i blin_i m_i + sum_{i<=j} a_ij count_ij(Y)
+    is non-negative on every column Y, with minimum 0 at `minimizer`, while
+    its pairing with the target is -gap < 0. count_ij(F) = 1{i,j in F} for
+    a subset F; for a configuration m it is m_i m_j (i < j) or
+    m_i (m_i - 1) (i = j). `blin` is None for sets and for pp targets
+    without an intensity. `minimizer` is written as the report writes it:
+    the sorted members of a subset, or the multiplicity vector of a
+    configuration. Normalised so that max |(a, blin)| = 1."""
+
+    kind: str  # "set" | "pp"
+    n: int
+    c: Fraction
+    a: tuple[tuple[Fraction, ...], ...]
+    blin: tuple[Fraction, ...] | None
+    gap: Fraction
+    minimizer: tuple[int, ...]
+
+    def prices(self) -> list[Fraction]:
+        """The dual y = -(a, blin, c) on the LP rows, so G(Y) = -y.A_Y."""
+        y = [-self.a[i][j] for i, j in pair_list(self.n)]
+        y += [-v for v in self.blin or ()]
+        y.append(-self.c)
+        return y
+
+    def pairing(self, target) -> Fraction:
+        """G paired with the target's moments `target.rhs()`: pairs, then
+        the intensity when blin is set."""
+        pairs = pair_list(self.n)
+        b = target.rhs()
+        total = self.c + sum((self.a[i][j] * v for (i, j), v in zip(pairs, b)), Fraction(0))
+        if self.blin is not None:
+            if len(b) == len(pairs) + 1:
+                raise InvalidInstance("certificate has a linear part but the target no intensity")
+            total += sum((u * v for u, v in zip(self.blin, b[len(pairs) : -1])), Fraction(0))
+        return total
+
+
+def certificate(
+    kind: str, y: Sequence[Fraction], minimizer: tuple[int, ...], target
+) -> Certificate:
+    """The certificate of an exact Farkas vector y from `exact_farkas` on
+    the target's rows (pairs, any linear rows, normalisation): the negated
+    prices divided by their largest entry, so max |(a, blin)| = 1, and blin
+    None without linear rows. The normalisation price is minus the exact
+    maximum over every column, so G has its minimum 0 at `minimizer`, the
+    column `exact_farkas` returned."""
+    n = target.n
+    k = n * (n + 1) // 2
+    scale = max(abs(v) for v in y[:-1])
+    cert = Certificate(
+        kind=kind,
+        n=n,
+        c=-y[-1] / scale,
+        a=tuple(tuple(row) for row in pair_matrix(n, [-v / scale for v in y[:k]])),
+        blin=tuple(-v / scale for v in y[k:-1]) or None,
+        gap=Fraction(0),
+        minimizer=minimizer,
+    )
+    return replace(cert, gap=-cert.pairing(target))
+
+
+def check_certificate(
+    cert: Certificate, target, minimum: Callable, value: Callable
+) -> tuple[bool, str]:
+    """Independent exact re-verification of every invariant of `cert`.
+
+    The target's kind supplies what differs: `minimum(cert, target)`, the
+    exact minimum of G over every column with the name of a column that
+    attains it, and `value(cert, target)`, G at the stored minimiser, or
+    None when that is not a column. The checks run in this order: size,
+    symmetry, length of blin, max |(a, blin)| = 1, minimum >= 0, stored
+    minimiser a column attaining the minimum, pairing < 0, stored gap.
+    """
+    n = cert.n
+    if n != target.n:
+        return False, "certificate size does not match target"
+    try:
+        check_symmetric(cert.a, n)
+    except InvalidInstance as exc:
+        return False, str(exc)
+    if cert.blin is not None and len(cert.blin) != n:
+        return False, "linear part has wrong length"
+    if max(abs(v) for v in [*(cert.a[i][j] for i, j in pair_list(n)), *(cert.blin or ())]) != 1:
+        if cert.blin is None:
+            return False, "normalisation violated: max |a_ij| must equal 1"
+        return False, "normalisation violated: max |(a, blin)| must equal 1"
+    where, low = minimum(cert, target)
+    if low < 0:
+        return False, f"functional attains {low} < 0 at {where}"
+    stored = value(cert, target)
+    if stored is None:
+        return False, "stored minimizer is not an admissible configuration"
+    if stored != low:
+        return False, "stored minimizer does not attain the global minimum"
+    pairing = cert.pairing(target)
+    if pairing >= 0:
+        return False, f"pairing with the target is {pairing} >= 0"
+    if -pairing != cert.gap:
+        return False, "stored gap does not match the recomputed pairing"
+    return True, "certificate valid"
+
+
 @dataclass
 class RealizeResult:
-    """The verdict on a set or point-process target. `mixture` and
-    `certificate` are those of the target (`SubsetMixture` or
-    `ConfigMixture`, `InfeasibilityCertificate` or `PPCertificate`); the
-    objective and dual values are set only under a pp objective."""
+    """The verdict on a set or point-process target. `mixture` is the
+    target's (`SubsetMixture` or `ConfigMixture`) and `certificate` a
+    `Certificate`; the objective and dual values are set only under a pp
+    objective."""
 
     status: str  # "feasible" | "infeasible" | "indeterminate"
     mixture: object | None = None

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Sequence
@@ -29,11 +29,12 @@ import numpy as np
 
 from .errors import CapExceeded, InvalidInstance
 from .lp import (
-    FLOAT_TOL, ColumnList, RealizeResult, column_generation, negative_direction, screen, verdict,
+    FLOAT_TOL, Certificate, ColumnList, RealizeResult, certificate, check_certificate,
+    column_generation, negative_direction, screen, verdict,
 )
 from .metric import Configuration, FiniteMetricSpace
 from .numbers import INF, parse_int, parse_rational, validate_mixture
-from .qubo import check_symmetric, pair_list, pair_matrix
+from .qubo import pair_list
 
 ENUM_LIMIT = 2_000_000
 
@@ -58,6 +59,15 @@ class CorrelationTarget:
 
     def atoms(self) -> list[tuple[int, int, Fraction]]:
         return [(i, j, w) for (i, j), w in sorted(self.rho.items()) if w != 0]
+
+    def rhs(self) -> list[Fraction]:
+        """The LP's right-hand side: rho on the pairs i <= j, the
+        intensity when there is one, then 1."""
+        b = [self.rho_value(i, j) for i, j in pair_list(self.n)]
+        if self.rho1 is not None:
+            b.extend(self.rho1)
+        b.append(Fraction(1))
+        return b
 
     @staticmethod
     def build(
@@ -151,33 +161,6 @@ class ConfigMixture:
 
     def validate(self) -> None:
         validate_mixture(self.atoms, "configurations")
-
-
-@dataclass(frozen=True)
-class PPCertificate:
-    """Witness: G(Y) = c + sum_i blin_i m_i + sum_{i<j} a_ij m_i m_j
-    + sum_i a_ii m_i (m_i - 1) is non-negative on every admissible
-    configuration while pairing with (rho1, rho) gives -gap < 0."""
-
-    n: int
-    c: Fraction
-    a: tuple[tuple[Fraction, ...], ...]
-    blin: tuple[Fraction, ...] | None
-    gap: Fraction
-    minimizer: Configuration
-
-    def pairing(self, target: CorrelationTarget) -> Fraction:
-        total = self.c
-        if self.blin is not None:
-            if target.rho1 is None:
-                raise InvalidInstance("certificate has a linear part but the target no intensity")
-            total += sum(
-                (b * r for b, r in zip(self.blin, target.rho1)), Fraction(0)
-            )
-        for i in range(self.n):
-            for j in range(i, self.n):
-                total += self.a[i][j] * target.rho_value(i, j)
-        return total
 
 
 def g_h_eval(config: Configuration, h: Sequence[Sequence]) -> object:
@@ -327,14 +310,6 @@ class _ConfigOracle:
         return _price_config(y, self.target)
 
 
-def _target_rhs(target: CorrelationTarget) -> list[Fraction]:
-    b = [target.rho_value(i, j) for i, j in pair_list(target.n)]
-    if target.rho1 is not None:
-        b.extend(target.rho1)
-    b.append(Fraction(1))
-    return b
-
-
 def pp_moments(mix: ConfigMixture) -> tuple[dict, tuple[Fraction, ...]]:
     """Forward map: ordered pair counts and intensities under the mixture."""
     n = mix.n
@@ -352,85 +327,39 @@ def pp_moments(mix: ConfigMixture) -> tuple[dict, tuple[Fraction, ...]]:
     return rho_hat, tuple(rho1_hat)
 
 
-def _certificate_from_dual(
-    y: Sequence[Fraction], witness: Configuration, target: CorrelationTarget
-) -> PPCertificate:
-    """Certificate out of an exact Farkas vector from `lp.exact_farkas` for
-    the moment rows (+ intensity rows when present): the negated prices
-    divided by their largest entry, so max |(a, blin)| = 1. Since the
-    normalisation price is minus the exact maximum over admissible
-    configurations, G is non-negative with its minimum 0 at `witness`."""
-    n = target.n
-    k = len(pair_list(n))
-    scale = max(abs(v) for v in y[:-1])
-    a = pair_matrix(n, [-v / scale for v in y[:k]])
-    blin = tuple(-v / scale for v in y[k:-1]) if target.rho1 is not None else None
-    cert = PPCertificate(
-        n=n,
-        c=-y[-1] / scale,
-        a=tuple(tuple(row) for row in a),
-        blin=blin,
-        gap=Fraction(0),
-        minimizer=witness,
-    )
-    return replace(cert, gap=-cert.pairing(target))
+def _certify(target: CorrelationTarget) -> Callable:
+    """`lp.certificate` of an exact Farkas vector, minimal at the
+    configuration `witness`, as `lp.screen` and `lp.verdict` call it."""
+    return lambda y, witness: certificate("pp", y, witness.multiplicity, target)
 
 
-def verify_pp_certificate(
-    cert: PPCertificate, target: CorrelationTarget
-) -> tuple[bool, str]:
-    """Exact re-verification: G's minimum over every admissible
-    configuration comes from the exact configuration search, and the
-    stored minimiser must be admissible and attain it."""
-    n = cert.n
-    if n != target.n:
-        return False, "certificate size does not match target"
-    try:
-        check_symmetric(cert.a, n)
-    except InvalidInstance as exc:
-        return False, str(exc)
-    if cert.blin is not None and len(cert.blin) != n:
-        return False, "linear part has wrong length"
-    # G(Y) = -y.A_Y for the prices y = -(a, blin, c), so min G = -max y.A_Y
-    y = [-cert.a[i][j] for i, j in pair_list(n)]
-    y += [-v for v in cert.blin] if cert.blin is not None else []
-    y.append(-cert.c)
-    min_cfg, top = _price_config(y, target)
-    if top > 0:
-        return False, f"functional attains {-top} < 0 at {min_cfg.multiplicity}"
-    if not _Rules.of(target).admits(cert.minimizer.multiplicity):
-        return False, "stored minimizer is not an admissible configuration"
-    column = _config_column(cert.minimizer, n, cert.blin is not None)
-    if sum((u * v for u, v in zip(y, column)), Fraction(0)) != top:
-        return False, "stored minimizer does not attain the global minimum"
-    pairing = cert.pairing(target)
-    if pairing >= 0:
-        return False, f"pairing with the target is {pairing} >= 0"
-    if -pairing != cert.gap:
-        return False, "stored gap does not match the recomputed pairing"
-    return True, "certificate valid"
+def _config_minimum(cert: Certificate, target: CorrelationTarget) -> tuple[str, Fraction]:
+    # G(Y) = -y.A_Y for the prices y, so min G = -max y.A_Y
+    config, top = _price_config(cert.prices(), target)
+    return str(config.multiplicity), -top
 
 
-def _trivial_certificate(
-    target: CorrelationTarget, i: int, j: int
-) -> PPCertificate:
-    """Certificate for an atom whose pair count vanishes on every admissible
-    configuration (diagonal atom under simplicity, or a pair inside the
-    hard-core distance)."""
-    n = target.n
-    a = [[Fraction(0)] * n for _ in range(n)]
-    lo, hi = min(i, j), max(i, j)
-    a[lo][hi] = Fraction(-1)
-    a[hi][lo] = Fraction(-1)
-    cert = PPCertificate(
-        n=n,
-        c=Fraction(0),
-        a=tuple(tuple(row) for row in a),
-        blin=None,
-        gap=Fraction(0),
-        minimizer=Configuration((0,) * n),
-    )
-    return replace(cert, gap=-cert.pairing(target))
+def _config_value(cert: Certificate, target: CorrelationTarget) -> Fraction | None:
+    """G at the stored minimiser, or None unless it is an admissible configuration."""
+    if not _Rules.of(target).admits(cert.minimizer):
+        return None
+    column = _config_column(Configuration(cert.minimizer), cert.n, cert.blin is not None)
+    return -sum((u * v for u, v in zip(cert.prices(), column)), Fraction(0))
+
+
+def verify_pp_certificate(cert: Certificate, target: CorrelationTarget) -> tuple[bool, str]:
+    """`lp.check_certificate` over admissible configurations: the minimum
+    comes from the exact configuration search."""
+    return check_certificate(cert, target, _config_minimum, _config_value)
+
+
+def _trivial_certificate(target: CorrelationTarget, i: int, j: int) -> Certificate:
+    """Certificate -rho_ij >= 0 for an atom whose pair count vanishes on
+    every admissible configuration (diagonal atom under simplicity, or a
+    pair inside the hard-core distance), minimal at the empty one."""
+    pair = (min(i, j), max(i, j))
+    y = [Fraction(p == pair) for p in pair_list(target.n)] + [Fraction(0)]
+    return certificate("pp", y, (0,) * target.n, target)
 
 
 def _psd_functional(target: CorrelationTarget):
@@ -476,14 +405,11 @@ SCREENS = (
 def _screen(target: CorrelationTarget) -> RealizeResult | None:
     """The verdict of the first of SCREENS that fires on a target with an
     intensity, or None, by `lp.screen`: the constant is minus the exact
-    minimum of the rest from `_price_config`, and `_certificate_from_dual`
-    scales to max |(a, blin)| = 1."""
+    minimum of the rest from `_price_config`, and `lp.certificate` scales
+    to max |(a, blin)| = 1."""
     if target.rho1 is None:
         return None
-    return screen(
-        SCREENS, target, _target_rhs(target), _ConfigOracle(target).best,
-        lambda y, witness: _certificate_from_dual(y, witness, target),
-    )
+    return screen(SCREENS, target, target.rhs(), _ConfigOracle(target).best, _certify(target))
 
 
 CARDINALITY_POWERS = (2, 3, 4)
@@ -571,7 +497,7 @@ def realize_pp(
     screened = _screen(target)
     if screened is not None:
         return screened
-    b = _target_rhs(target)
+    b = target.rhs()
     try:
         seed = enumerate_configs(
             target.n, target.cap, target.simple, target.hardcore_eps, target.space,
@@ -618,17 +544,14 @@ def _verdict(res, target, method, objective=None, note=None) -> RealizeResult:
     mixture carries its objective value and `note`, and an optimum the
     value of its exact duals."""
     result = verdict(
-        res, method, _mixture_from,
-        lambda y, witness: _certificate_from_dual(y, witness, target),
-        None if objective is None else note,
+        res, method, _mixture_from, _certify(target), None if objective is None else note
     )
     if result.mixture is not None and objective is not None:
         result.objective_value = sum(
             (w * objective(cfg) for cfg, w in result.mixture.atoms), Fraction(0)
         )
     if res.duals is not None:
-        b = _target_rhs(target)
-        result.dual_value = sum((y * v for y, v in zip(res.duals, b)), Fraction(0))
+        result.dual_value = sum((y * v for y, v in zip(res.duals, target.rhs())), Fraction(0))
     return result
 
 

@@ -8,9 +8,9 @@ is linear-programming feasibility over the 2^n deterministic subsets:
 
 Feasible targets come back with an explicit mixture whose moments are
 reproduced exactly in rational arithmetic; infeasible ones come back with
-a certificate (c, a) whose induced set functional is non-negative on every
-subset while its pairing with p is negative. `realize_subsets` does not
-re-verify a certificate before returning it; its construction is the
+an `lp.Certificate` (c, a) whose induced set functional is non-negative on
+every subset while its pairing with p is negative. `realize_subsets` does
+not re-verify a certificate before returning it; its construction is the
 proof. Every certificate, from a screen or from the LP, is an exact
 vector whose constant c is set by `lp.exact_farkas` to minus the exact
 maximum of the pair part, which `qubo_min` computes over all 2^n subsets,
@@ -18,26 +18,26 @@ so the functional's minimum is exactly 0. A negative pairing is what each
 path establishes in rationals: a screen from a violated Fréchet bound,
 triangle facet or square, whose own constant is never below c; the LP
 from an exact Farkas vector, whose pairing with the target is checked.
-`verify_certificate` re-checks any certificate from scratch, and the tests
-do so for every path.
+`verify_certificate` re-checks any certificate from scratch through
+`lp.check_certificate`, and the tests do so for every path.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .errors import CapExceeded, InvalidGroup, InvalidInstance
-from .lp import FLOAT_TOL, RealizeResult, column_generation, negative_direction, screen, verdict
-from .numbers import parse_rational, validate_mixture
-from .qubo import (
-    MAX_N, _mask_to_subset, check_symmetric, evaluate_g, pair_list, pair_matrix, qubo_min,
-    qubo_topk_float,
+from .lp import (
+    FLOAT_TOL, Certificate, RealizeResult, certificate, check_certificate, column_generation,
+    negative_direction, screen, verdict,
 )
+from .numbers import parse_rational, validate_mixture
+from .qubo import MAX_N, _mask_to_subset, pair_list, pair_matrix, qubo_min, qubo_topk_float
 
 FINITE_CARRIER_NOTE = (
     "verdict is for random subsets of the finite carrier; closedness or "
@@ -57,8 +57,12 @@ class TwoPointTarget:
 
     @staticmethod
     def from_matrix(rows: Sequence[Sequence], validate_range: bool = True) -> "TwoPointTarget":
-        n = len(rows)
-        if n < 1 or any(len(r) != n for r in rows):
+        try:
+            n = len(rows)
+            square = n >= 1 and all(len(r) == n for r in rows)
+        except TypeError:  # a number where a list belongs
+            square = False
+        if not square:
             raise InvalidInstance("p must be a non-empty square matrix")
         p = []
         for i, row in enumerate(rows):
@@ -80,6 +84,10 @@ class TwoPointTarget:
         if not isinstance(obj, dict) or "p" not in obj:
             raise InvalidInstance("target: expected key 'p'")
         return TwoPointTarget.from_matrix(obj["p"])
+
+    def rhs(self) -> list[Fraction]:
+        """The LP's right-hand side: p_ij on the pairs i <= j, then 1."""
+        return [self.p[i][j] for i, j in pair_list(self.n)] + [Fraction(1)]
 
     def frechet_violations(self) -> list[tuple[str, int, int]]:
         """Necessary bounds max(0, p_i+p_j-1) <= p_ij <= min(p_i, p_j)."""
@@ -103,25 +111,6 @@ class SubsetMixture:
 
     def validate(self) -> None:
         validate_mixture(self.atoms, "subsets")
-
-
-@dataclass(frozen=True)
-class InfeasibilityCertificate:
-    """Witness (c, a): min_F [c + sum_{i<=j} a_ij 1{i,j in F}] >= 0 yet the
-    pairing with the target is -gap < 0. Normalised so max |a_ij| = 1."""
-
-    n: int
-    c: Fraction
-    a: tuple[tuple[Fraction, ...], ...]
-    gap: Fraction
-    minimizer: frozenset[int]
-
-    def pairing(self, target: TwoPointTarget) -> Fraction:
-        total = self.c
-        for i in range(self.n):
-            for j in range(i, self.n):
-                total += self.a[i][j] * target.p[i][j]
-        return total
 
 
 @dataclass(frozen=True)
@@ -168,10 +157,6 @@ class _SubsetOracle:
         return sum(1 << i for i in subset), -low
 
 
-def _rhs(target: TwoPointTarget) -> list[Fraction]:
-    return [target.p[i][j] for i, j in pair_list(target.n)] + [Fraction(1)]
-
-
 def _subset_sort_key(subset: frozenset[int]):
     return tuple(sorted(subset))
 
@@ -199,52 +184,30 @@ def moments_of_mixture(mix: SubsetMixture) -> TwoPointTarget:
 
 def certificate_from_dual(
     y: Sequence[Fraction], witness: int, target: TwoPointTarget
-) -> InfeasibilityCertificate:
-    """Certificate out of an exact Farkas vector from `lp.exact_farkas`.
-
-    The quadratic coefficients are the negated pair prices and the constant
-    is the negated normalisation price, both divided by max |a| = 1. Since
-    the normalisation price is minus the exact maximum over all subsets,
-    the functional is non-negative with its minimum 0 at `witness`.
-    """
-    scale = max(abs(v) for v in y[:-1])
-    a = pair_matrix(target.n, [-v / scale for v in y[:-1]])
-    cert = InfeasibilityCertificate(
-        n=target.n,
-        c=-y[-1] / scale,
-        a=tuple(tuple(row) for row in a),
-        gap=Fraction(0),
-        minimizer=_mask_to_subset(witness),
-    )
-    return replace(cert, gap=-cert.pairing(target))
+) -> Certificate:
+    """`lp.certificate` of an exact Farkas vector, minimal at the subset
+    with bitmask `witness`."""
+    return certificate("set", y, tuple(i for i in range(target.n) if witness >> i & 1), target)
 
 
-def verify_certificate(
-    cert: InfeasibilityCertificate, target: TwoPointTarget
-) -> tuple[bool, str]:
-    """Independent exact re-verification of every certificate invariant."""
-    n = cert.n
-    if n != target.n:
-        return False, "certificate size does not match target"
-    try:
-        check_symmetric(cert.a, n)
-    except InvalidInstance as exc:
-        return False, str(exc)
-    pairs = pair_list(n)
-    if max(abs(cert.a[i][j]) for i, j in pairs) != 1:
-        return False, "normalisation violated: max |a_ij| must equal 1"
-    minimizer, mval = qubo_min(cert.c, cert.a, n)
-    if mval < 0:
-        return False, f"functional attains {mval} < 0 at subset {sorted(minimizer)}"
-    stored = evaluate_g(cert.c, cert.a, cert.minimizer)
-    if stored != mval:
-        return False, "stored minimizer does not attain the global minimum"
-    pairing = cert.pairing(target)
-    if pairing >= 0:
-        return False, f"pairing with the target is {pairing} >= 0"
-    if -pairing != cert.gap:
-        return False, "stored gap does not match the recomputed pairing"
-    return True, "certificate valid"
+def _subset_minimum(cert: Certificate, target: TwoPointTarget) -> tuple[str, Fraction]:
+    subset, low = qubo_min(cert.c, cert.a, cert.n)
+    return f"subset {sorted(subset)}", low
+
+
+def _subset_value(cert: Certificate, target: TwoPointTarget) -> Fraction | None:
+    """G at the stored minimiser, or None unless it lists distinct indices in range(n)."""
+    members = sorted(cert.minimizer)
+    if len(set(members)) < len(members) or not all(0 <= i < cert.n for i in members):
+        return None
+    pairs = ((i, j) for k, i in enumerate(members) for j in members[k:])
+    return cert.c + sum((cert.a[i][j] for i, j in pairs), Fraction(0))
+
+
+def verify_certificate(cert: Certificate, target: TwoPointTarget) -> tuple[bool, str]:
+    """`lp.check_certificate` over subsets: the minimum comes from
+    `qubo_min` on the certificate's own coefficients."""
+    return check_certificate(cert, target, _subset_minimum, _subset_value)
 
 
 def _frechet_functional(target: TwoPointTarget):
@@ -330,7 +293,7 @@ def _screen(target: TwoPointTarget) -> RealizeResult | None:
     `lp.screen`: the constant is minus the exact minimum of the pair part
     from `qubo_min`, and `certificate_from_dual` scales to max |a| = 1."""
     return screen(
-        SCREENS, target, _rhs(target), _SubsetOracle(target.n).best,
+        SCREENS, target, target.rhs(), _SubsetOracle(target.n).best,
         lambda y, witness: certificate_from_dual(y, witness, target),
     )
 
@@ -381,7 +344,7 @@ def realize_subsets(target: TwoPointTarget, opts: RealizeOptions | None = None) 
         method = "enumeration"
         seed = list(range(1 << n))
     return verdict(
-        column_generation(_SubsetOracle(n), _rhs(target), seed),
+        column_generation(_SubsetOracle(n), target.rhs(), seed),
         method,
         lambda masks, weights: _mixture_from_weights(masks, weights, n),
         lambda y, witness: certificate_from_dual(y, witness, target),

@@ -1,4 +1,7 @@
 import json
+from fractions import Fraction
+
+import pytest
 
 from realkit import cli
 from realkit.cli import main
@@ -125,6 +128,41 @@ class TestVerifyCert:
         code, report2 = run(tmp_path, "verify-cert", inst, cert)
         assert code == 1
         assert report2["note"] == "certificate invalid"
+
+    @pytest.mark.parametrize(
+        "minimizer", [[0, 0], [-1], [5]], ids=["repeated", "negative", "out-of-range"]
+    )
+    def test_set_minimizer_that_is_no_subset(self, tmp_path, minimizer):
+        inst = write(tmp_path, "t.json", DISJOINT)
+        _, report = run(tmp_path, "realize-set", inst)
+        cert_obj = {**report["payload"]["certificate"], "minimizer": minimizer}
+        cert = write(tmp_path, "cert.json", cert_obj)
+        code, report2 = run(tmp_path, "verify-cert", inst, cert)
+        assert code == 1
+        assert report2["payload"]["reason"] == "stored minimizer is not an admissible configuration"
+
+    def test_pp_certificate_scaled_by_two(self, tmp_path):
+        inst = write(
+            tmp_path,
+            "pp.json",
+            {"n": 3, "rho": [], "rho1": ["0.5", "0.5", "0.5"], "cap": 3, "simple": True},
+        )
+        _, report = run(tmp_path, "realize-pp", inst)
+        cert_obj = report["payload"]["certificate"]
+
+        def double(v):
+            return str(2 * Fraction(v))
+
+        cert_obj.update(
+            c=double(cert_obj["c"]),
+            a=[[double(v) for v in row] for row in cert_obj["a"]],
+            blin=[double(v) for v in cert_obj["blin"]],
+            gap=double(cert_obj["gap"]),
+        )
+        cert = write(tmp_path, "cert.json", cert_obj)
+        code, report2 = run(tmp_path, "verify-cert", inst, cert)
+        assert code == 1
+        assert report2["payload"]["reason"].startswith("normalisation violated")
 
 
 class TestMalformedCertificate:
@@ -403,6 +441,34 @@ class TestMalformedInput:
     def test_contact_taus_not_a_list(self, tmp_path):
         inst = write(tmp_path, "screen.json", {**self.CONTACT, "taus": {"point": ["0"]}})
         assert "/taus" in self.assert_invalid(tmp_path, "contact", "screen", inst)
+
+    SAMPLE = ["sample", "--n", "1", "--seed", "1"]
+
+    @pytest.mark.parametrize(
+        "command, document",
+        [
+            (SAMPLE, []),
+            (SAMPLE, 5),
+            (SAMPLE, {"payload": 5}),
+            (["realize-set"], {"p": 5}),
+            (["realize-set"], {"p": [5]}),
+            (["regularity", "--check", "chi", "--psi", "psi.json"], 5),
+            (["regularity", "--check", "packing"], 5),
+            (["regularity", "--check", "reduced"], 5),
+            (["regularity", "--check", "shells", "--beta", "beta.json"], 5),
+            (["regularity", "--check", "psi", "--psi", "psi.json"], []),
+        ],
+        ids=[
+            "sample-list", "sample-number", "sample-payload-number", "set-p-number",
+            "set-row-number", "chi", "packing", "reduced", "shells", "psi-list",
+        ],
+    )
+    def test_document_of_the_wrong_type(self, tmp_path, command, document):
+        write(tmp_path, "psi.json", {"steps": [["0", "4"], ["1", "0.25"]]})
+        write(tmp_path, "beta.json", {"beta": ["1"]})
+        inst = write(tmp_path, "input.json", document)
+        flags = [str(tmp_path / a) if a.endswith(".json") else a for a in command[1:]]
+        self.assert_invalid(tmp_path, command[0], inst, *flags)
 
     def test_sample_negative_count(self, tmp_path):
         src = write(tmp_path, "mix.json", {"mixture": [{"subset": [0], "weight": "1"}]})

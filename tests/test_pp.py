@@ -275,19 +275,19 @@ class TestDualFeasibility:
     def test_reduced_costs_nonnegative_over_all_columns(self):
         # independent check of the reported optimum: the dual prices must
         # underestimate every column's objective coefficient
-        from realkit.pp import _config_column, _target_rhs
+        from realkit.pp import _config_column
         from realkit.lp import exact_simplex
 
         target = PAIR_TARGET
         configs = enumerate_configs(target.n, target.cap, target.simple)
         chi = objective_cardinality(2)
         cols = [_config_column(cfg, target.n, False) for cfg in configs]
-        res = exact_simplex(cols, _target_rhs(target), obj=[chi(c) for c in configs])
+        res = exact_simplex(cols, target.rhs(), obj=[chi(c) for c in configs])
         assert res.status == "optimal"
         for cfg, col in zip(configs, cols):
             reduced = chi(cfg) - sum(y * v for y, v in zip(res.duals, col))
             assert reduced >= 0
-        dual_obj = sum(y * v for y, v in zip(res.duals, _target_rhs(target)))
+        dual_obj = sum(y * v for y, v in zip(res.duals, target.rhs()))
         assert dual_obj == res.objective
 
 
@@ -390,7 +390,7 @@ def assert_certificate_holds(target, cert):
     values = [
         g(m) for m in itertools.product(range(per_point + 1), repeat=n) if sum(m) <= target.cap
     ]
-    assert min(values) == 0 == g(cert.minimizer.multiplicity)
+    assert min(values) == 0 == g(cert.minimizer)
     assert cert.pairing(target) == -cert.gap < 0
 
 
@@ -527,13 +527,14 @@ class TestRelabelling:
                 assert r1_hat == moved.rho1
         else:
             cert = result.certificate
-            cert = pp.PPCertificate(
+            cert = lp.Certificate(
+                kind="pp",
                 n=cert.n,
                 c=cert.c,
                 a=tuple(tuple(cert.a[i][j] for j in perm) for i in perm),
                 blin=tuple(cert.blin[k] for k in perm) if cert.blin is not None else None,
                 gap=cert.gap,
-                minimizer=Configuration(tuple(cert.minimizer.multiplicity[k] for k in perm)),
+                minimizer=tuple(cert.minimizer[k] for k in perm),
             )
             ok, why = verify_pp_certificate(cert, moved)
             assert ok, why
@@ -559,8 +560,8 @@ class TestCertificateShape:
     TARGET = CorrelationTarget.build(n=2, rho_entries=[(0, 1, "1")], rho1=["1", "1"], cap=2)
 
     def certificate(self, a, blin=None):
-        return pp.PPCertificate(
-            n=2, c=F(0), a=a, blin=blin, gap=F(1), minimizer=Configuration((0, 0))
+        return lp.Certificate(
+            kind="pp", n=2, c=F(0), a=a, blin=blin, gap=F(1), minimizer=(0, 0)
         )
 
     @pytest.mark.parametrize(
@@ -597,9 +598,9 @@ class TestStoredMinimizer:
     )
     def test_a_moved_minimizer_is_rejected(self, minimizer, reason):
         cert = realize_pp(self.TARGET).certificate
-        moved = pp.PPCertificate(
-            n=cert.n, c=cert.c, a=cert.a, blin=cert.blin, gap=cert.gap,
-            minimizer=Configuration(minimizer),
+        moved = lp.Certificate(
+            kind="pp", n=cert.n, c=cert.c, a=cert.a, blin=cert.blin, gap=cert.gap,
+            minimizer=minimizer,
         )
         assert verify_pp_certificate(moved, self.TARGET) == (False, reason)
 

@@ -179,7 +179,7 @@ def assert_pp_certificate(cert, target):
         )
 
     values = [g(m) for m in pp_configs(n, target.cap, target.simple)]
-    assert min(values) == 0 == g(cert.minimizer.multiplicity)
+    assert min(values) == 0 == g(cert.minimizer)
     assert cert.pairing(target) == -cert.gap < 0
 
 

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from realkit import lp
 from realkit.errors import CapExceeded, InvalidGroup, InvalidInstance
 from realkit.lp import column_generation, exact_simplex
+from realkit.pp import CorrelationTarget, realize_pp, verify_pp_certificate
 from realkit.setrealize import (
-    InfeasibilityCertificate,
     RealizeOptions,
     SubsetMixture,
     TwoPointTarget,
@@ -465,10 +465,24 @@ class TestSymmetrize:
             validate_group([[1, 2, 0], [2, 0, 1]], 3)
 
 
+# E[N(N - 1)] = 9/2 on three points under cap 2: G = 1 - N(N - 1)/2 separates it
+CAP_2 = CorrelationTarget.build(
+    n=3, rho_entries=[(i, j, "1/2") for i in range(3) for j in range(i, 3)], cap=2
+)
+
+
 class TestCertificateTamper:
-    def test_mutations_all_rejected(self):
-        base = realize_subsets(DISJOINT_3).certificate
-        assert verify_certificate(base, DISJOINT_3)[0]
+    @pytest.mark.parametrize(
+        "target, realize, verify, moved",
+        [
+            (DISJOINT_3, realize_subsets, verify_certificate, (0, 1, 2)),
+            (CAP_2, realize_pp, verify_pp_certificate, (0, 0, 0)),
+        ],
+        ids=["set", "pp"],
+    )
+    def test_mutations_all_rejected(self, target, realize, verify, moved):
+        base = realize(target).certificate
+        assert verify(base, target)[0]
         tenth = F(1, 10)
 
         def with_a(i, j, value):
@@ -492,8 +506,10 @@ class TestCertificateTamper:
             mutants.append(with_a(i, j, base.a[i][j] + tenth))   # breaks max|a| = 1
         mutants.append(with_a_one_sided(0, 1, base.a[0][1] - tenth))  # asymmetric
         mutants.append(replace(base, gap=base.gap + tenth))           # stale gap
-        mutants.append(replace(base, minimizer=frozenset({0, 1, 2})))  # not a minimiser
-        assert len(mutants) == 20
+        mutants.append(replace(base, minimizer=moved))                # not a minimiser
+        doubled = tuple(tuple(2 * v for v in row) for row in base.a)
+        mutants.append(replace(base, c=2 * base.c, a=doubled, gap=2 * base.gap))  # max|a| = 2
+        assert len(mutants) == 21
         for k, cert in enumerate(mutants):
-            ok, reason = verify_certificate(cert, DISJOINT_3)
+            ok, reason = verify(cert, target)
             assert not ok, f"mutant {k} unexpectedly verified"
