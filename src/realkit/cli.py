@@ -24,19 +24,24 @@ from . import __version__
 from .contact import (
     BallSystem,
     StepCdf,
+    ball_positivity_screen,
     check_two_point,
     monte_carlo_contact,
 )
 from .errors import CapExceeded, InvalidInstance, RealkitError
 from .lp import Certificate
 from .metric import FiniteMetricSpace, gamma_min_pairs, packing_number
-from .numbers import INF, format_rational, parse_int, parse_rational
+from .numbers import (
+    INF, field, format_rational, parse_int, parse_list, parse_rational, parse_rationals,
+    parse_square,
+)
 from .pp import (
     CorrelationTarget,
     objective_cardinality,
     objective_chi_hc,
     positivity_screen,
     realize_pp,
+    rho_atoms,
     verify_pp_certificate,
 )
 from .regularity import (
@@ -133,35 +138,22 @@ def _certificate_payload(cert: Certificate) -> dict:
 
 
 def _certificate_from_payload(obj: dict) -> Certificate:
-    if not isinstance(obj, dict) or obj.get("kind") not in ("set", "pp"):
+    kind = field(obj, "kind", "certificate")
+    if kind not in ("set", "pp"):
         raise InvalidInstance("certificate: 'kind' must be 'set' or 'pp'")
-    kind = obj["kind"]
-    missing = [key for key in ("n", "c", "a", "gap", "minimizer") if key not in obj]
-    if missing:
-        raise InvalidInstance(f"certificate: missing key(s) {', '.join(missing)}")
-    n, rows, minimizer = obj["n"], obj["a"], obj["minimizer"]
-    blin = obj.get("blin") if kind == "pp" else None
-    if not isinstance(n, int) or n < 1:
-        raise InvalidInstance("certificate: 'n' must be a positive integer")
-    if not isinstance(rows, list) or len(rows) != n or any(
-        not isinstance(row, list) or len(row) != n for row in rows
-    ):
-        raise InvalidInstance(f"certificate: 'a' must be an {n} x {n} matrix")
-    if blin is not None and (not isinstance(blin, list) or len(blin) != n):
-        raise InvalidInstance(f"certificate: 'blin' must be null or a list of {n} entries")
-    if not isinstance(minimizer, list) or not all(isinstance(v, int) for v in minimizer):
-        raise InvalidInstance("certificate: 'minimizer' must be a list of integers")
+    n = parse_int(field(obj, "n", "certificate"), "/n")
+    if n < 1:
+        raise InvalidInstance("/n: expected a positive integer")
+    blin = field(obj, "blin", "certificate", None) if kind == "pp" else None
+    minimizer = parse_list(field(obj, "minimizer", "certificate"), "/minimizer")
     return Certificate(
         kind=kind,
         n=n,
-        c=parse_rational(obj["c"], "/c"),
-        a=tuple(
-            tuple(parse_rational(v, f"/a/{i}/{j}") for j, v in enumerate(row))
-            for i, row in enumerate(rows)
-        ),
-        blin=None if blin is None else tuple(parse_rational(v, "/blin") for v in blin),
-        gap=parse_rational(obj["gap"], "/gap"),
-        minimizer=tuple(minimizer),
+        c=parse_rational(field(obj, "c", "certificate"), "/c"),
+        a=parse_square(field(obj, "a", "certificate"), "/a", n),
+        blin=None if blin is None else parse_rationals(blin, "/blin", n),
+        gap=parse_rational(field(obj, "gap", "certificate"), "/gap"),
+        minimizer=tuple(parse_int(v, f"/minimizer/{k}") for k, v in enumerate(minimizer)),
     )
 
 
@@ -235,9 +227,10 @@ def _cmd_realize_set(args, digests: dict) -> dict:
     opts = RealizeOptions(max_exact=args.max_exact)
     result = realize_subsets(target, opts)
     if result.status == "feasible" and args.group:
-        perms = _load(args.group, digests, "group")
-        if not isinstance(perms, list):
-            raise InvalidInstance("group file must hold a list of permutations")
+        perms = [
+            [parse_int(v, f"/{k}/{i}") for i, v in enumerate(parse_list(perm, f"/{k}"))]
+            for k, perm in enumerate(parse_list(_load(args.group, digests, "group"), "group"))
+        ]
         validate_group(perms, target.n)
         for g in perms:
             for i in range(target.n):
@@ -310,27 +303,20 @@ def _cmd_screen_pp(args, digests: dict) -> dict:
     return _report("screen-pp", status, payload, digests, note=note)
 
 
-def _parse_finite_measure(obj: dict) -> tuple[FiniteMetricSpace, AtomicMeasure2D]:
-    if "space" not in obj:
-        raise InvalidInstance("instance: expected key 'space'")
-    space = FiniteMetricSpace.from_json(obj["space"])
-    atoms = []
-    for k, atom in enumerate(obj.get("rho", [])):
-        if not isinstance(atom, list) or len(atom) != 3:
-            raise InvalidInstance(f"/rho/{k}: expected [i, j, weight-string]")
-        i, j = (parse_int(v, f"/rho/{k}") for v in atom[:2])
-        atoms.append((i, j, atom[2]))
-    return space, AtomicMeasure2D.on_space(space, atoms)
+def _finite_measure(obj) -> tuple[FiniteMetricSpace, AtomicMeasure2D]:
+    space = FiniteMetricSpace.from_json(field(obj, "space", "instance"))
+    return space, AtomicMeasure2D.on_space(space, rho_atoms(field(obj, "rho", "instance", [])))
 
 
-def _atoms(atoms, size: int, shape: str) -> list:
-    """Euclidean atoms: lists of `size` entries, points (lists) and then a weight."""
-    for k, atom in enumerate(atoms if isinstance(atoms, list) else [None]):
-        if not isinstance(atom, list) or len(atom) != size or any(
-            not isinstance(point, list) for point in atom[:-1]
-        ):
-            raise InvalidInstance(f"/atoms/{k}: expected {shape}")
-    return atoms
+def _euclidean(obj, size: int) -> tuple[int, list]:
+    """The dimension and the atoms of a Euclidean measure: lists of `size`
+    entries, points (lists) and then a weight."""
+    d = parse_int(field(obj, "d", "instance"), "/d")
+    atoms = parse_list(field(obj, "atoms", "instance"), "/atoms")
+    for k, atom in enumerate(atoms):
+        for i, point in enumerate(parse_list(atom, f"/atoms/{k}", size)[:-1]):
+            parse_list(point, f"/atoms/{k}/{i}")
+    return d, atoms
 
 
 def _verdict_from_enclosure(value, bound) -> str:
@@ -346,25 +332,23 @@ def _verdict_from_enclosure(value, bound) -> str:
 
 def _cmd_regularity(args, digests: dict) -> dict:
     obj = _load(args.instance, digests, "instance")
-    if not isinstance(obj, dict):
-        raise InvalidInstance("instance: expected a JSON object")
     bound = parse_rational(args.r, "--r") if args.r is not None else None
     payload: dict = {"check": args.check}
     if args.check == "chi":
-        space, measure = _parse_finite_measure(obj)
+        _, measure = _finite_measure(obj)
         psi = _psi(args, digests, "--check chi")
         value = chi_hc_integral(measure, psi)
         payload["value"] = _fmt(value)
         payload["bound"] = _fmt(bound)
         status = _verdict_from_enclosure((value, value), bound)
     elif args.check == "packing":
-        space, measure = _parse_finite_measure(obj)
+        space, measure = _finite_measure(obj)
         value = packing_integral(measure, space)
         payload["value"] = _fmt(value)
         payload["bound"] = _fmt(bound)
         status = _verdict_from_enclosure((value, value), bound)
     elif args.check == "psi":
-        space, _ = _parse_finite_measure({**obj, "rho": []})
+        space = FiniteMetricSpace.from_json(field(obj, "space", "instance"))
         psi = _psi(args, digests, "--check psi")
         threshold = bound if bound is not None else Fraction(1)
         rep = psi_admissibility(psi, space, threshold)
@@ -385,26 +369,20 @@ def _cmd_regularity(args, digests: dict) -> dict:
         )
         status = "pass" if rep.passes else "fail"
     elif args.check == "shells":
-        if "d" not in obj or "atoms" not in obj or "radii" not in obj:
-            raise InvalidInstance("instance: shells need keys 'd', 'atoms', 'radii'")
-        measure = AtomicMeasure2D.euclidean(
-            parse_int(obj["d"], "/d"), _atoms(obj["atoms"], 3, "[x, y, weight-string]")
-        )
+        measure = AtomicMeasure2D.euclidean(*_euclidean(obj, 3))
+        radii = parse_rationals(field(obj, "radii", "instance"), "/radii")
         if not args.beta:
             raise InvalidInstance("--check shells needs --beta")
-        beta_obj = _load(args.beta, digests, "beta")
-        if "beta" not in beta_obj:
-            raise InvalidInstance("beta file: expected key 'beta'")
-        result = shell_series(measure, obj["radii"], beta_obj["beta"])
+        beta = field(_load(args.beta, digests, "beta"), "beta", "beta file")
+        result = shell_series(measure, radii, parse_rationals(beta, "/beta"))
         payload["r_values"] = [[_fmt(lo), _fmt(hi)] for lo, hi in result.r_values]
         payload["series"] = [_fmt(result.series[0]), _fmt(result.series[1])]
         payload["bound"] = _fmt(bound)
         status = _verdict_from_enclosure(result.series, bound)
     elif args.check == "reduced":
-        if "d" not in obj or "atoms" not in obj or "ball_radius" not in obj:
-            raise InvalidInstance("instance: reduced needs keys 'd', 'atoms', 'ball_radius'")
-        atoms = _atoms(obj["atoms"], 2, "[y, weight-string]")
-        result = reduced_measure_check(atoms, obj["ball_radius"], parse_int(obj["d"], "/d"))
+        d, atoms = _euclidean(obj, 2)
+        radius = parse_rational(field(obj, "ball_radius", "instance"), "/ball_radius")
+        result = reduced_measure_check(atoms, radius, d)
         payload["value"] = [_fmt(result.value[0]), _fmt(result.value[1])]
         payload["origin_atom"] = result.origin_atom
         payload["bound"] = _fmt(bound)
@@ -462,24 +440,14 @@ def _cmd_contact_simulate(args, digests: dict) -> dict:
 
 def _cmd_contact_screen(args, digests: dict) -> dict:
     obj = _load(args.instance, digests, "instance")
-    if not isinstance(obj, dict) or any(
-        key not in obj for key in ("system", "taus", "probe_points")
-    ):
-        raise InvalidInstance("instance: expected keys 'system', 'taus', 'probe_points'")
-    system = BallSystem.from_json(obj["system"])
-    if not isinstance(obj["taus"], list):
-        raise InvalidInstance("/taus: expected a list of {point, cdf} entries")
+    system = BallSystem.from_json(field(obj, "system", "instance"))
     taus = {}
-    for k, entry in enumerate(obj["taus"]):
-        if not isinstance(entry, dict) or not isinstance(entry.get("point"), list):
-            raise InvalidInstance(f"/taus/{k}: expected a 'point' list and a 'cdf'")
-        point = tuple(parse_rational(c, f"/taus/{k}/point") for c in entry["point"])
-        taus[point] = StepCdf.from_json(entry.get("cdf"))
-    from .contact import ball_positivity_screen
-
-    rep = ball_positivity_screen(
-        taus, system, obj["probe_points"], trials=args.trials or 0, seed=args.seed
-    )
+    for k, entry in enumerate(parse_list(field(obj, "taus", "instance"), "/taus")):
+        point = parse_rationals(field(entry, "point", f"/taus/{k}"), f"/taus/{k}/point")
+        taus[point] = StepCdf.from_json(field(entry, "cdf", f"/taus/{k}"))
+    probes = parse_list(field(obj, "probe_points", "instance"), "/probe_points")
+    probes = [parse_rationals(p, f"/probe_points/{k}") for k, p in enumerate(probes)]
+    rep = ball_positivity_screen(taus, system, probes, trials=args.trials or 0, seed=args.seed)
     payload = {
         "label": rep.label,
         "system_nonnegative": rep.system_nonnegative,
@@ -500,15 +468,12 @@ def _cmd_sample(args, digests: dict) -> dict:
         raise InvalidInstance("--n must be a non-negative draw count")
     obj = _load(args.source, digests, "source")
     # a report holds its mixture under "payload", a bare mixture file at the top
-    holder = obj.get("payload", obj) if isinstance(obj, dict) else None
-    payload_mix = holder.get("mixture") if isinstance(holder, dict) else None
-    if payload_mix is None:
-        raise InvalidInstance("source: no mixture found (expected 'mixture' or payload.mixture)")
-    if not isinstance(payload_mix, list) or any(
-        not isinstance(atom, dict) or "weight" not in atom for atom in payload_mix
-    ):
-        raise InvalidInstance("source: the mixture must be a list of atoms with a 'weight'")
-    weights = np.array([float(parse_rational(atom["weight"], "weight")) for atom in payload_mix])
+    holder = field(obj, "payload", "source", obj)
+    payload_mix = parse_list(field(holder, "mixture", "source"), "/mixture")
+    weights = np.array([
+        float(parse_rational(field(atom, "weight", f"/mixture/{k}"), f"/mixture/{k}/weight"))
+        for k, atom in enumerate(payload_mix)
+    ])
     if (weights < 0).any() or weights.sum() <= 0:
         raise InvalidInstance("mixture weights must be non-negative, with a positive sum")
     weights = weights / weights.sum()

@@ -17,8 +17,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import Infeasible, InvalidInstance
-from .numbers import compare_rational_to_sqrt, norm_sq, parse_rational, sqrt_interval
+from .errors import CapExceeded, Infeasible, InvalidInstance
+from .numbers import (
+    compare_rational_to_sqrt, field, norm_sq, parse_list, parse_rational, parse_rationals,
+    sqrt_interval,
+)
 
 
 @dataclass(frozen=True)
@@ -48,16 +51,8 @@ class StepCdf:
 
     @staticmethod
     def from_json(obj: dict) -> "StepCdf":
-        if not isinstance(obj, dict) or "jumps" not in obj:
-            raise InvalidInstance("cdf: expected key 'jumps'")
-        jumps = []
-        for k, pair in enumerate(obj["jumps"]):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise InvalidInstance(f"/jumps/{k}: expected [R, value]")
-            jumps.append(
-                (parse_rational(pair[0], f"/jumps/{k}/0"), parse_rational(pair[1], f"/jumps/{k}/1"))
-            )
-        return StepCdf(tuple(jumps))
+        jumps = parse_list(field(obj, "jumps", "cdf"), "/jumps")
+        return StepCdf(tuple(parse_rationals(p, f"/jumps/{k}", 2) for k, p in enumerate(jumps)))
 
     def total_mass(self) -> Fraction:
         return self.jumps[-1][1] if self.jumps else Fraction(0)
@@ -175,6 +170,10 @@ def construct_two_point_set(
     return TwoPointSet(no_point=False, r1=r1, r2=r2, points=(a1, a2))
 
 
+# reachable ball-hit patterns past which `ball_positivity_screen` samples
+HIT_PATTERN_LIMIT = 1 << 20
+
+
 @dataclass(frozen=True)
 class BallSystem:
     """Finite family of closed balls with signed coefficients."""
@@ -191,15 +190,12 @@ class BallSystem:
 
     @staticmethod
     def from_json(obj: dict) -> "BallSystem":
-        try:
-            centers = tuple(
-                tuple(parse_rational(c) for c in center) for center in obj["centers"]
-            )
-            radii = tuple(parse_rational(r) for r in obj["radii"])
-            coeffs = tuple(parse_rational(a) for a in obj["coefficients"])
-        except KeyError as exc:
-            raise InvalidInstance(f"ball system: missing key {exc}") from exc
-        return BallSystem(centers, radii, coeffs)
+        centers = parse_list(field(obj, "centers", "ball system"), "/centers")
+        return BallSystem(
+            tuple(parse_rationals(c, f"/centers/{k}") for k, c in enumerate(centers)),
+            parse_rationals(field(obj, "radii", "ball system"), "/radii"),
+            parse_rationals(field(obj, "coefficients", "ball system"), "/coefficients"),
+        )
 
 
 @dataclass
@@ -224,10 +220,11 @@ def ball_positivity_screen(
     First check g(F) = sum a_i 1{F hits ball i} >= 0 over all subsets of the
     probe set: only which balls a subset hits matters, so the OR-closure of
     the probe-point signatures is enumerated, which is exhaustive-equivalent.
-    If that closure would be too large, `trials` random probe subsets are
-    sampled instead (seed required). Systems passing the proxy get the
-    tau-sum inequality evaluated; the verdict is labelled a screen because
-    non-negativity over all closed sets is not certified by a probe set.
+    Past HIT_PATTERN_LIMIT patterns, `trials` random probe subsets are
+    sampled instead; without trials and a seed that is CapExceeded. Systems
+    passing the proxy get the tau-sum inequality evaluated; the verdict is
+    labelled a screen because non-negativity over all closed sets is not
+    certified by a probe set.
     """
     m = len(system.coefficients)
     probes = [
@@ -248,7 +245,6 @@ def ball_positivity_screen(
     closure = {0}
     overflow = False
     frontier = [0]
-    limit = 1 << 20
     while frontier:
         nxt = []
         for mask in frontier:
@@ -257,7 +253,7 @@ def ball_positivity_screen(
                 if new not in closure:
                     closure.add(new)
                     nxt.append(new)
-                    if len(closure) > limit:
+                    if len(closure) > HIT_PATTERN_LIMIT:
                         overflow = True
                         break
             if overflow:
@@ -267,7 +263,7 @@ def ball_positivity_screen(
         frontier = nxt
     if overflow:
         if seed is None or trials <= 0:
-            raise InvalidInstance(
+            raise CapExceeded(
                 "too many ball-hit patterns for exhaustive screening; "
                 "supply trials and a seed for sampling"
             )

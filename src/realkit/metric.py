@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import CapExceeded, InvalidInstance
-from .numbers import parse_rational
+from .numbers import field, parse_list, parse_rational, parse_square
 
 GAMMA_MASS_CAP = 8
 
@@ -31,22 +31,8 @@ class FiniteMetricSpace:
 
     @staticmethod
     def from_json(obj: dict) -> "FiniteMetricSpace":
-        if not isinstance(obj, dict) or "labels" not in obj or "dist" not in obj:
-            raise InvalidInstance("space: expected keys 'labels' and 'dist'")
-        labels = tuple(str(x) for x in obj["labels"])
-        rows = obj["dist"]
-        if not isinstance(rows, list) or len(rows) != len(labels):
-            raise InvalidInstance("space: 'dist' must be a square matrix matching 'labels'")
-        dist = []
-        for i, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != len(labels):
-                raise InvalidInstance(f"space: row {i} of 'dist' has wrong length")
-            dist.append(tuple(parse_rational(v, f"/dist/{i}/{j}") for j, v in enumerate(row)))
-        space = FiniteMetricSpace(labels, tuple(dist))
-        report = validate_metric(space)
-        if not report.ok:
-            raise InvalidInstance("space: " + "; ".join(report.messages()))
-        return space
+        labels = parse_list(field(obj, "labels", "space"), "/labels")
+        return make_space(parse_square(field(obj, "dist", "space"), "/dist", len(labels)), labels)
 
     def distance_values(self) -> list[Fraction]:
         """Sorted distinct positive pairwise distances."""
@@ -56,17 +42,13 @@ class FiniteMetricSpace:
 
 def make_space(dist_rows: Sequence[Sequence], labels: Sequence[str] | None = None) -> FiniteMetricSpace:
     """Build and validate a space from rational-like entries."""
-    n = len(dist_rows)
     if labels is None:
-        labels = tuple(f"x{i}" for i in range(n))
-    dist = tuple(
-        tuple(parse_rational(v) for v in row)
-        for row in dist_rows
-    )
-    space = FiniteMetricSpace(tuple(labels), dist)
+        labels = [f"x{i}" for i in range(len(dist_rows))]
+    dist = tuple(tuple(parse_rational(v) for v in row) for row in dist_rows)
+    space = FiniteMetricSpace(tuple(str(x) for x in labels), dist)
     report = validate_metric(space)
     if not report.ok:
-        raise InvalidInstance("; ".join(report.messages()))
+        raise InvalidInstance("space: " + "; ".join(report.messages()))
     return space
 
 

@@ -21,6 +21,13 @@ def parse_rational(value, where: str = "value") -> Fraction:
     Bare floats are rejected: instance files must use strings to keep
     exactness explicit.
     """
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InvalidInstance(f"{where}: cannot parse {value!r} as a rational") from exc
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, bool):
         raise InvalidInstance(f"{where}: expected a number string, got a bool")
     if isinstance(value, int):
@@ -30,13 +37,6 @@ def parse_rational(value, where: str = "value") -> Fraction:
             f"{where}: floats are not accepted in instance files; "
             f"write the number as a decimal string"
         )
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidInstance(f"{where}: cannot parse {value!r} as a rational") from exc
     raise InvalidInstance(f"{where}: cannot parse {type(value).__name__} as a rational")
 
 
@@ -45,6 +45,60 @@ def parse_int(value, where: str = "value") -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise InvalidInstance(f"{where}: expected an integer, got {value!r}")
     return value
+
+
+def parse_bool(value, where: str = "value") -> bool:
+    """A flag: JSON true or false, not a string or a number."""
+    if not isinstance(value, bool):
+        raise InvalidInstance(f"{where}: expected true or false, got {value!r}")
+    return value
+
+
+_REQUIRED = object()
+
+
+def field(obj, key: str, where: str, default=_REQUIRED):
+    """The value of `key` in the JSON object `obj`, which `where` names; a
+    missing key gives `default`, or is invalid when no default is given."""
+    if not isinstance(obj, dict):
+        raise InvalidInstance(f"{where}: expected a JSON object")
+    if key in obj:
+        return obj[key]
+    if default is _REQUIRED:
+        raise InvalidInstance(f"{where}: expected key {key!r}")
+    return default
+
+
+def parse_list(value, where: str, length: int | None = None) -> list:
+    """A JSON array, of `length` entries when that is given."""
+    if not isinstance(value, list):
+        raise InvalidInstance(f"{where}: expected a list, got {type(value).__name__}")
+    if length is not None and len(value) != length:
+        raise InvalidInstance(f"{where}: expected a list of {length} entries, got {len(value)}")
+    return value
+
+
+def parse_rationals(value, where: str, length: int | None = None) -> tuple[Fraction, ...]:
+    """A JSON array of rationals, of `length` entries when that is given;
+    entry k is named where/k."""
+    values = parse_list(value, where, length)
+    return tuple([parse_rational(v, f"{where}/{k}") for k, v in enumerate(values)])
+
+
+def parse_square(rows, where: str, n: int | None = None) -> tuple[tuple[Fraction, ...], ...]:
+    """A non-empty n x n matrix of rationals, of any size n when n is None;
+    entry (i, j) is named where/i/j."""
+    if n is None and isinstance(rows, list):
+        n = len(rows)
+    if not n or not isinstance(rows, list) or len(rows) != n or any(
+        not isinstance(row, list) or len(row) != n for row in rows
+    ):
+        shape = f"a {n} x {n}" if n else "a non-empty square"
+        raise InvalidInstance(f"{where}: expected {shape} matrix")
+    return tuple(
+        tuple(parse_rational(v, f"{where}/{i}/{j}") for j, v in enumerate(row))
+        for i, row in enumerate(rows)
+    )
 
 
 def format_rational(x) -> str:

@@ -33,7 +33,10 @@ from .lp import (
     column_generation, negative_direction, screen, verdict,
 )
 from .metric import Configuration, FiniteMetricSpace
-from .numbers import INF, parse_int, parse_rational, validate_mixture
+from .numbers import (
+    INF, field, parse_bool, parse_int, parse_list, parse_rational, parse_rationals,
+    validate_mixture,
+)
 from .qubo import pair_list
 
 ENUM_LIMIT = 2_000_000
@@ -130,26 +133,27 @@ class CorrelationTarget:
 
     @staticmethod
     def from_json(obj: dict) -> "CorrelationTarget":
-        if not isinstance(obj, dict) or "rho" not in obj or "cap" not in obj:
-            raise InvalidInstance("target: expected keys 'rho' and 'cap'")
-        space = FiniteMetricSpace.from_json(obj["space"]) if obj.get("space") else None
-        n = obj.get("n")
-        entries = []
-        for k, atom in enumerate(obj["rho"]):
-            if not isinstance(atom, list) or len(atom) != 3:
-                raise InvalidInstance(f"/rho/{k}: expected [i, j, weight-string]")
-            i, j = (parse_int(v, f"/rho/{k}") for v in atom[:2])
-            entries.append((i, j, atom[2]))
+        space, n, rho1 = (field(obj, key, "target", None) for key in ("space", "n", "rho1"))
         return CorrelationTarget.build(
             n=None if n is None else parse_int(n, "/n"),
-            rho_entries=entries,
-            rho1=obj.get("rho1"),
-            cap=parse_int(obj["cap"], "/cap"),
-            simple=bool(obj.get("simple", False)),
+            rho_entries=rho_atoms(field(obj, "rho", "target")),
+            rho1=None if rho1 is None else parse_rationals(rho1, "/rho1"),
+            cap=parse_int(field(obj, "cap", "target"), "/cap"),
+            simple=parse_bool(obj.get("simple", False), "/simple"),
             hardcore_eps=obj.get("hardcore_eps"),
-            space=space,
-            hardcore_strict=bool(obj.get("hardcore_strict", False)),
+            space=FiniteMetricSpace.from_json(space) if space else None,
+            hardcore_strict=parse_bool(obj.get("hardcore_strict", False), "/hardcore_strict"),
         )
+
+
+def rho_atoms(value) -> list[tuple[int, int, Fraction]]:
+    """The [i, j, weight] atoms of a JSON "rho" list."""
+    atoms = []
+    for k, atom in enumerate(parse_list(value, "/rho")):
+        i, j, w = parse_list(atom, f"/rho/{k}", 3)
+        atoms.append((parse_int(i, f"/rho/{k}/0"), parse_int(j, f"/rho/{k}/1"),
+                      parse_rational(w, f"/rho/{k}/2")))
+    return atoms
 
 
 @dataclass(frozen=True)

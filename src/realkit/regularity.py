@@ -19,7 +19,9 @@ from typing import Sequence
 
 from .errors import InvalidBeta, InvalidInstance, InvalidPsi
 from .metric import FiniteMetricSpace, packing_number
-from .numbers import INF, compare_rational_to_sqrt, norm_sq, parse_rational, pow_neg_half_d
+from .numbers import (
+    INF, compare_rational_to_sqrt, field, norm_sq, parse_list, parse_rational, pow_neg_half_d,
+)
 from .lp import RealizeResult
 from .pp import CorrelationTarget, objective_chi_hc, realize_pp
 
@@ -55,15 +57,11 @@ class PsiFunction:
 
     @staticmethod
     def from_json(obj: dict) -> "PsiFunction":
-        if not isinstance(obj, dict) or "steps" not in obj:
-            raise InvalidInstance("psi: expected key 'steps'")
         steps = []
-        for k, pair in enumerate(obj["steps"]):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise InvalidInstance(f"/steps/{k}: expected [threshold, value]")
-            t = parse_rational(pair[0], f"/steps/{k}/0")
-            v = INF if pair[1] == "inf" else parse_rational(pair[1], f"/steps/{k}/1")
-            steps.append((t, v))
+        for k, pair in enumerate(parse_list(field(obj, "steps", "psi"), "/steps")):
+            t, v = parse_list(pair, f"/steps/{k}", 2)
+            v = INF if v == "inf" else parse_rational(v, f"/steps/{k}/1")
+            steps.append((parse_rational(t, f"/steps/{k}/0"), v))
         return PsiFunction(tuple(steps))
 
     def thresholds(self) -> list[Fraction]:

@@ -36,7 +36,7 @@ from .lp import (
     FLOAT_TOL, Certificate, RealizeResult, certificate, check_certificate, column_generation,
     negative_direction, screen, verdict,
 )
-from .numbers import parse_rational, validate_mixture
+from .numbers import field, parse_rational, parse_square, validate_mixture
 from .qubo import MAX_N, _mask_to_subset, pair_list, pair_matrix, qubo_min, qubo_topk_float
 
 FINITE_CARRIER_NOTE = (
@@ -57,48 +57,42 @@ class TwoPointTarget:
 
     @staticmethod
     def from_matrix(rows: Sequence[Sequence], validate_range: bool = True) -> "TwoPointTarget":
-        try:
-            n = len(rows)
-            square = n >= 1 and all(len(r) == n for r in rows)
-        except TypeError:  # a number where a list belongs
-            square = False
-        if not square:
-            raise InvalidInstance("p must be a non-empty square matrix")
-        p = []
-        for i, row in enumerate(rows):
-            conv = []
-            for j, v in enumerate(row):
-                fr = parse_rational(v, f"/p/{i}/{j}")
-                if validate_range and not (0 <= fr <= 1):
-                    raise InvalidInstance(f"/p/{i}/{j}: probability {fr} outside [0,1]")
-                conv.append(fr)
-            p.append(tuple(conv))
-        for i in range(n):
-            for j in range(i + 1, n):
-                if p[i][j] != p[j][i]:
-                    raise InvalidInstance(f"p not symmetric at ({i},{j})")
-        return TwoPointTarget(tuple(p))
+        """The target of a square matrix of rational-like entries."""
+        return TwoPointTarget._checked(parse_square([list(r) for r in rows], "/p"), validate_range)
 
     @staticmethod
     def from_json(obj: dict) -> "TwoPointTarget":
-        if not isinstance(obj, dict) or "p" not in obj:
-            raise InvalidInstance("target: expected key 'p'")
-        return TwoPointTarget.from_matrix(obj["p"])
+        return TwoPointTarget._checked(parse_square(field(obj, "p", "target"), "/p"))
+
+    @staticmethod
+    def _checked(p: tuple[tuple[Fraction, ...], ...], validate_range: bool = True):
+        for i, row in enumerate(p):
+            for j, v in enumerate(row):
+                if validate_range and not (0 <= v <= 1):
+                    raise InvalidInstance(f"/p/{i}/{j}: probability {v} outside [0,1]")
+                if j > i and v != p[j][i]:
+                    raise InvalidInstance(f"p not symmetric at ({i},{j})")
+        return TwoPointTarget(p)
 
     def rhs(self) -> list[Fraction]:
         """The LP's right-hand side: p_ij on the pairs i <= j, then 1."""
         return [self.p[i][j] for i, j in pair_list(self.n)] + [Fraction(1)]
 
     def frechet_violations(self) -> list[tuple[str, int, int]]:
-        """Necessary bounds max(0, p_i+p_j-1) <= p_ij <= min(p_i, p_j)."""
+        """The pairs i < j, in row order, that break a necessary bound
+        max(0, p_i+p_j-1) <= p_ij <= min(p_i, p_j). Candidates are located
+        in floats and each is confirmed in rationals."""
+        P = np.array(self.p, dtype=float)
+        d = np.diag(P)
+        near = (P - np.minimum.outer(d, d) > -FLOAT_TOL) | (np.add.outer(d, d) - 1 - P > -FLOAT_TOL)
         out = []
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                pij = self.p[i][j]
-                if pij > min(self.p[i][i], self.p[j][j]):
-                    out.append(("upper", i, j))
-                elif pij < self.p[i][i] + self.p[j][j] - 1:
-                    out.append(("lower", i, j))
+        for i, j in zip(*np.nonzero(np.triu(near, 1))):
+            i, j = int(i), int(j)
+            pij = self.p[i][j]
+            if pij > min(self.p[i][i], self.p[j][j]):
+                out.append(("upper", i, j))
+            elif pij < self.p[i][i] + self.p[j][j] - 1:
+                out.append(("lower", i, j))
         return out
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from realkit import cli
+from realkit import cli, contact
 from realkit.cli import main
 
 EQ3 = {
@@ -189,6 +189,56 @@ class TestMalformedCertificate:
         assert code == 2
         assert report["status"] == "invalid"
         assert "2 x 2" in report["payload"]["error"]
+
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"n": True}, {"minimizer": [False]}, {"n": True, "minimizer": [False]}],
+        ids=["n", "minimizer", "both"],
+    )
+    def test_boolean_integer_fields(self, tmp_path, fields):
+        inst = write(tmp_path, "t.json", {"p": [["0.5"]]})
+        cert_obj = {"kind": "set", "n": 1, "c": "1", "a": [["-1"]], "gap": "1/2", "minimizer": [0]}
+        cert = write(tmp_path, "cert.json", {**cert_obj, **fields})
+        code, report = run(tmp_path, "verify-cert", inst, cert)
+        assert code == 2
+        assert report["status"] == "invalid"
+
+
+class TestContactScreenCap:
+    """Past HIT_PATTERN_LIMIT reachable hit patterns the exhaustive screen
+    stops: without --trials and --seed that is a size cap (exit 3)."""
+
+    INSTANCE = {
+        "system": {
+            "centers": [[str(10 * k)] for k in range(4)],
+            "radii": ["1"] * 4,
+            "coefficients": ["1"] * 4,
+        },
+        "taus": [{"point": [str(10 * k)], "cdf": {"jumps": [["1", "1/2"]]}} for k in range(4)],
+        "probe_points": [[str(10 * k)] for k in range(4)],
+    }
+
+    @pytest.fixture(autouse=True)
+    def low_limit(self, monkeypatch):
+        # four probes, one per ball, reach 2^4 = 16 hit patterns
+        monkeypatch.setattr(contact, "HIT_PATTERN_LIMIT", 8)
+
+    def test_cap_without_trials_is_indeterminate(self, tmp_path):
+        inst = write(tmp_path, "screen.json", self.INSTANCE)
+        code, report = run(tmp_path, "contact", "screen", inst)
+        assert code == 3
+        assert report["status"] == "indeterminate"
+        assert "hit patterns" in report["payload"]["error"]
+
+    def test_trials_and_seed_sample(self, tmp_path):
+        inst = write(tmp_path, "screen.json", self.INSTANCE)
+        outs = [tmp_path / "a.json", tmp_path / "b.json"]
+        for out in outs:
+            argv = ["contact", "screen", inst, "--trials", "50", "--seed", "7", "--out", str(out)]
+            assert main(argv) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert json.loads(outs[0].read_text())["payload"]["method"] == "sampled"
 
 
 class TestRealizePP:
@@ -396,6 +446,12 @@ class TestMalformedInput:
     def test_pp_atom_index_not_an_integer(self, tmp_path):
         inst = write(tmp_path, "pp.json", {**TestRealizePP.INSTANCE, "rho": [["a", 0, "1/2"]]})
         assert "/rho/0" in self.assert_invalid(tmp_path, "realize-pp", inst)
+
+    @pytest.mark.parametrize("flag", ["simple", "hardcore_strict"])
+    def test_pp_flag_not_a_boolean(self, tmp_path, flag):
+        # a string "false" is truthy: it must not switch the flag on
+        inst = write(tmp_path, "pp.json", {**TestRealizePP.INSTANCE, flag: "false"})
+        assert f"/{flag}" in self.assert_invalid(tmp_path, "realize-pp", inst)
 
     def test_sample_negative_weight(self, tmp_path):
         mixture = {"mixture": [{"subset": [0], "weight": "-1/2"}, {"subset": [], "weight": "3/2"}]}

@@ -12,7 +12,8 @@ from realkit.contact import (
     invert_cdf,
     monte_carlo_contact,
 )
-from realkit.errors import Infeasible, InvalidInstance
+from realkit import contact
+from realkit.errors import CapExceeded, Infeasible, InvalidInstance
 
 def _sqrt_lower(sq):
     from realkit.numbers import sqrt_interval
@@ -235,3 +236,14 @@ class TestBallScreen:
         system2 = BallSystem(((F(0),), (F(10),)), (F(1), F(1)), (F(1), F(-2)))
         rep2 = ball_positivity_screen(taus2, system2, [("0",), ("10",)])
         assert not rep2.system_nonnegative  # hitting only the second ball
+
+    def test_hit_pattern_cap(self, monkeypatch):
+        # one probe per ball reaches 2^3 = 8 patterns, past a limit of 4
+        monkeypatch.setattr(contact, "HIT_PATTERN_LIMIT", 4)
+        system = BallSystem(tuple((F(10 * k),) for k in range(3)), (F(1),) * 3, (F(1),) * 3)
+        taus = {(F(10 * k),): STEP_1 for k in range(3)}
+        probes = [(str(10 * k),) for k in range(3)]
+        with pytest.raises(CapExceeded):
+            ball_positivity_screen(taus, system, probes)
+        rep = ball_positivity_screen(taus, system, probes, trials=20, seed=1)
+        assert rep.method == "sampled" and rep.system_nonnegative

@@ -137,6 +137,41 @@ class TestSetScreens:
             assert set_verdict(p) == "infeasible"
 
 
+@st.composite
+def frechet_matrices(draw):
+    """Symmetric matrices whose off-diagonal entries often sit exactly on a
+    Fréchet bound, or within 10^-12 of one (closer than the float tolerance)."""
+    n = draw(st.integers(2, 6))
+    grid = st.integers(0, 8).map(lambda k: F(k, 8))
+    p = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        p[i][i] = draw(grid)
+    for i, j in itertools.combinations(range(n), 2):
+        bound = draw(st.sampled_from([min(p[i][i], p[j][j]), p[i][i] + p[j][j] - 1, F(0)]))
+        offset = draw(st.sampled_from([F(0), F(1, 10**12), F(-1, 10**12), F(1, 8), F(-1, 8)]))
+        p[i][j] = p[j][i] = draw(st.one_of(st.just(bound + offset), grid))
+    return p
+
+
+def frechet_scan(p):
+    """Every pair i < j in row order, checked in Fractions, "upper" first."""
+    out = []
+    for i, j in itertools.combinations(range(len(p)), 2):
+        if p[i][j] > min(p[i][i], p[j][j]):
+            out.append(("upper", i, j))
+        elif p[i][j] < p[i][i] + p[j][j] - 1:
+            out.append(("lower", i, j))
+    return out
+
+
+class TestFrechetViolations:
+    @settings(max_examples=300, deadline=None)
+    @given(frechet_matrices())
+    def test_matches_a_fraction_scan(self, p):
+        target = TwoPointTarget.from_matrix(p, validate_range=False)
+        assert target.frechet_violations() == frechet_scan(p)
+
+
 def pp_configs(n, cap, simple):
     per_point = 1 if simple else cap
     return [m for m in itertools.product(range(per_point + 1), repeat=n) if sum(m) <= cap]
