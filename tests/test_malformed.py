@@ -3,9 +3,9 @@
 Every golden instance is cut to the first three entries of each list, and
 then every JSON node of it is replaced, one at a time, by each value in
 `REPLACEMENTS`. Each mutant runs through `cli.main` once for every command
-that reads the file (the first golden case of that command). An invalid
-mutant must exit 2; a mutant that is still valid may get any verdict. No
-mutant may exit 4 or produce a report with status "error".
+that reads the file (the first golden case of that command). A mutant may
+end in a verdict, as invalid input (exit 2) or as indeterminate, but never
+in an internal error: exit 4, or a report with status "error".
 """
 
 from __future__ import annotations
