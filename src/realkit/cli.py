@@ -470,13 +470,15 @@ def _cmd_sample(args, digests: dict) -> dict:
     # a report holds its mixture under "payload", a bare mixture file at the top
     holder = field(obj, "payload", "source", obj)
     payload_mix = parse_list(field(holder, "mixture", "source"), "/mixture")
-    weights = np.array([
-        float(parse_rational(field(atom, "weight", f"/mixture/{k}"), f"/mixture/{k}/weight"))
+    weights = [
+        parse_rational(field(atom, "weight", f"/mixture/{k}"), f"/mixture/{k}/weight")
         for k, atom in enumerate(payload_mix)
-    ])
-    if (weights < 0).any() or weights.sum() <= 0:
+    ]
+    total = sum(weights)
+    if any(w < 0 for w in weights) or total <= 0:
         raise InvalidInstance("mixture weights must be non-negative, with a positive sum")
-    weights = weights / weights.sum()
+    # normalised exactly, so no weight overflows or underflows before the division
+    weights = np.array([float(w / total) for w in weights])
     rng = np.random.default_rng(args.seed)
     picks = rng.choice(len(payload_mix), size=args.n, p=weights)
     draws = []

@@ -11,6 +11,7 @@ by 0 or +-l, so checking that finite grid decides them everywhere.
 from __future__ import annotations
 
 import bisect
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -337,7 +338,9 @@ def monte_carlo_contact(
 
     One uniform draw drives both inversions (that coupling is what makes
     the construction work), so the recorded distances are exactly the
-    generalised inverses; a draw beyond a total mass records +inf.
+    generalised inverses; a draw beyond a total mass records +inf. The
+    report holds floats, so a jump radius above the largest float raises
+    CapExceeded before any sampling.
     """
     p1 = tuple(parse_rational(v) for v in x1)
     p2 = tuple(parse_rational(v) for v in x2)
@@ -355,6 +358,10 @@ def monte_carlo_contact(
             "the separation is irrational and the sandwich verdict flips "
             "inside its enclosure; perturb the reference points"
         )
+    for name, tau in (("tau1", tau1), ("tau2", tau2)):
+        for k, r in enumerate(tau.abscissae()):
+            if r > sys.float_info.max:
+                raise CapExceeded(f"{name} /jumps/{k}/0: jump radius above the largest float")
     rng = np.random.default_rng(seed)
     u = rng.random(samples)
 

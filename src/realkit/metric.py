@@ -2,7 +2,9 @@
 
 Distances are exact rationals so that the strict comparison in "pairwise
 distances exceeding t" (packing) and the closed one in "distance at most t"
-(close pairs) are decided without rounding.
+(close pairs) are decided without rounding: in integers, on the distances
+over one common denominator s (`FiniteMetricSpace.scaled`), with both
+sides of a comparison multiplied by the same positive integer.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import CapExceeded, InvalidInstance
@@ -33,6 +37,13 @@ class FiniteMetricSpace:
     def from_json(obj: dict) -> "FiniteMetricSpace":
         labels = parse_list(field(obj, "labels", "space"), "/labels")
         return make_space(parse_square(field(obj, "dist", "space"), "/dist", len(labels)), labels)
+
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(s, D) with dist[i][j] == D[i][j] / s: the distances over their
+        least common denominator s > 0, built on first use."""
+        s = lcm(*(v.denominator for row in self.dist for v in row))
+        return s, tuple(tuple(v.numerator * (s // v.denominator) for v in row) for row in self.dist)
 
     def distance_values(self) -> list[Fraction]:
         """Sorted distinct positive pairwise distances."""
@@ -79,7 +90,9 @@ def validate_metric(space: FiniteMetricSpace, tol: Fraction = Fraction(1, 10**12
     """Check the metric axioms, reporting every offending index tuple.
 
     The triangle inequality is tested with slack `tol` so that spaces keyed
-    in with rounded decimals are not rejected for dust.
+    in with rounded decimals are not rejected for dust. d_ij > d_ik + d_kj
+    + tol is tested exactly, multiplied through by s * tol.denominator:
+    (D_ij - D_ik - D_kj) * tol.denominator > tol.numerator * s.
     """
     n = len(space.labels)
     if len(space.dist) != n or any(len(row) != n for row in space.dist):
@@ -87,7 +100,7 @@ def validate_metric(space: FiniteMetricSpace, tol: Fraction = Fraction(1, 10**12
     if n < 1:
         raise InvalidInstance("a space needs at least one point")
     bad: list[tuple[str, tuple[int, ...]]] = []
-    d = space.dist
+    s, d = space.scaled
     for i in range(n):
         if d[i][i] != 0:
             bad.append(("zero-diagonal", (i,)))
@@ -97,21 +110,22 @@ def validate_metric(space: FiniteMetricSpace, tol: Fraction = Fraction(1, 10**12
                 bad.append(("symmetry", (i, j)))
             if d[i][j] <= 0:
                 bad.append(("positivity", (i, j)))
+    slack = tol.numerator * s
     for i, j, k in itertools.permutations(range(n), 3):
-        if i < j and d[i][j] > d[i][k] + d[k][j] + tol:
+        if i < j and (d[i][j] - d[i][k] - d[k][j]) * tol.denominator > slack:
             bad.append(("triangle", (i, j, k)))
     return MetricReport(ok=not bad, violations=tuple(bad))
 
 
 def _close_masks(space: FiniteMetricSpace, t: Fraction) -> list[int]:
-    """Adjacency bitmasks of the graph with edges {d(i,j) <= t}, i != j."""
-    n = space.n
-    masks = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if i != j and space.dist[i][j] <= t:
-                masks[i] |= 1 << j
-    return masks
+    """Adjacency bitmasks of the graph with edges {d(i,j) <= t}, i != j,
+    tested exactly as D[i][j] * t.denominator <= t.numerator * s."""
+    s, d = space.scaled
+    bound = t.numerator * s
+    return [
+        sum(1 << j for j, v in enumerate(row) if j != i and v * t.denominator <= bound)
+        for i, row in enumerate(d)
+    ]
 
 
 def packing_set(space: FiniteMetricSpace, t) -> frozenset[int]:
@@ -174,18 +188,17 @@ def close_pair_count(space: FiniteMetricSpace, config: Configuration, t) -> int:
     Particles sharing a point are at distance 0 and always count.
     """
     t = parse_rational(t, "t")
-    m = config.multiplicity
-    n = space.n
-    if len(m) != n:
+    if len(config.multiplicity) != space.n:
         raise InvalidInstance("configuration length does not match the space")
+    return _pair_count(config.multiplicity, _close_masks(space, t))
+
+
+def _pair_count(m: Sequence[int], masks: Sequence[int]) -> int:
+    """`close_pair_count` of the multiplicities m on the graph `masks`."""
     total = 0
-    for i in range(n):
-        if m[i] == 0:
-            continue
-        total += m[i] * (m[i] - 1)
-        for j in range(n):
-            if j != i and m[j] and space.dist[i][j] <= t:
-                total += m[i] * m[j]
+    for i, mi in enumerate(m):
+        if mi:
+            total += mi * (mi - 1 + sum(mj for j, mj in enumerate(m) if masks[i] >> j & 1))
     return total
 
 
@@ -211,13 +224,8 @@ def gamma_min_pairs(space: FiniteMetricSpace, n: int, t, cap: int = GAMMA_MASS_C
         raise CapExceeded(
             f"total mass {n} above the enumeration cap {cap}; use close_pair_envelope instead"
         )
-    t = parse_rational(t, "t")
-    best = None
-    for m in _compositions(n, space.n):
-        g = close_pair_count(space, Configuration(m), t)
-        if best is None or g < best:
-            best = g
-    return best if best is not None else 0
+    masks = _close_masks(space, parse_rational(t, "t"))
+    return min(_pair_count(m, masks) for m in _compositions(n, space.n))
 
 
 def close_pair_envelope(space: FiniteMetricSpace, n: int, t) -> tuple[Fraction, Fraction]:
@@ -270,10 +278,12 @@ def mass_transfer_reduce(
     t = parse_rational(t, "t")
     masses = list(config.multiplicity)
     n = space.n
+    masks = _close_masks(space, t)
     trace: list[TransferStep] = []
 
     def neighbourhood(i: int) -> int:
-        return sum(masses[j] for j in range(n) if space.dist[i][j] <= t) - 1
+        # called only on a close pair, so t >= 0 = d(i, i) and i is in its own ball
+        return sum(masses[j] for j in range(n) if masks[i] >> j & 1) + masses[i] - 1
 
     while True:
         pairs = []
@@ -281,7 +291,7 @@ def mass_transfer_reduce(
             if masses[u] == 0:
                 continue
             for v in range(u + 1, n):
-                if masses[v] and space.dist[u][v] <= t:
+                if masses[v] and masks[u] >> v & 1:
                     nu, nv = neighbourhood(u), neighbourhood(v)
                     rec, don = (u, v) if (nu, u) <= (nv, v) else (v, u)
                     pairs.append((rec, don))
@@ -296,7 +306,7 @@ def mass_transfer_reduce(
                     donor=don,
                     recipient=rec,
                     masses=tuple(masses),
-                    close_pairs=close_pair_count(space, Configuration(tuple(masses)), t),
+                    close_pairs=_pair_count(masses, masks),
                 )
             )
     return Configuration(tuple(masses)), trace

@@ -37,7 +37,7 @@ from .numbers import (
     INF, field, parse_bool, parse_int, parse_list, parse_rational, parse_rationals,
     validate_mixture,
 )
-from .qubo import pair_list
+from .qubo import pair_list, pair_matrix
 
 ENUM_LIMIT = 2_000_000
 
@@ -560,30 +560,33 @@ def _verdict(res, target, method, objective=None, note=None) -> RealizeResult:
 
 
 def _price_config(y: Sequence, target: CorrelationTarget) -> tuple[Configuration, object]:
-    """maximise y.A_Y over admissible configurations by prefix search with
-    an interval bound; ties resolve to the lexicographically smallest
-    multiplicity vector.
+    """maximise y.A_Y over admissible configurations by `_search`: in
+    floats for float prices, and exactly for `Fraction` prices, in integers
+    after clearing denominators (a positive scaling that changes no
+    comparison, so neither the maximiser nor its tie-break).
 
     y holds the pair prices, then n intensity prices if it is long enough,
-    then the normalisation price. Float prices give a float search;
-    `Fraction` prices give an exact one, whose maximum is exact. It runs
-    in integers after clearing denominators, a positive scaling that
-    changes no comparison.
+    then the normalisation price.
     """
+    if not isinstance(y[-1], Fraction):
+        return _search([float(v) for v in y], target)
+    y = [Fraction(v) for v in y]
+    scale = lcm(*(v.denominator for v in y))
+    config, top = _search([v.numerator * (scale // v.denominator) for v in y], target)
+    return config, Fraction(top, scale)
+
+
+def _search(y: Sequence, target: CorrelationTarget) -> tuple[Configuration, object]:
+    """maximise y.A_Y for int or float prices y, laid out as for
+    `_price_config`, by prefix search with an interval bound; ties resolve
+    to the lexicographically smallest multiplicity vector."""
     n = target.n
     pairs = pair_list(n)
-    scale = None
-    num = float
-    if isinstance(y[-1], Fraction):
-        y = [Fraction(v) for v in y]
-        scale = lcm(*(v.denominator for v in y))
-        y = [v.numerator * (scale // v.denominator) for v in y]
-        num = int
-    y_pair = {pair: num(v) for pair, v in zip(pairs, y)}
+    y_pair = dict(zip(pairs, y))
     y_int = None
     if len(y) > len(pairs) + 1:
-        y_int = [num(v) for v in y[len(pairs) : len(pairs) + n]]
-    y_norm = num(y[-1])
+        y_int = y[len(pairs) : len(pairs) + n]
+    y_norm = y[-1]
     rules = _Rules.of(target)
 
     def value(m: list[int]):
@@ -638,7 +641,7 @@ def _price_config(y: Sequence, target: CorrelationTarget) -> tuple[Configuration
             prefix.pop()
 
     visit([], target.cap)
-    return Configuration(tuple(best_cfg)), best_val if scale is None else Fraction(best_val, scale)
+    return Configuration(tuple(best_cfg)), best_val
 
 
 @dataclass
@@ -651,32 +654,34 @@ def positivity_screen(target: CorrelationTarget, trials: int, seed: int) -> Scre
     """Sample random symmetric test matrices and compare the measure pairing
     against the exact infimum over admissible configurations.
 
-    Entries are uniform in [-1, 1]; both sides are evaluated in exact
-    arithmetic (binary floats are rationals), so any reported violation is
-    a sound witness of infeasibility. The infimum of g_h is minus the
-    exact maximum of `_price_config` under the prices y_ii = -h_ii,
-    y_ij = -2 h_ij (i < j) and y_norm = 0, with no intensity part; no
-    configuration is enumerated, so no carrier is too large.
+    Entries are uniform in [-1, 1], and both sides are compared exactly,
+    in integers: a trial's floats share a denominator 2^K and rho has a
+    common one L, so the pairing is an integer over 2^K L, and the infimum
+    of g_h is minus the maximum of `_search` under the prices 2^K y with
+    y_ii = -h_ii, y_ij = -2 h_ij (i < j) and y_norm = 0. A violation is a
+    sound witness of infeasibility; no configuration is enumerated, so no
+    carrier is too large.
     """
     rng = random.Random(seed)
     violations = []
     n = target.n
+    pairs = pair_list(n)
+    # the pairing runs over ordered pairs, so an off-diagonal atom counts twice
+    rho = [target.rho_value(i, j) * (1 if i == j else 2) for i, j in pairs]
+    scale = lcm(*(v.denominator for v in rho))
+    weight = [v.numerator * (scale // v.denominator) for v in rho]
     for trial in range(trials):
-        h = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                v = Fraction(rng.uniform(-1.0, 1.0))
-                h[i][j] = v
-                h[j][i] = v
-        # pairing over ordered pairs; the screen tests the pair functional only
-        pairing = Fraction(0)
-        for i in range(n):
-            for j in range(n):
-                pairing += h[i][j] * target.rho_value(i, j)
+        h = [rng.uniform(-1.0, 1.0) for _ in pairs]
+        ratios = [v.as_integer_ratio() for v in h]
+        den = max(d for _, d in ratios)
+        num = [a * (den // d) for a, d in ratios]
+        pairing = sum(a * w for a, w in zip(num, weight))
         # y.A_Y = -g_h(Y) for these prices, so the infimum is minus the maximum
-        y = [-h[i][j] if i == j else -2 * h[i][j] for i, j in pair_list(n)]
-        inf_val = -_price_config([*y, Fraction(0)], target)[1]
-        if pairing < inf_val:
-            h_float = [[float(v) for v in row] for row in h]
-            violations.append((trial, h_float, pairing, inf_val))
+        y = [-a if i == j else -2 * a for (i, j), a in zip(pairs, num)]
+        top = _search([*y, 0], target)[1]
+        # pairing / (den * scale) < -top / den
+        if pairing < -top * scale:
+            violations.append(
+                (trial, pair_matrix(n, h), Fraction(pairing, den * scale), Fraction(-top, den))
+            )
     return ScreenReport(trials=trials, violations=violations)

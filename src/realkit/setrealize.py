@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -74,6 +75,11 @@ class TwoPointTarget:
                     raise InvalidInstance(f"p not symmetric at ({i},{j})")
         return TwoPointTarget(p)
 
+    @cached_property
+    def p_float(self) -> np.ndarray:
+        """p in floats, built on first use, for the screens to read."""
+        return np.array(self.p, dtype=float)
+
     def rhs(self) -> list[Fraction]:
         """The LP's right-hand side: p_ij on the pairs i <= j, then 1."""
         return [self.p[i][j] for i, j in pair_list(self.n)] + [Fraction(1)]
@@ -82,7 +88,7 @@ class TwoPointTarget:
         """The pairs i < j, in row order, that break a necessary bound
         max(0, p_i+p_j-1) <= p_ij <= min(p_i, p_j). Candidates are located
         in floats and each is confirmed in rationals."""
-        P = np.array(self.p, dtype=float)
+        P = self.p_float
         d = np.diag(P)
         near = (P - np.minimum.outer(d, d) > -FLOAT_TOL) | (np.add.outer(d, d) - 1 - P > -FLOAT_TOL)
         out = []
@@ -226,7 +232,7 @@ def _triangle_functional(target: TwoPointTarget):
     n = target.n
     if n < 3:
         return None
-    P = np.array(target.p, dtype=float)
+    P = target.p_float
     d = np.diag(P)
     r = np.arange(n)
     i, j, k = r[:, None, None], r[None, :, None], r[None, None, :]

@@ -415,6 +415,17 @@ class TestContactCli:
         assert main([*argv, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_simulate_radius_past_float_range_is_a_cap(self, tmp_path):
+        # the exact sandwich test passes; only the float report cannot hold 1e400
+        tau = write(tmp_path, "tau.json", {"jumps": [["1", "1/2"], ["1e400", "1"]]})
+        code, report = run(
+            tmp_path, "contact", "simulate", "--tau1", tau, "--tau2", tau,
+            "--x1", "0", "--x2", "1", "--samples", "10", "--seed", "1",
+        )
+        assert code == 3
+        assert report["status"] == "indeterminate"
+        assert report["payload"]["error"].startswith("tau1 /jumps/1/0:")
+
 
 class TestSample:
     def test_draws_from_report(self, tmp_path):
@@ -428,6 +439,21 @@ class TestSample:
         assert out1.read_bytes() == out2.read_bytes()
         draws = json.loads(out1.read_text())["payload"]["draws"]
         assert len(draws) == 20
+
+    @pytest.mark.parametrize("huge, tiny", [("1e400", "1"), ("1", "1e-400")])
+    def test_weights_are_normalised_exactly(self, tmp_path, huge, tiny):
+        # as floats, 1e400 overflows and 1e-400 rounds to 0
+        mixture = {"mixture": [{"subset": [0], "weight": huge}, {"subset": [1], "weight": tiny}]}
+        src = write(tmp_path, "mix.json", mixture)
+        code, report = run(tmp_path, "sample", src, "--n", "50", "--seed", "1")
+        assert code == 0
+        assert report["payload"]["draws"] == [[0]] * 50
+
+    def test_tiny_weight_alone_is_drawn(self, tmp_path):
+        src = write(tmp_path, "mix.json", {"mixture": [{"subset": [2], "weight": "1e-400"}]})
+        code, report = run(tmp_path, "sample", src, "--n", "3", "--seed", "1")
+        assert code == 0
+        assert report["payload"]["draws"] == [[2]] * 3
 
 
 class TestMalformedInput:

@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from realkit.errors import CapExceeded, InvalidInstance
 from realkit.metric import (
@@ -204,3 +207,97 @@ class TestMassTransfer:
                 for b in support:
                     if a != b:
                         assert space.dist[a][b] > t
+
+
+TOL = F(1, 10**12)  # validate_metric's default slack
+
+
+def fraction_violations(d, tol):
+    """validate_metric's report as a plain Fraction scan over every triple."""
+    n = len(d)
+    bad = [("zero-diagonal", (i,)) for i in range(n) if d[i][i] != 0]
+    for i, j in itertools.combinations(range(n), 2):
+        if d[i][j] != d[j][i]:
+            bad.append(("symmetry", (i, j)))
+        if d[i][j] <= 0:
+            bad.append(("positivity", (i, j)))
+    for i, j, k in itertools.permutations(range(n), 3):
+        if i < j and d[i][j] > d[i][k] + d[k][j] + tol:
+            bad.append(("triangle", (i, j, k)))
+    return tuple(bad)
+
+
+# mixed denominators, so the space's common one is none of them
+ENTRIES = st.builds(F, st.integers(1, 40), st.sampled_from([1, 2, 3, 7, 10, 12, 10**12]))
+
+
+@st.composite
+def spaces(draw, max_n=6):
+    """Shortest-path closures of random positive matrices."""
+    n = draw(st.integers(1, max_n))
+    d = [[F(0)] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        d[i][j] = d[j][i] = draw(ENTRIES)
+    for k, i, j in itertools.product(range(n), repeat=3):
+        d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    return make_space(d)
+
+
+@st.composite
+def near_triangle_matrices(draw):
+    """Random matrices with entries placed exactly at d_ik + d_kj + tol,
+    or 10^-24 either side of it, and the occasional broken axiom."""
+    n = draw(st.integers(3, 5))
+    tol = draw(st.sampled_from([TOL, F(0), F(1, 3)]))
+    d = [[F(0)] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        d[i][j] = d[j][i] = draw(ENTRIES)
+    for _ in range(draw(st.integers(1, 4))):
+        i, j, k = draw(st.permutations(range(n)))[:3]
+        nudge = draw(st.sampled_from([F(0), F(1, 10**24), F(-1, 10**24)]))
+        d[i][j] = d[j][i] = d[i][k] + d[k][j] + tol + nudge
+    if draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        d[i][j] = draw(st.sampled_from([F(0), F(-1), d[i][j] + TOL]))
+    return d, tol
+
+
+@st.composite
+def spaces_and_thresholds(draw):
+    """A space and t >= 0 at one of its distances (or 0), or 10^-12 either
+    side; below 0 co-located particles would stop counting as close."""
+    space = draw(spaces())
+    t = draw(st.sampled_from([F(0), *space.distance_values()]))
+    return space, max(F(0), t + draw(st.sampled_from([F(0), TOL, -TOL])))
+
+
+class TestAgainstFractionOracles:
+    """The integer comparisons against Fraction scans written here."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(near_triangle_matrices())
+    def test_validate_metric(self, case):
+        d, tol = case
+        space = FiniteMetricSpace(tuple(f"x{i}" for i in range(len(d))), tuple(map(tuple, d)))
+        assert validate_metric(space, tol).violations == fraction_violations(d, tol)
+
+    @settings(max_examples=200, deadline=None)
+    @given(spaces_and_thresholds(), st.integers(0, 3))
+    def test_packing_close_pairs_and_gamma(self, case, mass):
+        space, t = case
+        assert packing_number(space, t) == brute_force_packing(space, t)
+        for m in _all_configs(space.n, mass):
+            assert close_pair_count(space, m, t) == brute_force_close_pairs(space, m, t)
+        best = min(brute_force_close_pairs(space, m, t) for m in _all_configs(space.n, mass))
+        assert gamma_min_pairs(space, mass, t) == best
+
+    @settings(max_examples=150, deadline=None)
+    @given(spaces_and_thresholds(), st.data())
+    def test_mass_transfer(self, case, data):
+        space, t = case
+        masses = data.draw(st.lists(st.integers(0, 2), min_size=space.n, max_size=space.n))
+        final, trace = mass_transfer_reduce(space, Configuration(tuple(masses)), t)
+        for step in trace:
+            assert step.close_pairs == brute_force_close_pairs(space, Configuration(step.masses), t)
+        support = final.support()
+        assert all(space.dist[a][b] > t for a, b in itertools.combinations(support, 2))

@@ -803,40 +803,63 @@ def screen_targets(draw):
     )
 
 
+def enumerated_screen(target, trials, seed):
+    """positivity_screen's violations recomputed in Fractions: the same
+    draws, the pairing over ordered pairs, and the infimum of g_h over
+    configurations enumerated here."""
+    n, eps = target.n, target.hardcore_eps
+    per_point = 1 if target.simple or eps is not None else target.cap
+
+    def separated(m):
+        occupied = [i for i in range(n) if m[i]]
+        return eps is None or all(
+            (target.space.dist[i][j] > eps) if target.hardcore_strict
+            else (target.space.dist[i][j] >= eps)
+            for i, j in itertools.combinations(occupied, 2)
+        )
+
+    admissible = [
+        Configuration(m)
+        for m in itertools.product(range(per_point + 1), repeat=n)
+        if sum(m) <= target.cap and separated(m)
+    ]
+    rng = random.Random(seed)
+    expected = []
+    for trial in range(trials):
+        h = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                h[i][j] = h[j][i] = F(rng.uniform(-1.0, 1.0))
+        pairing = sum(h[i][j] * target.rho_value(i, j) for i in range(n) for j in range(n))
+        infimum = min(g_h_eval(cfg, h) for cfg in admissible)
+        if pairing < infimum:
+            expected.append((trial, [[float(v) for v in row] for row in h], pairing, infimum))
+    return expected
+
+
 class TestScreenAgainstEnumeration:
     @settings(max_examples=100, deadline=None)
     @given(screen_targets(), st.integers(0, 20), st.integers(0, 2**16))
     def test_violations_match_an_enumerated_screen(self, target, trials, seed):
-        n, eps = target.n, target.hardcore_eps
-        per_point = 1 if target.simple or eps is not None else target.cap
-
-        def separated(m):
-            occupied = [i for i in range(n) if m[i]]
-            return eps is None or all(
-                (target.space.dist[i][j] > eps) if target.hardcore_strict
-                else (target.space.dist[i][j] >= eps)
-                for i, j in itertools.combinations(occupied, 2)
-            )
-
-        admissible = [
-            Configuration(m)
-            for m in itertools.product(range(per_point + 1), repeat=n)
-            if sum(m) <= target.cap and separated(m)
-        ]
-        rng = random.Random(seed)
-        expected = []
-        for trial in range(trials):
-            h = [[F(0)] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i, n):
-                    h[i][j] = h[j][i] = F(rng.uniform(-1.0, 1.0))
-            pairing = sum(h[i][j] * target.rho_value(i, j) for i in range(n) for j in range(n))
-            infimum = min(g_h_eval(cfg, h) for cfg in admissible)
-            if pairing < infimum:
-                expected.append((trial, [[float(v) for v in row] for row in h], pairing, infimum))
+        expected = enumerated_screen(target, trials, seed)
         report = positivity_screen(target, trials, seed)
         assert report.trials == trials
         assert report.violations == expected
+
+    # rho with coprime denominators, so its common denominator is their product
+    MIXED = [(0, 1, "2/3"), (1, 2, "4/7"), (0, 2, "10/11"), (1, 1, "2/13")]
+
+    @pytest.mark.parametrize("cap, fires", [(2, True), (3, False)])
+    def test_entry_by_entry(self, cap, fires):
+        # rho is realisable with cap 3 but not with cap 2
+        target = CorrelationTarget.build(n=3, rho_entries=self.MIXED, cap=cap)
+        assert realize_pp(target).status == ("infeasible" if fires else "feasible")
+        report = positivity_screen(target, 60, 11)
+        expected = enumerated_screen(target, 60, 11)
+        assert bool(expected) == fires
+        assert len(report.violations) == len(expected)
+        for got, want in zip(report.violations, expected):
+            assert got == want
 
 
 class TestIngestion:
