@@ -199,14 +199,13 @@ def _cmd_gamma(args, digests: dict) -> dict:
     return _report("gamma", "pass", payload, digests)
 
 
-def _verdict_report(command: str, result, digests: dict, mixture, certificate) -> dict:
-    """The report of a `lp.RealizeResult`; `mixture` and `certificate`
-    serialise the target's mixture and certificate."""
+def _verdict_report(command: str, result, digests: dict, mixture) -> dict:
+    """The report of a `lp.RealizeResult`; `mixture` serialises the target's mixture."""
     payload: dict = {"method": result.method}
     if result.mixture is not None:
         payload["mixture"] = mixture(result.mixture)
     if result.certificate is not None:
-        payload["certificate"] = certificate(result.certificate)
+        payload["certificate"] = _certificate_payload(result.certificate)
     if result.objective_value is not None:
         payload["objective_value"] = _fmt(result.objective_value)
     if result.dual_value is not None:
@@ -244,9 +243,7 @@ def _cmd_realize_set(args, digests: dict) -> dict:
         if hat.p != target.p:
             raise RuntimeError("symmetrised mixture lost the target moments")
         result.mixture = mix
-    return _verdict_report(
-        "realize-set", result, digests, _mixture_payload, _certificate_payload
-    )
+    return _verdict_report("realize-set", result, digests, _mixture_payload)
 
 
 def _cmd_verify_cert(args, digests: dict) -> dict:
@@ -276,13 +273,8 @@ def _cmd_realize_pp(args, digests: dict) -> dict:
             objective = objective_chi_hc(psi, target.space)
         else:
             raise InvalidInstance(f"unknown objective {args.objective!r}")
-    return _verdict_report(
-        "realize-pp",
-        realize_pp(target, objective=objective),
-        digests,
-        _pp_mixture_payload,
-        _certificate_payload,
-    )
+    result = realize_pp(target, objective=objective)
+    return _verdict_report("realize-pp", result, digests, _pp_mixture_payload)
 
 
 def _cmd_screen_pp(args, digests: dict) -> dict:
@@ -576,16 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _error_report(command: str, status: str, exc: Exception) -> dict:
-    return {
-        "command": command,
-        "status": status,
-        "payload": {"error": str(exc)},
-        "version": __version__,
-        "input_digest": {},
-    }
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -594,16 +576,16 @@ def main(argv: list[str] | None = None) -> int:
         report = args.func(args, {})
     except CapExceeded as exc:
         # a size cap of an exact method, not a fault of the input
-        _emit(_error_report(args.command, "indeterminate", exc), args.out)
+        _emit(_report(args.command, "indeterminate", {"error": str(exc)}, {}), args.out)
         print(f"indeterminate: {exc}", file=sys.stderr)
         return EXIT_INDETERMINATE
     except RealkitError as exc:
-        _emit(_error_report(args.command, "invalid", exc), args.out)
+        _emit(_report(args.command, "invalid", {"error": str(exc)}, {}), args.out)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except Exception as exc:
         # a fault of the program, not a verdict: never let it exit as 1 (infeasible)
-        _emit(_error_report(args.command, "error", exc), args.out)
+        _emit(_report(args.command, "error", {"error": str(exc)}, {}), args.out)
         traceback.print_exc(file=sys.stderr)
         return EXIT_ERROR
     _emit(report, args.out)

@@ -11,6 +11,7 @@ by 0 or +-l, so checking that finite grid decides them everywhere.
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,12 +31,15 @@ class StepCdf:
     """Right-continuous step cdf: value v_k on [R_k, R_{k+1}), 0 before R_0."""
 
     jumps: tuple[tuple[Fraction, Fraction], ...]
+    # the given index of each kept jump, so that messages name the entry as written
+    _given_index: tuple[int, ...] = dataclasses.field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         prev_r = None
         prev_v = Fraction(0)
         kept = []
-        for r, v in self.jumps:
+        given = []
+        for k, (r, v) in enumerate(self.jumps):
             if r < 0:
                 raise InvalidInstance("jump abscissae must be non-negative")
             if prev_r is not None and r <= prev_r:
@@ -46,7 +50,9 @@ class StepCdf:
                 raise InvalidInstance("cdf values must stay within [0, 1]")
             if v != prev_v:  # drop redundant flat jumps for a canonical form
                 kept.append((r, v))
+                given.append(k)
             prev_r, prev_v = r, v
+        object.__setattr__(self, "_given_index", tuple(given))
         if len(kept) != len(self.jumps):
             object.__setattr__(self, "jumps", tuple(kept))
 
@@ -359,7 +365,7 @@ def monte_carlo_contact(
             "inside its enclosure; perturb the reference points"
         )
     for name, tau in (("tau1", tau1), ("tau2", tau2)):
-        for k, r in enumerate(tau.abscissae()):
+        for k, r in zip(tau._given_index, tau.abscissae()):
             if r > sys.float_info.max:
                 raise CapExceeded(f"{name} /jumps/{k}/0: jump radius above the largest float")
     rng = np.random.default_rng(seed)

@@ -22,8 +22,8 @@
 * `Certificate`, `certificate` and `check_certificate` — the one
   infeasibility proof of both targets: its type, its builder from an exact
   Farkas vector, and its exact re-verification. A target supplies only
-  what differs, the exact minimum of the functional over its columns and
-  the functional's value at a stored minimiser.
+  what differs, in one object, its `ColumnOracle`: the columns with their
+  exact maximum, and the target's certificate, mixture and column names.
 
 * `negative_direction` — the moment screens' test for a rational matrix
   that is not positive semidefinite: `numpy.linalg.eigh` locates a
@@ -50,7 +50,7 @@ meets with a 1.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Sequence
+from collections.abc import Hashable, Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
@@ -85,35 +85,38 @@ PRICING_BATCH = 64
 DIRECTION_SCALE = 1 << 10
 
 
-def _rebuild_on_support(column: Callable[[int], list], b, q):
-    """Exact x >= 0 with A x = b on the columns where the float q is
-    positive, heaviest first, as (support, weights); `column(j)` is
-    column j. None if that support has no exact solution."""
+def _rebuild_on_support(oracle: ColumnOracle, master: list, b, q):
+    """Exact x >= 0 with A x = b on the master columns where the float q is
+    positive, heaviest first, as (support, weights) with support indexing
+    `master`. None if that support has no exact solution."""
     support = [int(j) for j in np.argsort(-q, kind="stable") if q[j] > 0]
-    weights = solve_nonneg_exact([column(j) for j in support], b)
+    weights = solve_nonneg_exact([oracle.column(master[j]) for j in support], b)
     return None if weights is None else (support, weights)
 
 
-def exact_farkas(y: Sequence, b: Sequence, best: Callable) -> tuple[list[Fraction], Hashable]:
+def exact_farkas(y: Sequence, oracle: ColumnOracle) -> tuple[list[Fraction], Hashable]:
     """The dual y made exact, with its normalisation entry (the last row,
     where every column has a 1) set to minus the exact maximum of y.A_j.
 
-    `best(y)` returns a column maximising y.A_j over every column, and that
-    maximum, for an exact y whose last entry is 0. The result satisfies
-    y.A_j <= 0 for every column, with equality at the returned column, so
-    it is an exact Farkas vector exactly when y.b > 0, which the caller
-    checks. Returns (y, the maximising column).
+    `oracle.best` finds a column maximising y.A_j over every column, and
+    that maximum, for the exact y with its last entry 0. The result
+    satisfies y.A_j <= 0 for every column, with equality at the returned
+    column, so it is an exact Farkas vector exactly when y.b > 0, which the
+    caller checks. Returns (y, the maximising column).
     """
     y = [Fraction(v) for v in y[:-1]] + [Fraction(0)]
-    key, top = best(y)
+    key, top = oracle.best(y)
     y[-1] = -top
     return y, key
 
 
 class ColumnOracle(Protocol):
-    """The columns of one LP, keyed by hashable keys (bitmasks, configurations)."""
+    """The columns of one LP, keyed by hashable keys (bitmasks,
+    configurations). `column_generation` reads size, matrix, column, price
+    and best; `screen`, `verdict` and `check_certificate` the rest."""
 
     size: int | None  # the number of columns, when the oracle can count them
+    target: object  # the target whose LP these columns span, with .n and .rhs()
 
     def matrix(self, keys: list) -> np.ndarray:
         """Float matrix with one column per key."""
@@ -126,6 +129,18 @@ class ColumnOracle(Protocol):
 
     def best(self, y: list[Fraction]) -> tuple[Hashable, Fraction]:
         """A key maximising the exact y.A_j over every column, and the maximum."""
+
+    def certify(self, y: list[Fraction], key) -> Certificate:
+        """`certificate` of the exact Farkas vector y, minimal at column `key`."""
+
+    def mixture(self, keys: list, weights: list[Fraction]):
+        """The target's mixture with `weights` on the columns `keys`."""
+
+    def key(self, minimizer: tuple[int, ...]):
+        """The column a certificate's stored minimiser names, or None."""
+
+    def name(self, key) -> str:
+        """The column `key` as a failure reason names it."""
 
 
 class ColumnList:
@@ -180,24 +195,22 @@ class Certificate:
     gap: Fraction
     minimizer: tuple[int, ...]
 
-    def prices(self) -> list[Fraction]:
-        """The dual y = -(a, blin, c) on the LP rows, so G(Y) = -y.A_Y."""
-        y = [-self.a[i][j] for i, j in pair_list(self.n)]
-        y += [-v for v in self.blin or ()]
+    def prices(self, target) -> list[Fraction]:
+        """The dual y = -(a, blin, c) on the target's LP rows (pairs, any
+        linear rows, normalisation), so G(Y) = -y.A_Y; without blin the
+        linear rows are priced 0."""
+        pairs = pair_list(self.n)
+        linear = len(target.rhs()) - len(pairs) - 1
+        if self.blin is not None and not linear:
+            raise InvalidInstance("certificate has a linear part but the target no intensity")
+        y = [-self.a[i][j] for i, j in pairs]
+        y += [-v for v in self.blin or (Fraction(0),) * linear]
         y.append(-self.c)
         return y
 
     def pairing(self, target) -> Fraction:
-        """G paired with the target's moments `target.rhs()`: pairs, then
-        the intensity when blin is set."""
-        pairs = pair_list(self.n)
-        b = target.rhs()
-        total = self.c + sum((self.a[i][j] * v for (i, j), v in zip(pairs, b)), Fraction(0))
-        if self.blin is not None:
-            if len(b) == len(pairs) + 1:
-                raise InvalidInstance("certificate has a linear part but the target no intensity")
-            total += sum((u * v for u, v in zip(self.blin, b[len(pairs) : -1])), Fraction(0))
-        return total
+        """G paired with the target's moments `target.rhs()`."""
+        return -_dot(self.prices(target), target.rhs())
 
 
 def certificate(
@@ -224,18 +237,19 @@ def certificate(
     return replace(cert, gap=-cert.pairing(target))
 
 
-def check_certificate(
-    cert: Certificate, target, minimum: Callable, value: Callable
-) -> tuple[bool, str]:
-    """Independent exact re-verification of every invariant of `cert`.
+def check_certificate(cert: Certificate, oracle: ColumnOracle) -> tuple[bool, str]:
+    """Independent exact re-verification of every invariant of `cert`
+    against the oracle's target.
 
-    The target's kind supplies what differs: `minimum(cert, target)`, the
-    exact minimum of G over every column with the name of a column that
-    attains it, and `value(cert, target)`, G at the stored minimiser, or
-    None when that is not a column. The checks run in this order: size,
-    symmetry, length of blin, max |(a, blin)| = 1, minimum >= 0, stored
-    minimiser a column attaining the minimum, pairing < 0, stored gap.
+    G(Y) = -y.A_Y for the certificate's prices y, so its exact minimum over
+    every column is minus `oracle.best(y)`, and its value at the stored
+    minimiser minus y times the column `oracle.key` names. The checks run
+    in this order: size, symmetry, length of blin, max |(a, blin)| = 1, a
+    linear part only on a target with linear rows (invalid input, raised),
+    minimum >= 0, stored minimiser a column attaining the minimum, pairing
+    < 0, stored gap.
     """
+    target = oracle.target
     n = cert.n
     if n != target.n:
         return False, "certificate size does not match target"
@@ -249,13 +263,14 @@ def check_certificate(
         if cert.blin is None:
             return False, "normalisation violated: max |a_ij| must equal 1"
         return False, "normalisation violated: max |(a, blin)| must equal 1"
-    where, low = minimum(cert, target)
-    if low < 0:
-        return False, f"functional attains {low} < 0 at {where}"
-    stored = value(cert, target)
-    if stored is None:
+    y = cert.prices(target)
+    where, top = oracle.best(y)
+    if top > 0:
+        return False, f"functional attains {-top} < 0 at {oracle.name(where)}"
+    key = oracle.key(cert.minimizer)
+    if key is None:
         return False, "stored minimizer is not an admissible configuration"
-    if stored != low:
+    if _dot(y, oracle.column(key)) != top:
         return False, "stored minimizer does not attain the global minimum"
     pairing = cert.pairing(target)
     if pairing >= 0:
@@ -283,25 +298,27 @@ class RealizeResult:
     dual_value: object | None = None
 
 
-def screen(screens, target, b: list, best: Callable, certify: Callable) -> RealizeResult | None:
-    """The verdict of the first of `screens` that fires on `target`, or None.
+def screen(screens, oracle: ColumnOracle) -> RealizeResult | None:
+    """The verdict of the first of `screens` that fires on the oracle's
+    target, or None.
 
     `screens` holds (method, functional, note). A functional returns None
     or the integer coefficients ({(i, j): a_ij, i <= j}, linear part) of a
     functional that is non-negative on every column and pairs negatively
     with the target, both confirmed exactly; set targets have no linear
-    part. Their negation is a dual y on the rows of `b` (pairs, then the
+    part. Their negation is a dual y on the target's rows (pairs, then the
     linear rows, then normalisation). `exact_farkas` sets its constant to
-    minus the exact maximum `best` finds, which is never above the screen's
-    own constant, so the pairing stays negative; `certify(y, witness)`
+    minus the exact maximum `oracle.best` finds, which is never above the
+    screen's own constant, so the pairing stays negative; `oracle.certify`
     turns it into the target's certificate.
     """
+    target = oracle.target
     for method, functional, note in screens:
         found = functional(target)
         if found is not None:
             a, linear = found
             y = [-a.get(pair, 0) for pair in pair_list(target.n)] + [-v for v in linear] + [0]
-            cert = certify(*exact_farkas(y, b, best))
+            cert = oracle.certify(*exact_farkas(y, oracle))
             return RealizeResult(
                 "infeasible", certificate=cert, gap=cert.gap, note=note, method=method
             )
@@ -309,16 +326,16 @@ def screen(screens, target, b: list, best: Callable, certify: Callable) -> Reali
 
 
 def verdict(
-    res: ColumnGenerationResult, method: str, mixture: Callable, certify: Callable, note=None
+    res: ColumnGenerationResult, method: str, oracle: ColumnOracle, note=None
 ) -> RealizeResult:
     """The verdict of a `column_generation` result `res`: a feasible one
-    gets `mixture(keys, weights)` and `note`, an infeasible one
-    `certify(farkas, witness)`, whose gap must be positive. `method` turns
-    into "exact-column-generation" when exact rounds decided."""
+    gets `oracle.mixture(keys, weights)` and `note`, an infeasible one
+    `oracle.certify(farkas, witness)`, whose gap must be positive. `method`
+    turns into "exact-column-generation" when exact rounds decided."""
     if res.exact_rounds:
         method = "exact-column-generation"
     if res.status == "infeasible":
-        cert = certify(res.farkas, res.witness)
+        cert = oracle.certify(res.farkas, res.witness)
         if cert.gap <= 0:
             raise RuntimeError("exact Farkas vector failed certification")
         return RealizeResult("infeasible", certificate=cert, gap=cert.gap, method=method)
@@ -329,7 +346,8 @@ def verdict(
             method=method,
         )
     return RealizeResult(
-        "feasible", mixture=mixture(res.keys, res.x), residual=Fraction(0), note=note, method=method
+        "feasible", mixture=oracle.mixture(res.keys, res.x), residual=Fraction(0), note=note,
+        method=method,
     )
 
 
@@ -375,7 +393,7 @@ def column_generation(
             c = np.array([float(cost[key]) for key in master])
             status, q, y, _ = float_lp_min(A, bf, c)
             if status == "optimal":
-                found = _rebuild_on_support(lambda j: oracle.column(master[j]), b, q)
+                found = _rebuild_on_support(oracle, master, b, q)
                 duals = found and _exact_duals(oracle, master, cost, b, y, c - y @ A, *found)
                 if duals:
                     keys = [master[j] for j in found[0]]
@@ -385,7 +403,7 @@ def column_generation(
         value, q, y = float_phase1(A, bf)
         if value < FLOAT_TOL:
             if cost is None:
-                found = _rebuild_on_support(lambda j: oracle.column(master[j]), b, q)
+                found = _rebuild_on_support(oracle, master, b, q)
                 if found is not None:
                     support, weights = found
                     keys = [master[j] for j in support]
@@ -397,7 +415,7 @@ def column_generation(
         priced = [] if len(known) == oracle.size else oracle.price(y, PRICING_BATCH)
         new = [key for key in priced if key not in known]
         if not new:
-            farkas, witness = exact_farkas(y, b, oracle.best)
+            farkas, witness = exact_farkas(y, oracle)
             if _dot(farkas, b) > 0:
                 return ColumnGenerationResult("infeasible", farkas=farkas, witness=witness)
             break
@@ -411,7 +429,7 @@ def column_generation(
             return ColumnGenerationResult(
                 "feasible", master, x=res.x, duals=res.duals, exact_rounds=True
             )
-        farkas, witness = exact_farkas(res.farkas, b, oracle.best)
+        farkas, witness = exact_farkas(res.farkas, oracle)
         if _dot(farkas, b) > 0:
             return ColumnGenerationResult(
                 "infeasible", farkas=farkas, witness=witness, exact_rounds=True

@@ -119,7 +119,10 @@ def validate_metric(space: FiniteMetricSpace, tol: Fraction = Fraction(1, 10**12
 
 def _close_masks(space: FiniteMetricSpace, t: Fraction) -> list[int]:
     """Adjacency bitmasks of the graph with edges {d(i,j) <= t}, i != j,
-    tested exactly as D[i][j] * t.denominator <= t.numerator * s."""
+    tested exactly as D[i][j] * t.denominator <= t.numerator * s. Every
+    threshold passes here, so a negative t is invalid input everywhere."""
+    if t < 0:
+        raise InvalidInstance("t must be non-negative")
     s, d = space.scaled
     bound = t.numerator * s
     return [
@@ -135,11 +138,8 @@ def packing_set(space: FiniteMetricSpace, t) -> frozenset[int]:
     greedy gives the initial incumbent, branching follows descending conflict
     degree with index tie-breaks, so the result is deterministic.
     """
-    t = parse_rational(t, "t")
-    if t < 0:
-        raise InvalidInstance("t must be non-negative")
     n = space.n
-    adj = _close_masks(space, t)
+    adj = _close_masks(space, parse_rational(t, "t"))
     order = sorted(range(n), key=lambda v: (-bin(adj[v]).count("1"), v))
     pos = {v: k for k, v in enumerate(order)}
 
@@ -220,11 +220,11 @@ def gamma_min_pairs(space: FiniteMetricSpace, n: int, t, cap: int = GAMMA_MASS_C
     """
     if n < 0:
         raise InvalidInstance("total mass must be non-negative")
+    masks = _close_masks(space, parse_rational(t, "t"))
     if n > cap:
         raise CapExceeded(
             f"total mass {n} above the enumeration cap {cap}; use close_pair_envelope instead"
         )
-    masks = _close_masks(space, parse_rational(t, "t"))
     return min(_pair_count(m, masks) for m in _compositions(n, space.n))
 
 
@@ -282,7 +282,7 @@ def mass_transfer_reduce(
     trace: list[TransferStep] = []
 
     def neighbourhood(i: int) -> int:
-        # called only on a close pair, so t >= 0 = d(i, i) and i is in its own ball
+        # t >= 0 = d(i, i), so i is in its own ball
         return sum(masses[j] for j in range(n) if masks[i] >> j & 1) + masses[i] - 1
 
     while True:

@@ -293,8 +293,10 @@ def _config_column(config: Configuration, n: int, with_intensity: bool) -> list[
 
 
 class _ConfigOracle:
-    """The columns of the pp LP for `lp.column_generation`, keyed by
-    configuration; `_price_config` prices them, in floats or exactly."""
+    """The columns of the pp LP of `target` for `lp.column_generation`,
+    keyed by configuration; `_price_config` prices them, in floats or
+    exactly, with ties to the lexicographically smallest multiplicity
+    vector."""
 
     def __init__(self, target: CorrelationTarget, size: int | None = None):
         self.target = target
@@ -312,6 +314,21 @@ class _ConfigOracle:
 
     def best(self, y: list[Fraction]) -> tuple[Configuration, Fraction]:
         return _price_config(y, self.target)
+
+    def certify(self, y: list[Fraction], config: Configuration) -> Certificate:
+        return certificate("pp", y, config.multiplicity, self.target)
+
+    def mixture(self, configs: list[Configuration], weights: list[Fraction]) -> ConfigMixture:
+        atoms = [(cfg, w) for cfg, w in zip(configs, weights) if w > 0]
+        atoms.sort(key=lambda kv: kv[0].multiplicity)
+        return ConfigMixture(n=self.target.n, atoms=tuple(atoms))
+
+    def key(self, m: tuple[int, ...]) -> Configuration | None:
+        """The configuration m when it is admissible, else None."""
+        return Configuration(m) if _Rules.of(self.target).admits(m) else None
+
+    def name(self, config: Configuration) -> str:
+        return str(config.multiplicity)
 
 
 def pp_moments(mix: ConfigMixture) -> tuple[dict, tuple[Fraction, ...]]:
@@ -331,30 +348,10 @@ def pp_moments(mix: ConfigMixture) -> tuple[dict, tuple[Fraction, ...]]:
     return rho_hat, tuple(rho1_hat)
 
 
-def _certify(target: CorrelationTarget) -> Callable:
-    """`lp.certificate` of an exact Farkas vector, minimal at the
-    configuration `witness`, as `lp.screen` and `lp.verdict` call it."""
-    return lambda y, witness: certificate("pp", y, witness.multiplicity, target)
-
-
-def _config_minimum(cert: Certificate, target: CorrelationTarget) -> tuple[str, Fraction]:
-    # G(Y) = -y.A_Y for the prices y, so min G = -max y.A_Y
-    config, top = _price_config(cert.prices(), target)
-    return str(config.multiplicity), -top
-
-
-def _config_value(cert: Certificate, target: CorrelationTarget) -> Fraction | None:
-    """G at the stored minimiser, or None unless it is an admissible configuration."""
-    if not _Rules.of(target).admits(cert.minimizer):
-        return None
-    column = _config_column(Configuration(cert.minimizer), cert.n, cert.blin is not None)
-    return -sum((u * v for u, v in zip(cert.prices(), column)), Fraction(0))
-
-
 def verify_pp_certificate(cert: Certificate, target: CorrelationTarget) -> tuple[bool, str]:
     """`lp.check_certificate` over admissible configurations: the minimum
     comes from the exact configuration search."""
-    return check_certificate(cert, target, _config_minimum, _config_value)
+    return check_certificate(cert, _ConfigOracle(target))
 
 
 def _trivial_certificate(target: CorrelationTarget, i: int, j: int) -> Certificate:
@@ -413,7 +410,7 @@ def _screen(target: CorrelationTarget) -> RealizeResult | None:
     to max |(a, blin)| = 1."""
     if target.rho1 is None:
         return None
-    return screen(SCREENS, target, target.rhs(), _ConfigOracle(target).best, _certify(target))
+    return screen(SCREENS, _ConfigOracle(target))
 
 
 CARDINALITY_POWERS = (2, 3, 4)
@@ -527,35 +524,26 @@ def realize_pp(
         chi = {cfg: objective(cfg) for cfg in seed}
         finite = [cfg for cfg in seed if chi[cfg] != INF]
         if len(finite) == len(seed):
-            return _verdict(column_generation(oracle, b, seed, chi), target, method, objective)
+            return _verdict(column_generation(oracle, b, seed, chi), oracle, method, objective)
         res = column_generation(ColumnList({c: oracle.column(c) for c in finite}), b, finite, chi)
         if res.status == "feasible":
-            return _verdict(res, target, method, objective)
-    return _verdict(column_generation(oracle, b, seed), target, method, objective, note)
+            return _verdict(res, oracle, method, objective)
+    return _verdict(column_generation(oracle, b, seed), oracle, method, objective, note)
 
 
-def _mixture_from(configs: Sequence[Configuration], weights) -> ConfigMixture:
-    atoms = [
-        (cfg, w) for cfg, w in zip(configs, weights) if w > 0
-    ]
-    atoms.sort(key=lambda kv: kv[0].multiplicity)
-    n = len(configs[0].multiplicity) if configs else 0
-    return ConfigMixture(n=n, atoms=tuple(atoms))
-
-
-def _verdict(res, target, method, objective=None, note=None) -> RealizeResult:
-    """`lp.verdict` over configurations. Under an objective, a realising
-    mixture carries its objective value and `note`, and an optimum the
-    value of its exact duals."""
-    result = verdict(
-        res, method, _mixture_from, _certify(target), None if objective is None else note
-    )
+def _verdict(res, oracle, method, objective=None, note=None) -> RealizeResult:
+    """`lp.verdict` over configurations, by the target's `_ConfigOracle`
+    also when a `ColumnList` driver gave `res`. Under an objective, a
+    realising mixture carries its objective value and `note`, and an
+    optimum the value of its exact duals."""
+    result = verdict(res, method, oracle, None if objective is None else note)
     if result.mixture is not None and objective is not None:
         result.objective_value = sum(
             (w * objective(cfg) for cfg, w in result.mixture.atoms), Fraction(0)
         )
     if res.duals is not None:
-        result.dual_value = sum((y * v for y, v in zip(res.duals, target.rhs())), Fraction(0))
+        b = oracle.target.rhs()
+        result.dual_value = sum((y * v for y, v in zip(res.duals, b)), Fraction(0))
     return result
 
 

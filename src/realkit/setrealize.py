@@ -118,33 +118,24 @@ class RealizeOptions:
     max_exact: int = 12
 
 
-def _column_matrix(masks: Sequence[int], n: int) -> np.ndarray:
-    """Float constraint matrix: one row per pair (i <= j), then the total-mass row."""
-    masks_arr = np.asarray(masks, dtype=np.int64)
-    rows = []
-    for i, j in pair_list(n):
-        rows.append((((masks_arr >> i) & 1) & ((masks_arr >> j) & 1)).astype(float))
-    rows.append(np.ones(len(masks)))
-    return np.vstack(rows)
-
-
-def _exact_column(mask: int, n: int) -> list[int]:
-    return [(mask >> i) & (mask >> j) & 1 for i, j in pair_list(n)] + [1]
-
-
 class _SubsetOracle:
-    """The columns of the set LP for `lp.column_generation`, keyed by subset
-    bitmask: float pricing by `qubo_topk_float`, exact by `qubo_min`."""
+    """The columns of the set LP of `target` for `lp.column_generation`,
+    keyed by subset bitmask: one row per pair (i <= j), then the total-mass
+    row. Float pricing by `qubo_topk_float`, exact by `qubo_min`, whose
+    ties go to the lexicographically smallest sorted subset."""
 
-    def __init__(self, n: int):
-        self.n = n
-        self.size = 1 << n
+    def __init__(self, target: TwoPointTarget):
+        self.target = target
+        self.n = target.n
+        self.size = 1 << target.n
 
     def matrix(self, masks: list[int]) -> np.ndarray:
-        return _column_matrix(masks, self.n)
+        m = np.asarray(masks, dtype=np.int64)
+        rows = [((m >> i) & (m >> j) & 1).astype(float) for i, j in pair_list(self.n)]
+        return np.vstack([*rows, np.ones(len(masks))])
 
     def column(self, mask: int) -> list[int]:
-        return _exact_column(mask, self.n)
+        return [(mask >> i) & (mask >> j) & 1 for i, j in pair_list(self.n)] + [1]
 
     def price(self, y: np.ndarray, k: int) -> list[int]:
         # y.A_F = -(functional with c = -y_norm, a = -y_pairs) at F
@@ -156,15 +147,26 @@ class _SubsetOracle:
         subset, low = qubo_min(-y[-1], pair_matrix(self.n, [-v for v in y[:-1]]), self.n)
         return sum(1 << i for i in subset), -low
 
+    def certify(self, y: list[Fraction], mask: int) -> Certificate:
+        return certificate_from_dual(y, mask, self.target)
+
+    def mixture(self, masks: list[int], weights: list[Fraction]) -> SubsetMixture:
+        atoms = [(_mask_to_subset(mask), w) for mask, w in zip(masks, weights) if w > 0]
+        atoms.sort(key=lambda kv: _subset_sort_key(kv[0]))
+        return SubsetMixture(n=self.n, atoms=tuple(atoms))
+
+    def key(self, members: tuple[int, ...]) -> int | None:
+        """The bitmask of distinct indices in range(n), else None."""
+        if len(set(members)) < len(members) or not all(0 <= i < self.n for i in members):
+            return None
+        return sum(1 << i for i in members)
+
+    def name(self, mask: int) -> str:
+        return f"subset {sorted(_mask_to_subset(mask))}"
+
 
 def _subset_sort_key(subset: frozenset[int]):
     return tuple(sorted(subset))
-
-
-def _mixture_from_weights(masks: Sequence[int], weights, n: int) -> SubsetMixture:
-    atoms = [(_mask_to_subset(mask), w) for mask, w in zip(masks, weights) if w > 0]
-    atoms.sort(key=lambda kv: _subset_sort_key(kv[0]))
-    return SubsetMixture(n=n, atoms=tuple(atoms))
 
 
 def moments_of_mixture(mix: SubsetMixture) -> TwoPointTarget:
@@ -190,24 +192,9 @@ def certificate_from_dual(
     return certificate("set", y, tuple(i for i in range(target.n) if witness >> i & 1), target)
 
 
-def _subset_minimum(cert: Certificate, target: TwoPointTarget) -> tuple[str, Fraction]:
-    subset, low = qubo_min(cert.c, cert.a, cert.n)
-    return f"subset {sorted(subset)}", low
-
-
-def _subset_value(cert: Certificate, target: TwoPointTarget) -> Fraction | None:
-    """G at the stored minimiser, or None unless it lists distinct indices in range(n)."""
-    members = sorted(cert.minimizer)
-    if len(set(members)) < len(members) or not all(0 <= i < cert.n for i in members):
-        return None
-    pairs = ((i, j) for k, i in enumerate(members) for j in members[k:])
-    return cert.c + sum((cert.a[i][j] for i, j in pairs), Fraction(0))
-
-
 def verify_certificate(cert: Certificate, target: TwoPointTarget) -> tuple[bool, str]:
-    """`lp.check_certificate` over subsets: the minimum comes from
-    `qubo_min` on the certificate's own coefficients."""
-    return check_certificate(cert, target, _subset_minimum, _subset_value)
+    """`lp.check_certificate` over subsets: the minimum comes from `qubo_min`."""
+    return check_certificate(cert, _SubsetOracle(target))
 
 
 def _frechet_functional(target: TwoPointTarget):
@@ -292,10 +279,7 @@ def _screen(target: TwoPointTarget) -> RealizeResult | None:
     """The verdict of the first of SCREENS that fires, or None, by
     `lp.screen`: the constant is minus the exact minimum of the pair part
     from `qubo_min`, and `certificate_from_dual` scales to max |a| = 1."""
-    return screen(
-        SCREENS, target, target.rhs(), _SubsetOracle(target.n).best,
-        lambda y, witness: certificate_from_dual(y, witness, target),
-    )
+    return screen(SCREENS, _SubsetOracle(target))
 
 
 def realize_subsets(target: TwoPointTarget, opts: RealizeOptions | None = None) -> RealizeResult:
@@ -343,13 +327,9 @@ def realize_subsets(target: TwoPointTarget, opts: RealizeOptions | None = None) 
     else:
         method = "enumeration"
         seed = list(range(1 << n))
-    return verdict(
-        column_generation(_SubsetOracle(n), target.rhs(), seed),
-        method,
-        lambda masks, weights: _mixture_from_weights(masks, weights, n),
-        lambda y, witness: certificate_from_dual(y, witness, target),
-        FINITE_CARRIER_NOTE,
-    )
+    oracle = _SubsetOracle(target)
+    res = column_generation(oracle, target.rhs(), seed)
+    return verdict(res, method, oracle, FINITE_CARRIER_NOTE)
 
 
 def validate_group(perms: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:

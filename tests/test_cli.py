@@ -45,6 +45,14 @@ class TestPackingGamma:
         assert code == 0
         assert report["payload"]["gamma"] == 6
 
+    @pytest.mark.parametrize("mass", ["3", "9"])
+    def test_gamma_negative_t_is_invalid(self, tmp_path, mass):
+        # a negative t is invalid input, also at a mass past the cap (exit 3)
+        inst = write(tmp_path, "space.json", {"labels": ["a"], "dist": [["0"]]})
+        code, report = run(tmp_path, "gamma", inst, "--n", mass, "--t", "-1")
+        assert code == 2
+        assert report["payload"]["error"] == "t must be non-negative"
+
     def test_missing_dist_is_schema_error(self, tmp_path):
         inst = write(tmp_path, "space.json", {"labels": ["a"]})
         code, report = run(tmp_path, "packing", inst, "--t", "0.5")
@@ -425,6 +433,20 @@ class TestContactCli:
         assert code == 3
         assert report["status"] == "indeterminate"
         assert report["payload"]["error"].startswith("tau1 /jumps/1/0:")
+
+    def test_simulate_cap_names_the_given_entry(self, tmp_path):
+        # the flat jump at index 1 is dropped from the cdf; the message still
+        # names the entry as written in the file
+        tau = write(tmp_path, "tau.json", {"jumps": [["1", "1/2"], ["2", "1/2"], ["1e400", "1"]]})
+        code, report = run(
+            tmp_path, "contact", "simulate", "--tau1", tau, "--tau2", tau,
+            "--x1", "0", "--x2", "1", "--samples", "10", "--seed", "1",
+        )
+        assert code == 3
+        assert report["payload"]["error"].startswith("tau1 /jumps/2/0:")
+        # the exact checks take the same radius as it is
+        code, report = run(tmp_path, "contact", "check", "--tau1", tau, "--tau2", tau, "--l", "1")
+        assert code == 0
 
 
 class TestSample:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from realkit.errors import CapExceeded, InvalidInstance
 from realkit.metric import (
+    GAMMA_MASS_CAP,
     Configuration,
     FiniteMetricSpace,
     close_pair_count,
@@ -265,8 +266,11 @@ def near_triangle_matrices(draw):
 @st.composite
 def spaces_and_thresholds(draw):
     """A space and t >= 0 at one of its distances (or 0), or 10^-12 either
-    side; below 0 co-located particles would stop counting as close."""
+    side; or a negative t, -10^-12 or -1, which every close-pair function
+    rejects (co-located particles would stop counting as close)."""
     space = draw(spaces())
+    if draw(st.sampled_from([False] * 5 + [True])):
+        return space, draw(st.sampled_from([-TOL, F(-1)]))
     t = draw(st.sampled_from([F(0), *space.distance_values()]))
     return space, max(F(0), t + draw(st.sampled_from([F(0), TOL, -TOL])))
 
@@ -285,6 +289,18 @@ class TestAgainstFractionOracles:
     @given(spaces_and_thresholds(), st.integers(0, 3))
     def test_packing_close_pairs_and_gamma(self, case, mass):
         space, t = case
+        if t < 0:
+            # invalid input even past the mass cap, where gamma would otherwise give up
+            empty = Configuration((0,) * space.n)
+            for call in (
+                lambda: packing_number(space, t),
+                lambda: close_pair_count(space, empty, t),
+                lambda: gamma_min_pairs(space, mass, t),
+                lambda: gamma_min_pairs(space, GAMMA_MASS_CAP + 1, t),
+            ):
+                with pytest.raises(InvalidInstance, match="^t must be non-negative$"):
+                    call()
+            return
         assert packing_number(space, t) == brute_force_packing(space, t)
         for m in _all_configs(space.n, mass):
             assert close_pair_count(space, m, t) == brute_force_close_pairs(space, m, t)
@@ -296,6 +312,10 @@ class TestAgainstFractionOracles:
     def test_mass_transfer(self, case, data):
         space, t = case
         masses = data.draw(st.lists(st.integers(0, 2), min_size=space.n, max_size=space.n))
+        if t < 0:
+            with pytest.raises(InvalidInstance, match="^t must be non-negative$"):
+                mass_transfer_reduce(space, Configuration(tuple(masses)), t)
+            return
         final, trace = mass_transfer_reduce(space, Configuration(tuple(masses)), t)
         for step in trace:
             assert step.close_pairs == brute_force_close_pairs(space, Configuration(step.masses), t)

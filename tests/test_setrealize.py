@@ -281,9 +281,11 @@ class TestDriverAgainstExactOracle:
     @settings(max_examples=60, deadline=None)
     @given(set_lps())
     def test_verdict_under_both_seeds(self, batch, lp_instance):
+        from realkit.qubo import pair_matrix
         from realkit.setrealize import _SubsetOracle
 
         n, b = lp_instance
+        oracle = _SubsetOracle(TwoPointTarget.from_matrix(pair_matrix(n, b[:-1])))
         pairs = [(i, j) for i in range(n) for j in range(i, n)]
         columns = {
             mask: [int(mask >> i & 1 and mask >> j & 1) for i, j in pairs] + [1]
@@ -294,7 +296,7 @@ class TestDriverAgainstExactOracle:
         for seed in (list(range(1 << n)), singletons):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(lp, "PRICING_BATCH", batch)
-                res = column_generation(_SubsetOracle(n), b, seed)
+                res = column_generation(oracle, b, seed)
             assert (res.status == "feasible") == (verdict == "optimal")
             if res.status == "feasible":
                 assert all(w >= 0 for w in res.x)
