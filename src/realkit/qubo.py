@@ -5,10 +5,12 @@ re-verifies infeasibility certificates. One blocked enumeration covers all
 2^n subsets up to n = 30: a value table over the low min(n, LOW_BITS)
 indices is built by doubling, once for each subset H of the remaining high
 indices (the table for H is the functional restricted to the low indices,
-with constant g(H) and diagonal shifted by sum_{h in H} a_hi). Exact input
-runs in int64 after clearing denominators while the scaled coefficients'
-absolute sum stays below 2^62, which bounds every partial sum, and in
-Python integers past that; pricing runs the same tables in float64.
+with constant g(H) and diagonal shifted by sum_{h in H} a_hi), in place in
+preallocated arrays. Exact input runs after clearing denominators in the
+narrowest of int16, int32 and int64 that holds the scaled coefficients'
+absolute sum, which bounds every partial sum, and in Python integers past
+int64; pricing runs the same tables in float64. Ties among minimisers are
+broken by one numpy pass over their bitmasks.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .errors import CapExceeded, InvalidInstance
 
 LOW_BITS = 20
 MAX_N = 30
-_INT64_SAFE = 1 << 62
+_EXACT_DTYPES = (np.int16, np.int32, np.int64)
 
 
 def pair_list(n: int) -> list[tuple[int, int]]:
@@ -66,17 +68,16 @@ def evaluate_g(c, a: Sequence[Sequence], subset) -> Fraction:
 def lex_min_mask(masks) -> int:
     """Among bitmask-coded subsets, the one whose sorted index tuple is
     lexicographically smallest (the empty set first)."""
-    masks = list(masks)
-    if not masks:
+    masks = np.asarray(masks, dtype=np.int64)
+    if not masks.size:
         raise ValueError("no masks given")
     prefix = 0
-    while True:
-        if any(m == 0 for m in masks):
-            return prefix
-        lows = [m & (-m) for m in masks]
-        low = min(lows)
-        prefix |= low
-        masks = [m ^ low for m, lo in zip(masks, lows) if lo == low]
+    while masks.all():
+        lows = masks & -masks
+        low = lows.min()
+        prefix |= int(low)
+        masks = masks[lows == low] ^ low
+    return prefix
 
 
 def _mask_to_subset(mask: int) -> frozenset[int]:
@@ -86,13 +87,16 @@ def _mask_to_subset(mask: int) -> frozenset[int]:
 def _table(c, a, diag, lo: int, dtype) -> np.ndarray:
     """Values of c + sum_{k in L} diag_k + sum_{j<k in L} a_jk for every
     subset L of range(lo), indexed by the bitmask of L (doubling over k)."""
-    vals = np.array([c], dtype=dtype)
+    vals = np.empty(1 << lo, dtype=dtype)
+    deltas = np.empty(1 << max(lo - 1, 0), dtype=dtype)
+    vals[0], deltas[0] = c, 0
     for k in range(lo):
         # value of S + {k} = value of S + diag_k + sum_{j in S} a_jk
-        deltas = np.zeros(1, dtype=dtype)
         for j in range(k):
-            deltas = np.concatenate([deltas, deltas + a[j][k]])
-        vals = np.concatenate([vals, vals + diag[k] + deltas])
+            np.add(deltas[: 1 << j], a[j][k], out=deltas[1 << j : 2 << j])
+        h = 1 << k
+        np.add(vals[:h], diag[k], out=vals[h : 2 * h])
+        np.add(vals[h : 2 * h], deltas[:h], out=vals[h : 2 * h])
     return vals
 
 
@@ -136,23 +140,24 @@ def qubo_topk_float(c: float, a, n: int, k: int) -> list[tuple[int, float]]:
 def qubo_min(c, a: Sequence[Sequence], n: int) -> tuple[frozenset[int], object]:
     """Exact global minimum of the subset functional (a Fraction); ties go
     to the subset whose sorted index tuple is lexicographically smallest."""
-    check_symmetric(a, n)
     if n < 0:
         raise InvalidInstance("n must be non-negative")
+    check_symmetric(a, n)
     if n == 0:
         return frozenset(), c
     cf = Fraction(c)
     af = [[Fraction(a[i][j]) for j in range(n)] for i in range(n)]
     scale = lcm(cf.denominator, *(af[i][j].denominator for i, j in pair_list(n)))
-    ci = int(cf * scale)
-    ai = [[int(v * scale) for v in row] for row in af]
+    ci = cf.numerator * (scale // cf.denominator)
+    ai = [[v.numerator * (scale // v.denominator) for v in row] for row in af]
     total = abs(ci) + sum(abs(ai[i][j]) for i, j in pair_list(n))
-    dtype = np.int64 if total < _INT64_SAFE else object
+    dtype = next((t for t in _EXACT_DTYPES if total <= np.iinfo(t).max), object)
     best, winners = None, []
     for high, vals in _blocks(ci, ai, n, dtype):
         low = int(vals.min())
         if best is None or low < best:
             best, winners = low, []
         if low == best:
-            winners.append(lex_min_mask(high | int(m) for m in np.flatnonzero(vals == low)))
+            winners.append(lex_min_mask(np.flatnonzero(vals == low) | high))
+        del vals  # one live table: two freed together were paged in anew on every call
     return _mask_to_subset(lex_min_mask(winners)), Fraction(best, scale)

@@ -31,6 +31,8 @@ CASES = {
     "realize-set-feasible": (["realize-set", "set-feasible.json"], 0),
     "realize-set-infeasible": (["realize-set", "set-infeasible.json"], 1),
     "realize-set-frechet": (["realize-set", "set-frechet.json"], 1),
+    # n = 20: the Fréchet certificate ties on 2^18 subsets at full LOW_BITS
+    "realize-set-frechet-n20": (["realize-set", "set-frechet-n20.json"], 1),
     "realize-set-single": (["realize-set", "set-single.json"], 0),
     "realize-set-cg-feasible": (["realize-set", "set-cg-feasible.json", "--max-exact", "3"], 0),
     "realize-set-cg-infeasible": (["realize-set", "set-cg-infeasible.json", "--max-exact", "3"], 1),

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 from math import lcm
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,20 @@ def exhaust(c, a, n):
     subsets = [s for r in range(n + 1) for s in itertools.combinations(range(n), r)]
     best = min(evaluate_g(c, a, set(s)) for s in subsets)
     return best, min(s for s in subsets if evaluate_g(c, a, set(s)) == best)
+
+
+def min_recording_dtypes(c, a, n, low_bits):
+    """qubo_min at the given LOW_BITS, and the dtype of every value table."""
+    dtypes = []
+    table = qubo._table
+
+    def spy(c, a, diag, lo, dtype):
+        dtypes.append(dtype)
+        return table(c, a, diag, lo, dtype)
+
+    with mock.patch.object(qubo, "LOW_BITS", low_bits):
+        with mock.patch.object(qubo, "_table", spy):
+            return qubo_min(c, a, n), dtypes
 
 
 def sym(entries, n):
@@ -70,6 +85,10 @@ class TestQuboMin:
         with pytest.raises(CapExceeded):
             qubo_min(F(0), zeros(31), 31)
 
+    def test_negative_n(self):
+        with pytest.raises(InvalidInstance, match="n must be non-negative"):
+            qubo_min(F(0), [], -1)
+
     def test_matches_exhaustion_random(self):
         rng = random.Random(2)
         for _ in range(25):
@@ -109,17 +128,68 @@ class TestQuboMin:
         assert value == want_value
         assert tuple(sorted(subset)) == want_subset
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        low_bits=st.sampled_from([2, 3, 20]),
+        n=st.integers(1, 9),
+        c=st.integers(-1, 1),
+        data=st.data(),
+    )
+    def test_sparse_ties_match_exhaustion(self, low_bits, n, c, data):
+        # one to three entries in {-1, 1}: thousands of minimisers tie, inside
+        # one value table and across the high-bit blocks
+        pairs = data.draw(st.lists(st.sampled_from(pair_list(n)), min_size=1, max_size=3))
+        signs = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=len(pairs), max_size=len(pairs)))
+        a = sym(dict(zip(pairs, signs)), n)
+        with mock.patch.object(qubo, "LOW_BITS", low_bits):
+            subset, value = qubo_min(F(c), a, n)
+        assert (value, tuple(sorted(subset))) == exhaust(F(c), a, n)
+
+    @pytest.mark.parametrize("low_bits", [17, 20])
+    @pytest.mark.parametrize(
+        "pair, want",
+        [
+            # only subsets holding 0 and 1 reach -1; {0, 1} is their lex-min
+            ((0, 1), frozenset({0, 1})),
+            # every superset of {18, 19} reaches -1; the full set is the lex-min
+            ((18, 19), frozenset(range(20))),
+        ],
+    )
+    def test_single_negative_pair_at_n20(self, low_bits, pair, want):
+        with mock.patch.object(qubo, "LOW_BITS", low_bits):
+            assert qubo_min(F(0), sym({pair: -1}, 20), 20) == (want, -1)
+
+    @pytest.mark.parametrize("low_bits", [3, 20])
+    @pytest.mark.parametrize(
+        "total, want",
+        [
+            (2**15 - 1, np.int16),
+            (2**15, np.int32),
+            (2**31 - 1, np.int32),
+            (2**31, np.int64),
+            (2**63 - 1, np.int64),
+            (2**63, object),
+        ],
+    )
+    def test_narrowest_dtype_holds_every_partial_sum(self, low_bits, total, want):
+        # every coefficient negative with denominator 3, cleared absolute sum
+        # `total`: the full set's value -total/3 is the extreme partial sum
+        n = 5
+        cleared = [(total - 1) // 15] * 15
+        cleared[0] += (total - 1) % 15
+        a = zeros(n)
+        for (i, j), x in zip(pair_list(n), cleared):
+            a[i][j] = a[j][i] = F(-x, 3)
+        c = F(-1, 3)
+        (subset, value), dtypes = min_recording_dtypes(c, a, n, low_bits)
+        assert dtypes and all(d is want for d in dtypes)
+        assert value == F(-total, 3)
+        assert (value, tuple(sorted(subset))) == exhaust(c, a, n)
+
     def test_object_dtype_past_the_int64_guard(self):
         # Fraction(float) coefficients spanning many binary orders of
-        # magnitude: after clearing denominators the absolute sum is >= 2^62
+        # magnitude: after clearing denominators the absolute sum is >= 2^63
         rng = random.Random(31)
-        dtypes = []
-        table = qubo._table
-
-        def spy(c, a, diag, lo, dtype):
-            dtypes.append(dtype)
-            return table(c, a, diag, lo, dtype)
-
         for low_bits in (3, 20):
             n = 6
             a = zeros(n)
@@ -129,11 +199,8 @@ class TestQuboMin:
             a[0][1] = a[1][0] = F(1e-9)
             c = F(0.1)
             scale = lcm(c.denominator, *(a[i][j].denominator for i, j in pair_list(n)))
-            assert abs(c) * scale + sum(abs(a[i][j]) * scale for i, j in pair_list(n)) >= 2**62
-            dtypes.clear()
-            with mock.patch.object(qubo, "LOW_BITS", low_bits):
-                with mock.patch.object(qubo, "_table", spy):
-                    subset, value = qubo_min(c, a, n)
+            assert abs(c) * scale + sum(abs(a[i][j]) * scale for i, j in pair_list(n)) >= 2**63
+            (subset, value), dtypes = min_recording_dtypes(c, a, n, low_bits)
             assert dtypes and all(d is object for d in dtypes)
             assert (value, tuple(sorted(subset))) == exhaust(c, a, n)
 
