@@ -259,7 +259,9 @@ def check_certificate(cert: Certificate, oracle: ColumnOracle) -> tuple[bool, st
         return False, str(exc)
     if cert.blin is not None and len(cert.blin) != n:
         return False, "linear part has wrong length"
-    if max(abs(v) for v in [*(cert.a[i][j] for i, j in pair_list(n)), *(cert.blin or ())]) != 1:
+    # each entry object once: parsed certificates share their repeated entries
+    entries = {id(v): v for v in [*(cert.a[i][j] for i, j in pair_list(n)), *(cert.blin or ())]}
+    if max(abs(v) for v in entries.values()) != 1:
         if cert.blin is None:
             return False, "normalisation violated: max |a_ij| must equal 1"
         return False, "normalisation violated: max |(a, blin)| must equal 1"
@@ -272,7 +274,7 @@ def check_certificate(cert: Certificate, oracle: ColumnOracle) -> tuple[bool, st
         return False, "stored minimizer is not an admissible configuration"
     if _dot(y, oracle.column(key)) != top:
         return False, "stored minimizer does not attain the global minimum"
-    pairing = cert.pairing(target)
+    pairing = -_dot(y, target.rhs())  # `Certificate.pairing` from the prices above
     if pairing >= 0:
         return False, f"pairing with the target is {pairing} >= 0"
     if -pairing != cert.gap:

@@ -36,7 +36,7 @@ class FiniteMetricSpace:
     @staticmethod
     def from_json(obj: dict) -> "FiniteMetricSpace":
         labels = parse_list(field(obj, "labels", "space"), "/labels")
-        return make_space(parse_square(field(obj, "dist", "space"), "/dist", len(labels)), labels)
+        return _validated(parse_square(field(obj, "dist", "space"), "/dist", len(labels)), labels)
 
     @cached_property
     def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -55,7 +55,11 @@ def make_space(dist_rows: Sequence[Sequence], labels: Sequence[str] | None = Non
     """Build and validate a space from rational-like entries."""
     if labels is None:
         labels = [f"x{i}" for i in range(len(dist_rows))]
-    dist = tuple(tuple(parse_rational(v) for v in row) for row in dist_rows)
+    return _validated(tuple(tuple(parse_rational(v) for v in row) for row in dist_rows), labels)
+
+
+def _validated(dist: tuple[tuple[Fraction, ...], ...], labels: Sequence) -> FiniteMetricSpace:
+    """The space of a parsed distance matrix, if it is a metric."""
     space = FiniteMetricSpace(tuple(str(x) for x in labels), dist)
     report = validate_metric(space)
     if not report.ok:

@@ -87,7 +87,8 @@ def parse_rationals(value, where: str, length: int | None = None) -> tuple[Fract
 
 def parse_square(rows, where: str, n: int | None = None) -> tuple[tuple[Fraction, ...], ...]:
     """A non-empty n x n matrix of rationals, of any size n when n is None;
-    entry (i, j) is named where/i/j."""
+    entry (i, j) is named where/i/j. Each distinct string is parsed once,
+    and the entries that repeat it share one Fraction."""
     if n is None and isinstance(rows, list):
         n = len(rows)
     if not n or not isinstance(rows, list) or len(rows) != n or any(
@@ -95,10 +96,18 @@ def parse_square(rows, where: str, n: int | None = None) -> tuple[tuple[Fraction
     ):
         shape = f"a {n} x {n}" if n else "a non-empty square"
         raise InvalidInstance(f"{where}: expected {shape} matrix")
-    return tuple(
-        tuple(parse_rational(v, f"{where}/{i}/{j}") for j, v in enumerate(row))
-        for i, row in enumerate(rows)
-    )
+    parsed: dict[str, Fraction] = {}  # only strings that parse, so the first bad entry is named
+    out = []
+    for i, row in enumerate(rows):
+        values = []
+        for j, v in enumerate(row):
+            if not isinstance(v, str):
+                x = parse_rational(v, f"{where}/{i}/{j}")
+            elif (x := parsed.get(v)) is None:
+                x = parsed[v] = parse_rational(v, f"{where}/{i}/{j}")
+            values.append(x)
+        out.append(tuple(values))
+    return tuple(out)
 
 
 def format_rational(x) -> str:

@@ -6,11 +6,12 @@ re-verifies infeasibility certificates. One blocked enumeration covers all
 indices is built by doubling, once for each subset H of the remaining high
 indices (the table for H is the functional restricted to the low indices,
 with constant g(H) and diagonal shifted by sum_{h in H} a_hi), in place in
-preallocated arrays. Exact input runs after clearing denominators in the
-narrowest of int16, int32 and int64 that holds the scaled coefficients'
-absolute sum, which bounds every partial sum, and in Python integers past
-int64; pricing runs the same tables in float64. Ties among minimisers are
-broken by one numpy pass over their bitmasks.
+preallocated arrays, reading only the upper triangle. Exact input is cleared
+once, over the lcm of its distinct denominators, into the narrowest of int16,
+int32 and int64 that holds the scaled coefficients' absolute sum, which bounds
+every partial sum, or into Python integers past int64; pricing runs the same
+tables in float64. Ties among minimisers are broken by one numpy pass over
+their bitmasks.
 """
 
 from __future__ import annotations
@@ -41,12 +42,19 @@ def pair_matrix(n: int, values) -> list[list]:
     return a
 
 
+def _exact(v):
+    """v itself when it is an int or a Fraction, else its Fraction."""
+    return v if isinstance(v, (int, Fraction)) else Fraction(v)
+
+
 def check_symmetric(a: Sequence[Sequence], n: int) -> None:
     if len(a) != n or any(len(row) != n for row in a):
         raise InvalidInstance("coefficient matrix must be n x n")
     for i in range(n):
         for j in range(i + 1, n):
-            if a[i][j] != a[j][i]:
+            x, y = a[i][j], a[j][i]
+            # one shared int or Fraction equals itself; a shared float NaN does not
+            if (x is not y or not isinstance(x, (int, Fraction))) and x != y:
                 raise InvalidInstance(f"coefficient matrix not symmetric at ({i},{j})")
 
 
@@ -145,12 +153,13 @@ def qubo_min(c, a: Sequence[Sequence], n: int) -> tuple[frozenset[int], object]:
     check_symmetric(a, n)
     if n == 0:
         return frozenset(), c
-    cf = Fraction(c)
-    af = [[Fraction(a[i][j]) for j in range(n)] for i in range(n)]
-    scale = lcm(cf.denominator, *(af[i][j].denominator for i, j in pair_list(n)))
+    # `_blocks` reads only the upper triangle: row i is i zeros, then a[i][i:] cleared
+    cf = _exact(c)
+    upper = [[_exact(v) for v in a[i][i:]] for i in range(n)]
+    scale = lcm(cf.denominator, *{v.denominator for row in upper for v in row})
     ci = cf.numerator * (scale // cf.denominator)
-    ai = [[v.numerator * (scale // v.denominator) for v in row] for row in af]
-    total = abs(ci) + sum(abs(ai[i][j]) for i, j in pair_list(n))
+    ai = [[0] * i + [v.numerator * (scale // v.denominator) for v in upper[i]] for i in range(n)]
+    total = abs(ci) + sum(abs(x) for row in ai for x in row)
     dtype = next((t for t in _EXACT_DTYPES if total <= np.iinfo(t).max), object)
     best, winners = None, []
     for high, vals in _blocks(ci, ai, n, dtype):

@@ -67,11 +67,16 @@ class TwoPointTarget:
 
     @staticmethod
     def _checked(p: tuple[tuple[Fraction, ...], ...], validate_range: bool = True):
+        # the upper triangle holds the first failure: a lower entry equals its checked mirror
+        in_range = set()  # ids of the entries found in [0,1]
         for i, row in enumerate(p):
-            for j, v in enumerate(row):
-                if validate_range and not (0 <= v <= 1):
-                    raise InvalidInstance(f"/p/{i}/{j}: probability {v} outside [0,1]")
-                if j > i and v != p[j][i]:
+            for j in range(i, len(row)):
+                v, w = row[j], p[j][i]
+                if validate_range and id(v) not in in_range:
+                    if not (0 <= v <= 1):
+                        raise InvalidInstance(f"/p/{i}/{j}: probability {v} outside [0,1]")
+                    in_range.add(id(v))
+                if v is not w and v != w:
                     raise InvalidInstance(f"p not symmetric at ({i},{j})")
         return TwoPointTarget(p)
 

@@ -213,6 +213,27 @@ class TestMalformedCertificate:
         assert report["status"] == "invalid"
 
 
+class TestSetCertificateEntries:
+    # the disjointness certificate of DISJOINT, golden cert-set.json
+    CERT = {"kind": "set", "n": 3, "c": "1", "gap": "0.5", "minimizer": [0]}
+
+    def test_mirrored_spellings_verify(self, tmp_path):
+        inst = write(tmp_path, "t.json", DISJOINT)
+        a = [["-1", "1", "1"], ["1.0", "-1", "1/1"], ["1", "1", "-1.0"]]
+        cert = write(tmp_path, "cert.json", {**self.CERT, "a": a})
+        code, report = run(tmp_path, "verify-cert", inst, cert)
+        assert code == 0
+        assert report["payload"]["valid"] is True
+
+    def test_repeated_unparsable_entry_named_first(self, tmp_path):
+        inst = write(tmp_path, "t.json", DISJOINT)
+        a = [["-1", "1/0", "1"], ["1/0", "-1", "1"], ["1", "1", "-1"]]
+        cert = write(tmp_path, "cert.json", {**self.CERT, "a": a})
+        code, report = run(tmp_path, "verify-cert", inst, cert)
+        assert code == 2
+        assert report["payload"]["error"] == "/a/0/1: cannot parse '1/0' as a rational"
+
+
 class TestContactScreenCap:
     """Past HIT_PATTERN_LIMIT reachable hit patterns the exhaustive screen
     stops: without --trials and --seed that is a size cap (exit 3)."""

@@ -1,11 +1,13 @@
 import itertools
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from realkit import metric, numbers
 from realkit.errors import CapExceeded, InvalidInstance
 from realkit.metric import (
     GAMMA_MASS_CAP,
@@ -56,6 +58,20 @@ class TestValidate:
         space = FiniteMetricSpace(("a", "b"), ((F(0),),))
         with pytest.raises(InvalidInstance):
             validate_metric(space)
+
+    def test_from_json_parses_each_distinct_string_once(self):
+        dist = [["0", "1/2", "0.5"], ["1/2", "0", "1/2"], ["0.5", "1/2", "0"]]
+        obj = {"labels": ["a", "b", "c"], "dist": dist}
+        with mock.patch.object(numbers, "parse_rational", wraps=numbers.parse_rational) as parsed, \
+                mock.patch.object(metric, "parse_rational", side_effect=AssertionError("parsed twice")):
+            space = FiniteMetricSpace.from_json(obj)
+        assert parsed.call_count == 3
+        assert space.dist == ((0, F(1, 2), F(1, 2)), (F(1, 2), 0, F(1, 2)), (F(1, 2), F(1, 2), 0))
+
+    def test_make_space_parses_raw_rows(self):
+        assert make_space([["0", "1/2"], [F(1, 2), 0]], ["a", "b"]).dist == ((0, F(1, 2)), (F(1, 2), 0))
+        with pytest.raises(InvalidInstance, match="cannot parse 'x'"):
+            make_space([["0", "x"], ["x", "0"]])
 
 
 class TestPacking:

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from realkit import qubo
 from realkit.errors import CapExceeded, InvalidInstance
-from realkit.qubo import evaluate_g, lex_min_mask, pair_list, qubo_min, qubo_topk_float
+from realkit.qubo import (
+    check_symmetric, evaluate_g, lex_min_mask, pair_list, qubo_min, qubo_topk_float,
+)
 
 
 def zeros(n):
@@ -64,6 +66,25 @@ class TestEvaluate:
         a = [[F(0), F(1)], [F(2), F(0)]]
         with pytest.raises(InvalidInstance):
             evaluate_g(F(0), a, {0})
+
+    def test_first_asymmetric_pair_named(self):
+        # (0, 1) mirrors one shared object, (1, 2) two different ones
+        half = F(1, 2)
+        a = [[F(0), half, F(0)], [half, F(0), F(1)], [F(0), 1, F(0)]]
+        check_symmetric(a, 3)
+        a[2][1] = F(2)
+        with pytest.raises(InvalidInstance, match=r"^coefficient matrix not symmetric at \(1,2\)$"):
+            check_symmetric(a, 3)
+
+    def test_shared_nan_is_not_symmetric(self):
+        nan = float("nan")
+        a = [[0.0, nan], [nan, 0.0]]
+        with pytest.raises(InvalidInstance, match=r"not symmetric at \(0,1\)"):
+            check_symmetric(a, 2)
+        with pytest.raises(InvalidInstance, match=r"not symmetric at \(0,1\)"):
+            evaluate_g(0.0, a, {0})
+        with pytest.raises(InvalidInstance, match=r"not symmetric at \(0,1\)"):
+            qubo_min(0.0, a, 2)
 
 
 class TestQuboMin:
@@ -203,6 +224,42 @@ class TestQuboMin:
             (subset, value), dtypes = min_recording_dtypes(c, a, n, low_bits)
             assert dtypes and all(d is object for d in dtypes)
             assert (value, tuple(sorted(subset))) == exhaust(c, a, n)
+
+    @pytest.mark.parametrize("form", ["int", "fraction", "mixed", "float"])
+    def test_input_forms_match_exhaustion(self, form):
+        # dyadic values, so every float is exact; "mixed" writes each entry
+        # and its mirror in different forms
+        rng = random.Random(41)
+        forms = {"int": [int], "fraction": [F], "float": [float], "mixed": [int, F, float]}[form]
+
+        def write(v):
+            kind = rng.choice(forms)
+            return F(v) if kind is int and v.denominator != 1 else kind(v)
+
+        for _ in range(20):
+            n = rng.randint(1, 6)
+            a = [[0] * n for _ in range(n)]
+            for i, j in pair_list(n):
+                v = F(rng.randint(-8, 8), 1 if form == "int" else rng.choice([1, 2, 4]))
+                a[i][j], a[j][i] = write(v), write(v)
+            c = write(F(rng.randint(-4, 4), 1 if form == "int" else 2))
+            subset, value = qubo_min(c, a, n)
+            assert isinstance(value, F)
+            assert (value, tuple(sorted(subset))) == exhaust(c, a, n)
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            [[0, 1], [2, 0]],
+            [[F(0), F(1, 2)], [F(1, 4), F(0)]],
+            [[0, F(1, 2)], [0.25, 0]],
+            [[0.0, 0.5], [0.25, 0.0]],
+        ],
+        ids=["int", "fraction", "mixed", "float"],
+    )
+    def test_lower_triangle_still_checked(self, a):
+        with pytest.raises(InvalidInstance, match=r"not symmetric at \(0,1\)"):
+            qubo_min(F(0), a, 2)
 
     def test_float_mode_matches_exact_on_integers(self):
         rng = random.Random(12)

@@ -56,6 +56,29 @@ class TestValidation:
         with pytest.raises(InvalidInstance):
             TwoPointTarget.from_matrix([["1.5"]])
 
+    def test_mirrored_spellings_accepted(self):
+        t = TwoPointTarget.from_json({"p": [["1/2", "0.5"], ["1/2", "0.5"]]})
+        assert t.p == ((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2)))
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # a repeated out-of-range string is named at its first position
+            ([["1/2", "3/2"], ["3/2", "3/2"]], "/p/0/1: probability 3/2 outside [0,1]"),
+            ([["2", "2"], ["2", "2"]], "/p/0/0: probability 2 outside [0,1]"),
+            # out of range below the diagonal only: its mirror differs first
+            ([["1/2", "1/2"], ["2", "1/2"]], "p not symmetric at (0,1)"),
+            ([["1/2", "2"], ["1/2", "1/2"]], "/p/0/1: probability 2 outside [0,1]"),
+            ([["1/4"] * 3, ["1/4"] * 3, ["1/4", "1/8", "1/4"]], "p not symmetric at (1,2)"),
+            ([["1/2", "1/4", "1/4"], ["1/4", "1/2", "1/8"], ["1/4", "1/4", "3"]],
+             "p not symmetric at (1,2)"),
+        ],
+    )
+    def test_first_failure_named(self, rows, message):
+        with pytest.raises(InvalidInstance) as exc:
+            TwoPointTarget.from_json({"p": rows})
+        assert str(exc.value) == message
+
     def test_frechet_upper_flagged(self):
         t = TwoPointTarget.from_matrix([["0.2", "0.4"], ["0.4", "0.9"]])
         assert t.frechet_violations() == [("upper", 0, 1)]
