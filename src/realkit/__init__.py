@@ -51,7 +51,6 @@ from .regularity import (
     shell_series,
 )
 from .setrealize import (
-    RealizeOptions,
     SubsetMixture,
     TwoPointTarget,
     moments_of_mixture,

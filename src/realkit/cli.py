@@ -54,7 +54,6 @@ from .regularity import (
     shell_series,
 )
 from .setrealize import (
-    RealizeOptions,
     SubsetMixture,
     TwoPointTarget,
     moments_of_mixture,
@@ -146,7 +145,7 @@ def _certificate_from_payload(obj: dict) -> Certificate:
         raise InvalidInstance("/n: expected a positive integer")
     blin = field(obj, "blin", "certificate", None) if kind == "pp" else None
     minimizer = parse_list(field(obj, "minimizer", "certificate"), "/minimizer")
-    return Certificate(
+    return Certificate.from_functional(
         kind=kind,
         n=n,
         c=parse_rational(field(obj, "c", "certificate"), "/c"),
@@ -223,8 +222,7 @@ def _verdict_report(command: str, result, digests: dict, mixture) -> dict:
 
 def _cmd_realize_set(args, digests: dict) -> dict:
     target = TwoPointTarget.from_json(_load(args.instance, digests, "instance"))
-    opts = RealizeOptions(max_exact=args.max_exact)
-    result = realize_subsets(target, opts)
+    result = realize_subsets(target, args.max_exact)
     if result.status == "feasible" and args.group:
         perms = [
             [parse_int(v, f"/{k}/{i}") for i, v in enumerate(parse_list(perm, f"/{k}"))]

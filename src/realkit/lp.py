@@ -11,8 +11,8 @@
   exact masters (`exact_simplex`) and exact pricing.
 
 * `exact_farkas` — the one step that turns a float or exact dual into an
-  exact Farkas vector: its normalisation entry becomes minus the exact
-  maximum of y.A_j over every column.
+  exact Farkas vector, in integers: its normalisation entry becomes minus
+  the exact maximum of y.A_j over every column.
 
 * `screen` and `verdict` — the two ways a set or point-process target
   gets its `RealizeResult`: the first exact moment screen that fires, or
@@ -20,10 +20,11 @@
   Farkas vector, or no verdict within MAX_ROUNDS).
 
 * `Certificate`, `certificate` and `check_certificate` — the one
-  infeasibility proof of both targets: its type, its builder from an exact
-  Farkas vector, and its exact re-verification. A target supplies only
-  what differs, in one object, its `ColumnOracle`: the columns with their
-  exact maximum, and the target's certificate, mixture and column names.
+  infeasibility proof of both targets: its type, one integer vector over the
+  LP rows and a denominator; its builder from an exact Farkas vector; its
+  re-verification in integers. A target supplies only what differs, in one
+  object, its `ColumnOracle`: its columns, their exact maximum under integer
+  prices, and the target's certificate, mixture and column names.
 
 * `negative_direction` — the moment screens' test for a rational matrix
   that is not positive semidefinite: `numpy.linalg.eigh` locates a
@@ -53,7 +54,7 @@ from __future__ import annotations
 from collections.abc import Hashable, Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
 from operator import itemgetter
 from typing import Protocol
 
@@ -62,6 +63,7 @@ from scipy.optimize import linprog
 from scipy.sparse import csc_matrix
 
 from .errors import InvalidInstance
+from .numbers import clear_denominators
 from .qubo import check_symmetric, pair_list, pair_matrix
 
 
@@ -94,17 +96,17 @@ def _rebuild_on_support(oracle: ColumnOracle, master: list, b, q):
     return None if weights is None else (support, weights)
 
 
-def exact_farkas(y: Sequence, oracle: ColumnOracle) -> tuple[list[Fraction], Hashable]:
-    """The dual y made exact, with its normalisation entry (the last row,
-    where every column has a 1) set to minus the exact maximum of y.A_j.
+def exact_farkas(y: Sequence, oracle: ColumnOracle) -> tuple[list[int], Hashable]:
+    """The dual y made exact and integral (a positive scaling), with its last,
+    normalisation entry set to minus the exact maximum of y.A_j.
 
     `oracle.best` finds a column maximising y.A_j over every column, and
-    that maximum, for the exact y with its last entry 0. The result
+    that maximum, for the integer y with its last entry 0. The result
     satisfies y.A_j <= 0 for every column, with equality at the returned
     column, so it is an exact Farkas vector exactly when y.b > 0, which the
     caller checks. Returns (y, the maximising column).
     """
-    y = [Fraction(v) for v in y[:-1]] + [Fraction(0)]
+    y, _ = clear_denominators([*y[:-1], 0])
     key, top = oracle.best(y)
     y[-1] = -top
     return y, key
@@ -127,10 +129,10 @@ class ColumnOracle(Protocol):
     def price(self, y: np.ndarray, k: int) -> list:
         """Up to k keys whose columns have y.A_j > FLOAT_TOL in floats, best first."""
 
-    def best(self, y: list[Fraction]) -> tuple[Hashable, Fraction]:
-        """A key maximising the exact y.A_j over every column, and the maximum."""
+    def best(self, y: list[int]) -> tuple[Hashable, int]:
+        """A key maximising y.A_j over every column for integer prices y, and the maximum."""
 
-    def certify(self, y: list[Fraction], key) -> Certificate:
+    def certify(self, y: list[int], key) -> Certificate:
         """`certificate` of the exact Farkas vector y, minimal at column `key`."""
 
     def mixture(self, keys: list, weights: list[Fraction]):
@@ -160,7 +162,7 @@ class ColumnList:
     def price(self, y: np.ndarray, k: int) -> list:
         return []
 
-    def best(self, y: list[Fraction]) -> tuple[Hashable, Fraction]:
+    def best(self, y: list[int]) -> tuple[Hashable, int]:
         return max(((key, _dot(y, col)) for key, col in self.columns.items()), key=itemgetter(1))
 
 
@@ -170,7 +172,7 @@ class ColumnGenerationResult:
     keys: list = field(default_factory=list)  # columns with weights x
     x: list[Fraction] | None = None
     duals: list[Fraction] | None = None  # exact optimal duals, under a cost
-    farkas: list[Fraction] | None = None
+    farkas: list[int] | None = None
     witness: Hashable = None  # the column where farkas.A_j attains its maximum 0
     exact_rounds: bool = False  # the verdict came from exact masters
 
@@ -182,102 +184,104 @@ class Certificate:
     is non-negative on every column Y, with minimum 0 at `minimizer`, while
     its pairing with the target is -gap < 0. count_ij(F) = 1{i,j in F} for
     a subset F; for a configuration m it is m_i m_j (i < j) or
-    m_i (m_i - 1) (i = j). `blin` is None for sets and for pp targets
-    without an intensity. `minimizer` is written as the report writes it:
+    m_i (m_i - 1) (i = j). `minimizer` is written as the report writes it:
     the sorted members of a subset, or the multiplicity vector of a
-    configuration. Normalised so that max |(a, blin)| = 1."""
+    configuration. G is stored once, as the integers g = den (a on the
+    pairs i <= j, blin if any, c) over the LP rows; c, a and blin are
+    views. Normalised: max |g| off the constant is den."""
 
     kind: str  # "set" | "pp"
     n: int
-    c: Fraction
-    a: tuple[tuple[Fraction, ...], ...]
-    blin: tuple[Fraction, ...] | None
+    g: tuple[int, ...]
+    den: int
     gap: Fraction
     minimizer: tuple[int, ...]
+    defect: str | None = None
 
-    def prices(self, target) -> list[Fraction]:
-        """The dual y = -(a, blin, c) on the target's LP rows (pairs, any
-        linear rows, normalisation), so G(Y) = -y.A_Y; without blin the
-        linear rows are priced 0."""
-        pairs = pair_list(self.n)
-        linear = len(target.rhs()) - len(pairs) - 1
-        if self.blin is not None and not linear:
+    @classmethod
+    def from_functional(cls, kind, n, c, a, blin, gap, minimizer) -> Certificate:
+        """The certificate of G = (c, n x n a, blin or None) in any numbers;
+        the first shape defect ("must be n x n", "not symmetric at (i,j)",
+        "linear part has wrong length") is kept for `check_certificate`."""
+        try:
+            check_symmetric(a, n)
+            if blin is not None and len(blin) != n:
+                raise InvalidInstance("linear part has wrong length")
+        except InvalidInstance as exc:
+            return cls(kind, n, (), 1, gap, minimizer, str(exc))
+        g, den = clear_denominators([*(a[i][j] for i, j in pair_list(n)), *(blin or ()), c])
+        return cls(kind, n, tuple(g), den, gap, minimizer)
+
+    @property
+    def c(self) -> Fraction:
+        return Fraction(self.g[-1], self.den)
+
+    @cached_property
+    def a(self) -> tuple[tuple[Fraction, ...], ...]:
+        # pair_matrix takes the pair entries off the front of g
+        return tuple(map(tuple, pair_matrix(self.n, [Fraction(v, self.den) for v in self.g])))
+
+    @property
+    def blin(self) -> tuple[Fraction, ...] | None:
+        return tuple(Fraction(v, self.den) for v in self.g[self.n * (self.n + 1) // 2 : -1]) or None
+
+    def on_rows(self, target) -> list[int]:
+        """g on the target's LP rows; without blin the linear rows get 0."""
+        missing = len(target.rhs()) - len(self.g)
+        if missing < 0:
             raise InvalidInstance("certificate has a linear part but the target no intensity")
-        y = [-self.a[i][j] for i, j in pairs]
-        y += [-v for v in self.blin or (Fraction(0),) * linear]
-        y.append(-self.c)
-        return y
+        return [*self.g[:-1], *(0,) * missing, self.g[-1]]
 
     def pairing(self, target) -> Fraction:
         """G paired with the target's moments `target.rhs()`."""
-        return -_dot(self.prices(target), target.rhs())
+        b, scale = clear_denominators(target.rhs())
+        return Fraction(_dot(self.on_rows(target), b), self.den * scale)
 
 
-def certificate(
-    kind: str, y: Sequence[Fraction], minimizer: tuple[int, ...], target
-) -> Certificate:
-    """The certificate of an exact Farkas vector y from `exact_farkas` on
-    the target's rows (pairs, any linear rows, normalisation): the negated
-    prices divided by their largest entry, so max |(a, blin)| = 1, and blin
-    None without linear rows. The normalisation price is minus the exact
+def certificate(kind: str, y: Sequence[int], minimizer: tuple[int, ...], target) -> Certificate:
+    """The certificate of an integer Farkas vector y from `exact_farkas` on
+    the target's rows: g = -y and den its largest entry off the constant,
+    so max |(a, blin)| = 1. The normalisation price is minus the exact
     maximum over every column, so G has its minimum 0 at `minimizer`, the
     column `exact_farkas` returned."""
-    n = target.n
-    k = n * (n + 1) // 2
-    scale = max(abs(v) for v in y[:-1])
-    cert = Certificate(
-        kind=kind,
-        n=n,
-        c=-y[-1] / scale,
-        a=tuple(tuple(row) for row in pair_matrix(n, [-v / scale for v in y[:k]])),
-        blin=tuple(-v / scale for v in y[k:-1]) or None,
-        gap=Fraction(0),
-        minimizer=minimizer,
-    )
+    g = tuple(-v for v in y)
+    cert = Certificate(kind, target.n, g, max(map(abs, g[:-1])), Fraction(0), minimizer)
     return replace(cert, gap=-cert.pairing(target))
 
 
 def check_certificate(cert: Certificate, oracle: ColumnOracle) -> tuple[bool, str]:
     """Independent exact re-verification of every invariant of `cert`
-    against the oracle's target.
+    against the oracle's target, in integers: G(Y) = -y.A_Y / den under
+    the prices y = -g, so its minimum is -`oracle.best(y)` / den.
 
-    G(Y) = -y.A_Y for the certificate's prices y, so its exact minimum over
-    every column is minus `oracle.best(y)`, and its value at the stored
-    minimiser minus y times the column `oracle.key` names. The checks run
-    in this order: size, symmetry, length of blin, max |(a, blin)| = 1, a
-    linear part only on a target with linear rows (invalid input, raised),
-    minimum >= 0, stored minimiser a column attaining the minimum, pairing
-    < 0, stored gap.
+    The checks run in this order: size, the shape defect (n x n, symmetry,
+    length of blin), max |g| off the constant = den, a linear part only on
+    a target with linear rows (invalid input, raised), minimum >= 0, stored
+    minimiser a column attaining the minimum, pairing < 0, stored gap.
     """
     target = oracle.target
-    n = cert.n
-    if n != target.n:
+    if cert.n != target.n:
         return False, "certificate size does not match target"
-    try:
-        check_symmetric(cert.a, n)
-    except InvalidInstance as exc:
-        return False, str(exc)
-    if cert.blin is not None and len(cert.blin) != n:
-        return False, "linear part has wrong length"
-    # each entry object once: parsed certificates share their repeated entries
-    entries = {id(v): v for v in [*(cert.a[i][j] for i, j in pair_list(n)), *(cert.blin or ())]}
-    if max(abs(v) for v in entries.values()) != 1:
-        if cert.blin is None:
-            return False, "normalisation violated: max |a_ij| must equal 1"
-        return False, "normalisation violated: max |(a, blin)| must equal 1"
-    y = cert.prices(target)
+    if cert.defect is not None:
+        return False, cert.defect
+    if max(map(abs, cert.g[:-1])) != cert.den:
+        which = "|a_ij|" if cert.blin is None else "|(a, blin)|"
+        return False, f"normalisation violated: max {which} must equal 1"
+    y = [-v for v in cert.on_rows(target)]
     where, top = oracle.best(y)
     if top > 0:
-        return False, f"functional attains {-top} < 0 at {oracle.name(where)}"
+        return False, f"functional attains {Fraction(-top, cert.den)} < 0 at {oracle.name(where)}"
     key = oracle.key(cert.minimizer)
     if key is None:
         return False, "stored minimizer is not an admissible configuration"
     if _dot(y, oracle.column(key)) != top:
         return False, "stored minimizer does not attain the global minimum"
-    pairing = -_dot(y, target.rhs())  # `Certificate.pairing` from the prices above
+    b, scale = clear_denominators(target.rhs())
+    pairing, scale = -_dot(y, b), cert.den * scale  # G paired with the target is pairing / scale
     if pairing >= 0:
-        return False, f"pairing with the target is {pairing} >= 0"
-    if -pairing != cert.gap:
+        return False, f"pairing with the target is {Fraction(pairing, scale)} >= 0"
+    gap, den = cert.gap.as_integer_ratio()
+    if -pairing * den != gap * scale:
         return False, "stored gap does not match the recomputed pairing"
     return True, "certificate valid"
 
@@ -482,18 +486,14 @@ def negative_direction(M: Sequence[Sequence[Fraction]]) -> list[int] | None:
         return None
     u = vectors[:, 0]
     v = [int(x) for x in np.rint(u * (DIRECTION_SCALE / np.abs(u).max()))]
-    scale = lcm(*(x.denominator for row in M for x in row))
-    form = sum(
-        v[i] * v[j] * x.numerator * (scale // x.denominator)
-        for i, row in enumerate(M)
-        for j, x in enumerate(row)
-        if v[i] and v[j]
-    )
+    m = len(M)
+    flat, _ = clear_denominators([x for row in M for x in row])
+    form = sum(v[i] * v[j] * flat[i * m + j] for i in range(m) for j in range(m) if v[i] and v[j])
     return v if form < 0 else None
 
 
-def _dot(y: list[Fraction], col: list[Fraction]) -> Fraction:
-    return sum((u * v for u, v in zip(y, col) if u and v), Fraction(0))
+def _dot(y: list, col: list):
+    return sum(u * v for u, v in zip(y, col) if u and v)
 
 
 def exact_simplex(
@@ -640,13 +640,9 @@ def _solve_exact(
     """
     m = len(b)
     k = len(cols)
-    scale = lcm(*(f.denominator for f in b), *(f.denominator for col in cols for f in col))
-
-    def scaled(vec: list[Fraction]) -> list[int]:
-        return [f.numerator * (scale // f.denominator) for f in vec]
-
-    A = [scaled(col) for col in cols]
-    rhs = scaled(b)
+    flat, _ = clear_denominators([*b, *(f for col in cols for f in col)])
+    rhs = flat[:m]
+    A = [flat[m * (j + 1) : m * (j + 2)] for j in range(k)]
     M = [list(row) for row in zip(*A, rhs)]
 
     prev = 1
@@ -682,8 +678,8 @@ def _solve_exact(
         q[pcol] = acc / M[prow][pcol]
 
     # confirm against the original system in integers; elimination bugs must not leak
-    d = lcm(*(v.denominator for v in q))
-    used = [(A[j], v.numerator * (d // v.denominator)) for j, v in enumerate(q) if v]
+    qi, d = clear_denominators(q)
+    used = [(A[j], v) for j, v in enumerate(qi) if v]
     for i in range(m):
         if sum(col[i] * v for col, v in used) != rhs[i] * d:
             return None

@@ -110,6 +110,14 @@ def parse_square(rows, where: str, n: int | None = None) -> tuple[tuple[Fraction
     return tuple(out)
 
 
+def clear_denominators(values) -> tuple[list[int], int]:
+    """Integers g and the least den > 0 with values[k] == g[k] / den, for
+    ints, Fractions and floats alike (a float is taken exactly)."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*{d for _, d in ratios})
+    return [p * (den // d) for p, d in ratios], den
+
+
 def format_rational(x) -> str:
     """Format exactly: terminating decimal when possible, else 'p/q'."""
     if x == INF:

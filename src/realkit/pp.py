@@ -22,7 +22,6 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -34,8 +33,8 @@ from .lp import (
 )
 from .metric import Configuration, FiniteMetricSpace
 from .numbers import (
-    INF, field, parse_bool, parse_int, parse_list, parse_rational, parse_rationals,
-    validate_mixture,
+    INF, clear_denominators, field, parse_bool, parse_int, parse_list, parse_rational,
+    parse_rationals, validate_mixture,
 )
 from .qubo import pair_list, pair_matrix
 
@@ -294,9 +293,9 @@ def _config_column(config: Configuration, n: int, with_intensity: bool) -> list[
 
 class _ConfigOracle:
     """The columns of the pp LP of `target` for `lp.column_generation`,
-    keyed by configuration; `_price_config` prices them, in floats or
-    exactly, with ties to the lexicographically smallest multiplicity
-    vector."""
+    keyed by configuration; `_search` prices them, in floats under the
+    master's float duals and in integers under integer prices, with ties
+    to the lexicographically smallest multiplicity vector."""
 
     def __init__(self, target: CorrelationTarget, size: int | None = None):
         self.target = target
@@ -309,13 +308,13 @@ class _ConfigOracle:
         return _config_column(config, self.target.n, self.target.rho1 is not None)
 
     def price(self, y: np.ndarray, k: int) -> list[Configuration]:
-        config, value = _price_config(y, self.target)
+        config, value = _search([float(v) for v in y], self.target)
         return [config] if value > FLOAT_TOL else []
 
-    def best(self, y: list[Fraction]) -> tuple[Configuration, Fraction]:
-        return _price_config(y, self.target)
+    def best(self, y: list[int]) -> tuple[Configuration, int]:
+        return _search(y, self.target)
 
-    def certify(self, y: list[Fraction], config: Configuration) -> Certificate:
+    def certify(self, y: list[int], config: Configuration) -> Certificate:
         return certificate("pp", y, config.multiplicity, self.target)
 
     def mixture(self, configs: list[Configuration], weights: list[Fraction]) -> ConfigMixture:
@@ -359,7 +358,7 @@ def _trivial_certificate(target: CorrelationTarget, i: int, j: int) -> Certifica
     every admissible configuration (diagonal atom under simplicity, or a
     pair inside the hard-core distance), minimal at the empty one."""
     pair = (min(i, j), max(i, j))
-    y = [Fraction(p == pair) for p in pair_list(target.n)] + [Fraction(0)]
+    y = [int(p == pair) for p in pair_list(target.n)] + [0]
     return certificate("pp", y, (0,) * target.n, target)
 
 
@@ -406,7 +405,7 @@ SCREENS = (
 def _screen(target: CorrelationTarget) -> RealizeResult | None:
     """The verdict of the first of SCREENS that fires on a target with an
     intensity, or None, by `lp.screen`: the constant is minus the exact
-    minimum of the rest from `_price_config`, and `lp.certificate` scales
+    minimum of the rest from `_search`, and `lp.certificate` scales
     to max |(a, blin)| = 1."""
     if target.rho1 is None:
         return None
@@ -547,27 +546,12 @@ def _verdict(res, oracle, method, objective=None, note=None) -> RealizeResult:
     return result
 
 
-def _price_config(y: Sequence, target: CorrelationTarget) -> tuple[Configuration, object]:
-    """maximise y.A_Y over admissible configurations by `_search`: in
-    floats for float prices, and exactly for `Fraction` prices, in integers
-    after clearing denominators (a positive scaling that changes no
-    comparison, so neither the maximiser nor its tie-break).
-
-    y holds the pair prices, then n intensity prices if it is long enough,
-    then the normalisation price.
-    """
-    if not isinstance(y[-1], Fraction):
-        return _search([float(v) for v in y], target)
-    y = [Fraction(v) for v in y]
-    scale = lcm(*(v.denominator for v in y))
-    config, top = _search([v.numerator * (scale // v.denominator) for v in y], target)
-    return config, Fraction(top, scale)
-
-
 def _search(y: Sequence, target: CorrelationTarget) -> tuple[Configuration, object]:
-    """maximise y.A_Y for int or float prices y, laid out as for
-    `_price_config`, by prefix search with an interval bound; ties resolve
-    to the lexicographically smallest multiplicity vector."""
+    """maximise y.A_Y over admissible configurations for int or float
+    prices y, by prefix search with an interval bound; ties resolve to the
+    lexicographically smallest multiplicity vector. y holds the pair
+    prices, then n intensity prices if it is long enough, then the
+    normalisation price."""
     n = target.n
     pairs = pair_list(n)
     y_pair = dict(zip(pairs, y))
@@ -656,13 +640,10 @@ def positivity_screen(target: CorrelationTarget, trials: int, seed: int) -> Scre
     pairs = pair_list(n)
     # the pairing runs over ordered pairs, so an off-diagonal atom counts twice
     rho = [target.rho_value(i, j) * (1 if i == j else 2) for i, j in pairs]
-    scale = lcm(*(v.denominator for v in rho))
-    weight = [v.numerator * (scale // v.denominator) for v in rho]
+    weight, scale = clear_denominators(rho)
     for trial in range(trials):
         h = [rng.uniform(-1.0, 1.0) for _ in pairs]
-        ratios = [v.as_integer_ratio() for v in h]
-        den = max(d for _, d in ratios)
-        num = [a * (den // d) for a, d in ratios]
+        num, den = clear_denominators(h)
         pairing = sum(a * w for a, w in zip(num, weight))
         # y.A_Y = -g_h(Y) for these prices, so the infimum is minus the maximum
         y = [-a if i == j else -2 * a for (i, j), a in zip(pairs, num)]

@@ -118,11 +118,6 @@ class SubsetMixture:
         validate_mixture(self.atoms, "subsets")
 
 
-@dataclass(frozen=True)
-class RealizeOptions:
-    max_exact: int = 12
-
-
 class _SubsetOracle:
     """The columns of the set LP of `target` for `lp.column_generation`,
     keyed by subset bitmask: one row per pair (i <= j), then the total-mass
@@ -148,11 +143,12 @@ class _SubsetOracle:
         priced = qubo_topk_float(-float(y[-1]), a, self.n, k)
         return [mask for mask, val in priced if -val > FLOAT_TOL]
 
-    def best(self, y: list[Fraction]) -> tuple[int, Fraction]:
+    def best(self, y: list[int]) -> tuple[int, int]:
+        # integer input makes qubo_min's minimum an integer
         subset, low = qubo_min(-y[-1], pair_matrix(self.n, [-v for v in y[:-1]]), self.n)
-        return sum(1 << i for i in subset), -low
+        return sum(1 << i for i in subset), -int(low)
 
-    def certify(self, y: list[Fraction], mask: int) -> Certificate:
+    def certify(self, y: list[int], mask: int) -> Certificate:
         return certificate_from_dual(y, mask, self.target)
 
     def mixture(self, masks: list[int], weights: list[Fraction]) -> SubsetMixture:
@@ -189,9 +185,7 @@ def moments_of_mixture(mix: SubsetMixture) -> TwoPointTarget:
     return TwoPointTarget.from_matrix(acc, validate_range=False)
 
 
-def certificate_from_dual(
-    y: Sequence[Fraction], witness: int, target: TwoPointTarget
-) -> Certificate:
+def certificate_from_dual(y: Sequence[int], witness: int, target: TwoPointTarget) -> Certificate:
     """`lp.certificate` of an exact Farkas vector, minimal at the subset
     with bitmask `witness`."""
     return certificate("set", y, tuple(i for i in range(target.n) if witness >> i & 1), target)
@@ -287,7 +281,7 @@ def _screen(target: TwoPointTarget) -> RealizeResult | None:
     return screen(SCREENS, _SubsetOracle(target))
 
 
-def realize_subsets(target: TwoPointTarget, opts: RealizeOptions | None = None) -> RealizeResult:
+def realize_subsets(target: TwoPointTarget, max_exact: int = 12) -> RealizeResult:
     """Decide realisability of a two-point covering target.
 
     Exact screens run first, in this order, and the first that fires
@@ -298,14 +292,13 @@ def realize_subsets(target: TwoPointTarget, opts: RealizeOptions | None = None) 
     confirmed violation, so it never answers a feasible target.
 
     One column-generation driver decides every target that passes them:
-    for n <= opts.max_exact its first master holds all 2^n subsets (one
+    for n <= max_exact its first master holds all 2^n subsets (one
     HiGHS solve, "enumeration"), larger carriers start from the empty set,
     the full set and the singletons ("column-generation"). Either way the
     verdict is exact; a float answer that rational arithmetic cannot
     confirm is finished by exact masters and exact pricing
     ("exact-column-generation").
     """
-    opts = opts or RealizeOptions()
     n = target.n
     if n > MAX_N:  # every certificate and every priced column needs qubo_min
         raise CapExceeded(f"carrier too large for the exact pricing oracle (n > {MAX_N})")
@@ -326,7 +319,7 @@ def realize_subsets(target: TwoPointTarget, opts: RealizeOptions | None = None) 
             note=FINITE_CARRIER_NOTE,
             method="degenerate",
         )
-    if n > opts.max_exact:
+    if n > max_exact:
         method = "column-generation"
         seed = sorted({0, (1 << n) - 1} | {1 << i for i in range(n)})
     else:

@@ -12,8 +12,19 @@ import itertools
 import random
 from fractions import Fraction
 
+from realkit.lp import Certificate
 from realkit.metric import Configuration, FiniteMetricSpace, make_space
 from realkit.setrealize import TwoPointTarget
+
+
+def rebuilt(cert: Certificate, **changes) -> Certificate:
+    """`cert` with some of c, a, blin, gap and minimizer replaced, built
+    again by `Certificate.from_functional`."""
+    parts = dict(
+        kind=cert.kind, n=cert.n, c=cert.c, a=cert.a, blin=cert.blin, gap=cert.gap,
+        minimizer=cert.minimizer,
+    )
+    return Certificate.from_functional(**{**parts, **changes})
 
 
 def brute_force_packing(space: FiniteMetricSpace, t: Fraction) -> int:

@@ -18,7 +18,6 @@ from realkit.metric import (
 from realkit.pp import ConfigMixture, CorrelationTarget, pp_moments, realize_pp
 from realkit.regularity import PsiFunction, hardcore_split_check
 from realkit.setrealize import (
-    RealizeOptions,
     TwoPointTarget,
     moments_of_mixture,
     realize_subsets,
@@ -26,7 +25,9 @@ from realkit.setrealize import (
     verify_certificate,
 )
 from conftest import SESSION_T0
-from helpers import random_metric_space, random_simple_config_mixture, random_two_point_target
+from helpers import (
+    random_metric_space, random_simple_config_mixture, random_two_point_target, rebuilt,
+)
 
 
 def report_line(number: int, ok: bool, text: str) -> None:
@@ -80,7 +81,7 @@ def test_criterion_03_oracle_equivalence_50_targets():
         n = rng.randint(2, 12)
         target = random_two_point_target(rng, n)
         enum = realize_subsets(target)
-        colgen = realize_subsets(target, RealizeOptions(max_exact=0))
+        colgen = realize_subsets(target, max_exact=0)
         if enum.status == colgen.status and enum.status in ("feasible", "infeasible"):
             agreements += 1
     elapsed = time.time() - t0
@@ -229,9 +230,9 @@ def test_criterion_09_tampered_certificates_rejected():
         a[i][j] = value
         if not one_sided:
             a[j][i] = value
-        return replace(base, a=tuple(tuple(row) for row in a))
+        return rebuilt(base, a=a)
 
-    mutants = [replace(base, c=-base.c), replace(base, c=base.c - tenth)]
+    mutants = [rebuilt(base, c=-base.c), rebuilt(base, c=base.c - tenth)]
     for i in range(3):
         mutants.append(with_a(i, i, -base.a[i][i]))
         mutants.append(with_a(i, i, base.a[i][i] - tenth))

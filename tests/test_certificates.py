@@ -1,9 +1,12 @@
 """`verify_certificate` and `verify_pp_certificate` against a check written
 here from the documented rules.
 
-The oracle enumerates every column with itertools and evaluates the
-functional G straight from its definition. It applies the checks in the
-order `lp.check_certificate` documents (size, symmetry, length of blin,
+The cases draw a functional as (c, a, blin) and the certificate under test
+is built from it by `Certificate.from_functional`; the oracle reads only
+the drawn (c, a, blin), never the certificate's integer vector. It
+enumerates every column with itertools and evaluates the functional G
+straight from its definition. It applies the checks in the order
+`lp.check_certificate` documents (size, symmetry, length of blin,
 normalisation, a linear part only on a target with an intensity, minimum,
 stored minimiser, pairing, gap) and names the minimum's column by the tie
 rules: the lexicographically smallest sorted subset, and the
@@ -11,15 +14,17 @@ lexicographically smallest multiplicity vector.
 """
 
 import itertools
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from realkit.cli import _certificate_payload
 from realkit.errors import InvalidInstance
 from realkit.lp import Certificate
+from realkit.numbers import format_rational
 from realkit.pp import CorrelationTarget, verify_pp_certificate
 from realkit.setrealize import TwoPointTarget, verify_certificate
 
@@ -29,6 +34,25 @@ NUDGES = st.sampled_from([F(0), F(0), F(0), F(1, 8), F(-1, 8)])
 
 def pairs(n):
     return [(i, j) for i in range(n) for j in range(i, n)]
+
+
+@dataclass(frozen=True)
+class Drawn:
+    """A drawn certificate as (c, a, blin): what the oracle reads."""
+
+    kind: str
+    n: int
+    c: F
+    a: tuple
+    blin: tuple | None
+    gap: F
+    minimizer: tuple
+
+
+def built(drawn: Drawn) -> Certificate:
+    return Certificate.from_functional(
+        drawn.kind, drawn.n, drawn.c, drawn.a, drawn.blin, drawn.gap, drawn.minimizer
+    )
 
 
 def subsets(n):
@@ -168,7 +192,7 @@ def certificates(draw, kind, n, columns, value, minimizers):
     linear = kind == "pp" and draw(st.booleans())
     cert_n = draw(st.sampled_from([n] * 9 + [n + 1]))
     a, blin = draw(coefficients(cert_n, linear))
-    cert = Certificate(kind, cert_n, draw(SMALL), a, blin, draw(SMALL), ())
+    cert = Drawn(kind, cert_n, draw(SMALL), a, blin, draw(SMALL), ())
     if shape_reason(cert, n):
         return cert
     rest = {col: value(F(0), a, blin, col) for col in columns}
@@ -255,16 +279,71 @@ class TestAgainstEnumeration:
     @settings(max_examples=300, deadline=None)
     @given(set_cases())
     def test_set_certificates(self, case):
-        cert, target = case
-        assert verify_certificate(cert, target) == expected_set(cert, target)
+        drawn, target = case
+        assert verify_certificate(built(drawn), target) == expected_set(drawn, target)
 
     @settings(max_examples=300, deadline=None)
     @given(pp_cases())
     def test_pp_certificates(self, case):
-        cert, target = case
-        expected = expected_pp(cert, target)
+        drawn, target = case
+        expected = expected_pp(drawn, target)
         if isinstance(expected, InvalidInstance):
             with pytest.raises(InvalidInstance, match=f"^{expected}$"):
-                verify_pp_certificate(cert, target)
+                verify_pp_certificate(built(drawn), target)
         else:
-            assert verify_pp_certificate(cert, target) == expected
+            assert verify_pp_certificate(built(drawn), target) == expected
+
+
+def formatted(values):
+    return [format_rational(v) for v in values]
+
+
+@st.composite
+def functionals(draw):
+    """A well-formed (c, a, blin) on n <= 4 points, set or pp, blin None or
+    not for pp, with entries of mixed denominators."""
+    kind = draw(st.sampled_from(["set", "pp"]))
+    n = draw(st.integers(1, 4))
+    entry = st.builds(F, st.integers(-40, 40), st.integers(1, 12))
+    a = [[F(0)] * n for _ in range(n)]
+    for i, j in pairs(n):
+        a[i][j] = a[j][i] = draw(entry)
+    blin = tuple(draw(entry) for _ in range(n)) if kind == "pp" and draw(st.booleans()) else None
+    minimizer = tuple(draw(st.lists(st.integers(0, 3), max_size=n)))
+    return Drawn(kind, n, draw(entry), tuple(map(tuple, a)), blin, draw(entry), minimizer)
+
+
+class TestRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(functionals())
+    def test_payload_gives_back_the_functional(self, drawn):
+        payload = _certificate_payload(built(drawn))
+        want = {
+            "kind": drawn.kind,
+            "n": drawn.n,
+            "c": format_rational(drawn.c),
+            "a": [formatted(row) for row in drawn.a],
+            "gap": format_rational(drawn.gap),
+            "minimizer": list(drawn.minimizer),
+        }
+        if drawn.kind == "pp":
+            want["blin"] = None if drawn.blin is None else formatted(drawn.blin)
+        assert payload == want
+
+
+class TestCheckOrder:
+    TARGET = TwoPointTarget.from_matrix([["1/2", "0"], ["0", "1/2"]])
+    ASYMMETRIC = ((F(-1), F(1), F(0)), (F(0), F(-1), F(0)), (F(0), F(0), F(-1)))
+
+    @pytest.mark.parametrize(
+        "n, a, reason",
+        [
+            # three points against a two-point target, and a not symmetric at (0,1)
+            (3, ASYMMETRIC, "certificate size does not match target"),
+            # a 2 x 3 matrix on two points, asymmetric in its first rows too
+            (2, ASYMMETRIC[:2], "coefficient matrix must be n x n"),
+        ],
+    )
+    def test_size_is_reported_before_symmetry(self, n, a, reason):
+        cert = Certificate.from_functional("set", n, F(1), a, None, F(1), ())
+        assert verify_certificate(cert, self.TARGET) == (False, reason)

@@ -233,6 +233,17 @@ class TestSetCertificateEntries:
         assert code == 2
         assert report["payload"]["error"] == "/a/0/1: cannot parse '1/0' as a rational"
 
+    def test_asymmetric_matrix_is_a_verdict(self, tmp_path):
+        # an asymmetric a parses; it is an invalid certificate (1), not invalid input (2)
+        inst = write(tmp_path, "t.json", DISJOINT)
+        a = [["-1", "1", "1"], ["1", "-1", "1/2"], ["1", "1", "-1"]]
+        cert = write(tmp_path, "cert.json", {**self.CERT, "a": a})
+        code, report = run(tmp_path, "verify-cert", inst, cert)
+        assert code == 1
+        assert report["payload"] == {
+            "kind": "set", "valid": False, "reason": "coefficient matrix not symmetric at (1,2)"
+        }
+
 
 class TestContactScreenCap:
     """Past HIT_PATTERN_LIMIT reachable hit patterns the exhaustive screen

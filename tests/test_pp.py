@@ -527,7 +527,7 @@ class TestRelabelling:
                 assert r1_hat == moved.rho1
         else:
             cert = result.certificate
-            cert = lp.Certificate(
+            cert = lp.Certificate.from_functional(
                 kind="pp",
                 n=cert.n,
                 c=cert.c,
@@ -560,7 +560,7 @@ class TestCertificateShape:
     TARGET = CorrelationTarget.build(n=2, rho_entries=[(0, 1, "1")], rho1=["1", "1"], cap=2)
 
     def certificate(self, a, blin=None):
-        return lp.Certificate(
+        return lp.Certificate.from_functional(
             kind="pp", n=2, c=F(0), a=a, blin=blin, gap=F(1), minimizer=(0, 0)
         )
 
@@ -574,6 +574,29 @@ class TestCertificateShape:
     )
     def test_malformed_certificates_rejected(self, a, blin, reason):
         assert verify_pp_certificate(self.certificate(a, blin), self.TARGET) == (False, reason)
+
+
+class TestIntegerPrices:
+    """Integer prices get the exact search: G = 1/2 m_0 + (1/2 - 2^-60) m_1
+    - m_0 m_1 is -2^-60 at (1, 1), which float64 rounds to 0."""
+
+    TARGET = CorrelationTarget.build(n=2, rho_entries=[(0, 1, "2")], rho1=["1", "1"], cap=2)
+    BLIN = (F(1, 2), F(1, 2) - F(1, 2**60))
+
+    @pytest.mark.parametrize("c", [0, F(0)], ids=["int", "Fraction"])
+    def test_certificate_dipping_below_float_precision_rejected(self, c):
+        cert = lp.Certificate.from_functional(
+            kind="pp", n=2, c=c, a=((0, -1), (-1, 0)), blin=self.BLIN,
+            gap=1 + F(1, 2**60), minimizer=(0, 0),
+        )
+        reason = "functional attains -1/1152921504606846976 < 0 at (1, 1)"
+        assert verify_pp_certificate(cert, self.TARGET) == (False, reason)
+
+    def test_oracle_maximum_is_exact(self):
+        # y = -2^60 G on the rows (pairs 00, 01, 11; intensities; normalisation)
+        y = [0, 2**60, 0, -(2**59), -(2**59 - 1), 0]
+        config, top = pp._ConfigOracle(self.TARGET).best(y)
+        assert (config.multiplicity, top) == ((1, 1), 1)
 
 
 class TestStoredMinimizer:
@@ -598,7 +621,7 @@ class TestStoredMinimizer:
     )
     def test_a_moved_minimizer_is_rejected(self, minimizer, reason):
         cert = realize_pp(self.TARGET).certificate
-        moved = lp.Certificate(
+        moved = lp.Certificate.from_functional(
             kind="pp", n=cert.n, c=cert.c, a=cert.a, blin=cert.blin, gap=cert.gap,
             minimizer=minimizer,
         )

@@ -12,7 +12,6 @@ from realkit.errors import CapExceeded, InvalidGroup, InvalidInstance
 from realkit.lp import column_generation, exact_simplex
 from realkit.pp import CorrelationTarget, realize_pp, verify_pp_certificate
 from realkit.setrealize import (
-    RealizeOptions,
     SubsetMixture,
     TwoPointTarget,
     moments_of_mixture,
@@ -22,7 +21,7 @@ from realkit.setrealize import (
     validate_group,
     verify_certificate,
 )
-from helpers import mixture_moments_target, random_two_point_target
+from helpers import mixture_moments_target, random_two_point_target, rebuilt
 
 PRODUCT_2 = TwoPointTarget.from_matrix([["0.5", "0.25"], ["0.25", "0.5"]])
 DISJOINT_3 = TwoPointTarget.from_matrix(
@@ -141,7 +140,7 @@ class TestRealizeInfeasible:
         ok, reason = verify_certificate(result.certificate, t)
         assert ok, reason
         # the full LP agrees with the screen
-        full = realize_subsets(t, RealizeOptions(max_exact=0))
+        full = realize_subsets(t, max_exact=0)
         assert full.status == "infeasible"
 
 
@@ -151,7 +150,7 @@ class TestOracleEquivalence:
         for _ in range(15):
             t = random_two_point_target(rng, rng.randint(2, 9))
             a = realize_subsets(t)
-            b = realize_subsets(t, RealizeOptions(max_exact=0))
+            b = realize_subsets(t, max_exact=0)
             assert a.status == b.status
             assert a.status in ("feasible", "infeasible")
 
@@ -243,7 +242,7 @@ class TestFloatReconstructionFailure:
         rng = random.Random(61)
         for _ in range(5):
             t = mixture_moments_target(rng, rng.randint(3, 7))
-            r = realize_subsets(t, RealizeOptions(max_exact=0))
+            r = realize_subsets(t, max_exact=0)
             assert r.status == "feasible"
             assert r.residual == 0
             assert all(isinstance(w, F) for _, w in r.mixture.atoms)
@@ -346,7 +345,7 @@ class TestPricingCalls:
         monkeypatch.setattr(setrealize, "qubo_topk_float", counted)
         r = realize_subsets(PENTAGONAL)
         assert (r.status, r.method, calls) == ("infeasible", "enumeration", [])
-        r = realize_subsets(PENTAGONAL, RealizeOptions(max_exact=3))
+        r = realize_subsets(PENTAGONAL, max_exact=3)
         assert (r.status, r.method) == ("infeasible", "column-generation") and calls
 
 
@@ -401,9 +400,9 @@ class TestRelabelling:
         rng.shuffle(perm)
         t = TwoPointTarget.from_matrix(p)
         moved = TwoPointTarget.from_matrix(relabel(perm, p))
-        opts = RealizeOptions(max_exact=0 if force_cg else 12)
-        r = realize_subsets(t, opts)
-        assert realize_subsets(moved, opts).status == r.status
+        max_exact = 0 if force_cg else 12
+        r = realize_subsets(t, max_exact)
+        assert realize_subsets(moved, max_exact).status == r.status
         back = {old: new for new, old in enumerate(perm)}
         if r.status == "feasible":
             mix = SubsetMixture(
@@ -411,9 +410,9 @@ class TestRelabelling:
             )
             assert moments_of_mixture(mix).p == moved.p
         else:
-            cert = replace(
+            cert = rebuilt(
                 r.certificate,
-                a=tuple(tuple(row) for row in relabel(perm, r.certificate.a)),
+                a=relabel(perm, r.certificate.a),
                 minimizer=frozenset(back[i] for i in r.certificate.minimizer),
             )
             ok, why = verify_certificate(cert, moved)
@@ -514,14 +513,14 @@ class TestCertificateTamper:
             a = [list(row) for row in base.a]
             a[i][j] = value
             a[j][i] = value
-            return replace(base, a=tuple(tuple(row) for row in a))
+            return rebuilt(base, a=a)
 
         def with_a_one_sided(i, j, value):
             a = [list(row) for row in base.a]
             a[i][j] = value
-            return replace(base, a=tuple(tuple(row) for row in a))
+            return rebuilt(base, a=a)
 
-        mutants = [replace(base, c=-base.c), replace(base, c=base.c - tenth)]
+        mutants = [rebuilt(base, c=-base.c), rebuilt(base, c=base.c - tenth)]
         for i in range(3):
             mutants.append(with_a(i, i, -base.a[i][i]))          # pairing flips sign
             mutants.append(with_a(i, i, base.a[i][i] - tenth))   # breaks max|a| = 1
@@ -533,7 +532,7 @@ class TestCertificateTamper:
         mutants.append(replace(base, gap=base.gap + tenth))           # stale gap
         mutants.append(replace(base, minimizer=moved))                # not a minimiser
         doubled = tuple(tuple(2 * v for v in row) for row in base.a)
-        mutants.append(replace(base, c=2 * base.c, a=doubled, gap=2 * base.gap))  # max|a| = 2
+        mutants.append(rebuilt(base, c=2 * base.c, a=doubled, gap=2 * base.gap))  # max|a| = 2
         assert len(mutants) == 21
         for k, cert in enumerate(mutants):
             ok, reason = verify(cert, target)
