@@ -40,9 +40,10 @@
   solution of A q = b by fraction-free elimination, or reports that the
   support does not work.
 
-* `float_phase1` / `float_lp_min` — thin wrappers around scipy's HiGHS for
-  locating supports and dual vectors quickly; every verdict derived from
-  them is re-verified exactly by the callers.
+* `float_phase1` / `float_lp_min` — locate supports and dual vectors
+  quickly through `_highs`, the one call of scipy's HiGHS; every verdict
+  derived from them is re-verified exactly by the callers. scipy is
+  imported on the first float LP, so commands that solve none never load it.
 
 Columns are lists of integers or `Fraction`s; in every LP the callers
 build, the last row is the normalisation sum q = 1, which every column
@@ -59,8 +60,6 @@ from operator import itemgetter
 from typing import Protocol
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csc_matrix
 
 from .errors import InvalidInstance
 from .numbers import clear_denominators
@@ -686,6 +685,14 @@ def _solve_exact(
     return q
 
 
+def _highs(c: np.ndarray, A_eq: np.ndarray, b: np.ndarray):
+    """min c.q s.t. A_eq q = b, q >= 0 by HiGHS; scipy's `OptimizeResult`."""
+    from scipy.optimize import linprog  # deferred: scipy takes most of the CLI's import time
+    from scipy.sparse import csc_matrix
+
+    return linprog(c, A_eq=csc_matrix(A_eq), b_eq=b, bounds=(0, None), method="highs")
+
+
 def float_phase1(A: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Least total slack for A q = b, q >= 0 (always solvable).
 
@@ -696,7 +703,7 @@ def float_phase1(A: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray, np.nd
     eye = np.eye(m)
     A_eq = np.hstack([A, eye, -eye])
     c = np.concatenate([np.zeros(n), np.ones(2 * m)])
-    res = linprog(c, A_eq=csc_matrix(A_eq), b_eq=b, bounds=(0, None), method="highs")
+    res = _highs(c, A_eq, b)
     if res.status != 0:
         raise RuntimeError(f"phase-1 float LP failed: {res.message}")
     y = np.asarray(res.eqlin.marginals, dtype=float)
@@ -707,7 +714,7 @@ def float_phase1(A: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray, np.nd
 
 def float_lp_min(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     """min c.q s.t. A q = b, q >= 0 in floats; returns (status, q, y, value)."""
-    res = linprog(c, A_eq=csc_matrix(A), b_eq=b, bounds=(0, None), method="highs")
+    res = _highs(c, A, b)
     if res.status == 2:
         return "infeasible", None, None, None
     if res.status == 3:

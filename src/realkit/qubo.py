@@ -7,11 +7,11 @@ indices is built by doubling, once for each subset H of the remaining high
 indices (the table for H is the functional restricted to the low indices,
 with constant g(H) and diagonal shifted by sum_{h in H} a_hi), in place in
 preallocated arrays, reading only the upper triangle. Exact input is cleared
-once, over the lcm of its distinct denominators, into the narrowest of int16,
-int32 and int64 that holds the scaled coefficients' absolute sum, which bounds
-every partial sum, or into Python integers past int64; pricing runs the same
-tables in float64. Ties among minimisers are broken by one numpy pass over
-their bitmasks.
+once, over the lcm of its distinct denominators (integer input is taken as it
+is, at scale 1), into the narrowest of int16, int32 and int64 that holds the
+scaled coefficients' absolute sum, which bounds every partial sum, or into
+Python integers past int64; pricing runs the same tables in float64. Ties
+among minimisers are broken by one numpy pass over their bitmasks.
 """
 
 from __future__ import annotations
@@ -97,14 +97,14 @@ def _table(c, a, diag, lo: int, dtype) -> np.ndarray:
     subset L of range(lo), indexed by the bitmask of L (doubling over k)."""
     vals = np.empty(1 << lo, dtype=dtype)
     deltas = np.empty(1 << max(lo - 1, 0), dtype=dtype)
-    vals[0], deltas[0] = c, 0
+    vals[0] = c
     for k in range(lo):
-        # value of S + {k} = value of S + diag_k + sum_{j in S} a_jk
+        # value of S + {k} = value of S + deltas[S], deltas[S] = diag_k + sum_{j in S} a_jk
+        deltas[0] = diag[k]
         for j in range(k):
             np.add(deltas[: 1 << j], a[j][k], out=deltas[1 << j : 2 << j])
         h = 1 << k
-        np.add(vals[:h], diag[k], out=vals[h : 2 * h])
-        np.add(vals[h : 2 * h], deltas[:h], out=vals[h : 2 * h])
+        np.add(vals[:h], deltas[:h], out=vals[h : 2 * h])
     return vals
 
 
@@ -154,11 +154,16 @@ def qubo_min(c, a: Sequence[Sequence], n: int) -> tuple[frozenset[int], object]:
     if n == 0:
         return frozenset(), c
     # `_blocks` reads only the upper triangle: row i is i zeros, then a[i][i:] cleared
-    cf = _exact(c)
-    upper = [[_exact(v) for v in a[i][i:]] for i in range(n)]
-    scale = lcm(cf.denominator, *{v.denominator for row in upper for v in row})
-    ci = cf.numerator * (scale // cf.denominator)
-    ai = [[0] * i + [v.numerator * (scale // v.denominator) for v in upper[i]] for i in range(n)]
+    upper = [a[i][i:] for i in range(n)]
+    if type(c) is int and all(type(v) is int for row in upper for v in row):
+        scale, ci = 1, c
+        ai = [[0] * i + list(upper[i]) for i in range(n)]
+    else:
+        cf = _exact(c)
+        upper = [[_exact(v) for v in row] for row in upper]
+        scale = lcm(cf.denominator, *{v.denominator for row in upper for v in row})
+        ci = cf.numerator * (scale // cf.denominator)
+        ai = [[0] * i + [v.numerator * (scale // v.denominator) for v in upper[i]] for i in range(n)]
     total = abs(ci) + sum(abs(x) for row in ai for x in row)
     dtype = next((t for t in _EXACT_DTYPES if total <= np.iinfo(t).max), object)
     best, winners = None, []

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from test_golden import CASES, INSTANCES, REPORTS
 
+import realkit
 from realkit import cli, contact
 from realkit.cli import main
 
@@ -624,3 +630,44 @@ class TestInternalError:
         assert report["status"] == "error"
         assert report["command"] == "realize-set"
         assert "simulated fault" in report["payload"]["error"]
+
+
+class TestImportBoundary:
+    """scipy loads with the first float LP, so a command that solves none
+    never imports it. Each case runs in a fresh interpreter."""
+
+    PROBE = (
+        "import contextlib, io, sys\n"
+        "from realkit.cli import main\n"
+        "with contextlib.redirect_stderr(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(code, 'scipy' in sys.modules)\n"
+    )
+
+    @pytest.mark.parametrize(
+        "case, loads_scipy",
+        [
+            ("verify-cert-set", False),
+            ("verify-cert-pp", False),
+            ("packing", False),
+            ("gamma", False),
+            ("screen-pp-pass", False),
+            ("sample", False),
+            ("contact-check-pass", False),
+            ("regularity-chi", False),
+            # the one case that solves a float LP, by HiGHS
+            ("realize-set-feasible", True),
+        ],
+    )
+    def test_scipy_only_with_a_float_lp(self, tmp_path, case, loads_scipy):
+        argv, expected = CASES[case]
+        out = tmp_path / "report.json"
+        argv = [str(INSTANCES / a) if a.endswith(".json") else a for a in argv]
+        src = str(Path(realkit.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", self.PROBE, *argv, "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        assert proc.stdout.split() == [str(expected), str(loads_scipy)]
+        assert out.read_bytes() == (REPORTS / f"{case}.json").read_bytes()

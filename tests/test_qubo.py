@@ -247,6 +247,35 @@ class TestQuboMin:
             assert isinstance(value, F)
             assert (value, tuple(sorted(subset))) == exhaust(c, a, n)
 
+    @settings(max_examples=120, deadline=None)
+    @given(
+        low_bits=st.sampled_from([3, 20]),
+        n=st.integers(1, 8),
+        limit=st.sampled_from([
+            (2**15 - 1, np.int16), (2**15, np.int32), (2**31 - 1, np.int32),
+            (2**31, np.int64), (2**63 - 1, np.int64), (2**63, object),
+        ]),
+        data=st.data(),
+    )
+    def test_integer_input_on_both_sides_of_each_dtype_limit(self, low_bits, n, limit, data):
+        # integer input is taken at scale 1: |c| + sum |a_ij| is `total`,
+        # split at random cut points into c and the upper triangle
+        total, want = limit
+        size = n * (n + 1) // 2
+        cuts = sorted(data.draw(st.lists(st.integers(0, total), min_size=size, max_size=size)))
+        parts = [y - x for x, y in zip([0, *cuts], [*cuts, total])]
+        signs = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=size + 1, max_size=size + 1))
+        c, *entries = [s * x for s, x in zip(signs, parts)]
+        a = [[0] * n for _ in range(n)]
+        for (i, j), v in zip(pair_list(n), entries):
+            a[i][j] = a[j][i] = v
+        (subset, value), dtypes = min_recording_dtypes(c, a, n, low_bits)
+        assert dtypes and all(d is want for d in dtypes)
+        assert (value, tuple(sorted(subset))) == exhaust(c, a, n)
+        fractions = [[F(v) for v in row] for row in a]
+        with mock.patch.object(qubo, "LOW_BITS", low_bits):
+            assert qubo_min(F(c), fractions, n) == (subset, value)
+
     @pytest.mark.parametrize(
         "a",
         [
