@@ -7,22 +7,23 @@ indices is built by doubling, once for each subset H of the remaining high
 indices (the table for H is the functional restricted to the low indices,
 with constant g(H) and diagonal shifted by sum_{h in H} a_hi), in place in
 preallocated arrays, reading only the upper triangle. Exact input is cleared
-once, over the lcm of its distinct denominators (integer input is taken as it
-is, at scale 1), into the narrowest of int16, int32 and int64 that holds the
-scaled coefficients' absolute sum, which bounds every partial sum, or into
-Python integers past int64; pricing runs the same tables in float64. Ties
-among minimisers are broken by one numpy pass over their bitmasks.
+once, over the lcm of its distinct denominators, into the narrowest of int16,
+int32 and int64 that holds the scaled coefficients' absolute sum, which bounds
+every partial sum, or into Python integers past int64; pricing runs the same
+tables in float64. Ties among minimisers are broken by one numpy pass over
+their bitmasks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
 
 from .errors import CapExceeded, InvalidInstance
+from .numbers import clear_denominators
 
 LOW_BITS = 20
 MAX_N = 30
@@ -40,11 +41,6 @@ def pair_matrix(n: int, values) -> list[list]:
     for (i, j), v in zip(pair_list(n), values):
         a[i][j] = a[j][i] = v
     return a
-
-
-def _exact(v):
-    """v itself when it is an int or a Fraction, else its Fraction."""
-    return v if isinstance(v, (int, Fraction)) else Fraction(v)
 
 
 def check_symmetric(a: Sequence[Sequence], n: int) -> None:
@@ -154,17 +150,10 @@ def qubo_min(c, a: Sequence[Sequence], n: int) -> tuple[frozenset[int], object]:
     if n == 0:
         return frozenset(), c
     # `_blocks` reads only the upper triangle: row i is i zeros, then a[i][i:] cleared
-    upper = [a[i][i:] for i in range(n)]
-    if type(c) is int and all(type(v) is int for row in upper for v in row):
-        scale, ci = 1, c
-        ai = [[0] * i + list(upper[i]) for i in range(n)]
-    else:
-        cf = _exact(c)
-        upper = [[_exact(v) for v in row] for row in upper]
-        scale = lcm(cf.denominator, *{v.denominator for row in upper for v in row})
-        ci = cf.numerator * (scale // cf.denominator)
-        ai = [[0] * i + [v.numerator * (scale // v.denominator) for v in upper[i]] for i in range(n)]
-    total = abs(ci) + sum(abs(x) for row in ai for x in row)
+    flat, scale = clear_denominators([c, *(v for i in range(n) for v in a[i][i:])])
+    ci, rest = flat[0], iter(flat[1:])
+    ai = [[0] * i + list(islice(rest, n - i)) for i in range(n)]
+    total = sum(abs(x) for x in flat)
     dtype = next((t for t in _EXACT_DTYPES if total <= np.iinfo(t).max), object)
     best, winners = None, []
     for high, vals in _blocks(ci, ai, n, dtype):
