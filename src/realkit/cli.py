@@ -11,6 +11,7 @@ are sorted, and no timestamps are embedded.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -413,19 +414,7 @@ def _cmd_contact_simulate(args, digests: dict) -> dict:
     x1 = _parse_point(args.x1)
     x2 = _parse_point(args.x2)
     report_mc = monte_carlo_contact(tau1, tau2, x1, x2, samples=args.samples, seed=args.seed)
-    payload = {
-        "abscissae": report_mc.abscissae,
-        "empirical1": report_mc.empirical1,
-        "empirical2": report_mc.empirical2,
-        "target1": report_mc.target1,
-        "target2": report_mc.target2,
-        "max_deviation1": report_mc.max_deviation1,
-        "max_deviation2": report_mc.max_deviation2,
-        "no_point_fraction": report_mc.no_point_fraction,
-        "samples": report_mc.samples,
-        "seed": report_mc.seed,
-    }
-    return _report("contact-simulate", "pass", payload, digests)
+    return _report("contact-simulate", "pass", dataclasses.asdict(report_mc), digests)
 
 
 def _cmd_contact_screen(args, digests: dict) -> dict:

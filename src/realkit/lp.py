@@ -275,12 +275,10 @@ def check_certificate(cert: Certificate, oracle: ColumnOracle) -> tuple[bool, st
         return False, "stored minimizer is not an admissible configuration"
     if _dot(y, oracle.column(key)) != top:
         return False, "stored minimizer does not attain the global minimum"
-    b, scale = clear_denominators(target.rhs())
-    pairing, scale = -_dot(y, b), cert.den * scale  # G paired with the target is pairing / scale
+    pairing = cert.pairing(target)
     if pairing >= 0:
-        return False, f"pairing with the target is {Fraction(pairing, scale)} >= 0"
-    gap, den = cert.gap.as_integer_ratio()
-    if -pairing * den != gap * scale:
+        return False, f"pairing with the target is {pairing} >= 0"
+    if -pairing != cert.gap:
         return False, "stored gap does not match the recomputed pairing"
     return True, "certificate valid"
 
@@ -295,12 +293,20 @@ class RealizeResult:
     status: str  # "feasible" | "infeasible" | "indeterminate"
     mixture: object | None = None
     certificate: object | None = None
-    residual: object | None = None
-    gap: object | None = None
     note: str | None = None
     method: str = ""
     objective_value: object | None = None
     dual_value: object | None = None
+
+    @property
+    def gap(self) -> Fraction | None:
+        """The certificate's gap, when there is a certificate."""
+        return None if self.certificate is None else self.certificate.gap
+
+    @property
+    def residual(self) -> Fraction | None:
+        """0 when there is a mixture: every mixture solves the moment rows exactly."""
+        return None if self.mixture is None else Fraction(0)
 
 
 def screen(screens, oracle: ColumnOracle) -> RealizeResult | None:
@@ -324,9 +330,7 @@ def screen(screens, oracle: ColumnOracle) -> RealizeResult | None:
             a, linear = found
             y = [-a.get(pair, 0) for pair in pair_list(target.n)] + [-v for v in linear] + [0]
             cert = oracle.certify(*exact_farkas(y, oracle))
-            return RealizeResult(
-                "infeasible", certificate=cert, gap=cert.gap, note=note, method=method
-            )
+            return RealizeResult("infeasible", certificate=cert, note=note, method=method)
     return None
 
 
@@ -343,7 +347,7 @@ def verdict(
         cert = oracle.certify(res.farkas, res.witness)
         if cert.gap <= 0:
             raise RuntimeError("exact Farkas vector failed certification")
-        return RealizeResult("infeasible", certificate=cert, gap=cert.gap, method=method)
+        return RealizeResult("infeasible", certificate=cert, method=method)
     if res.status == "indeterminate":
         return RealizeResult(
             "indeterminate",
@@ -351,8 +355,7 @@ def verdict(
             method=method,
         )
     return RealizeResult(
-        "feasible", mixture=oracle.mixture(res.keys, res.x), residual=Fraction(0), note=note,
-        method=method,
+        "feasible", mixture=oracle.mixture(res.keys, res.x), note=note, method=method
     )
 
 

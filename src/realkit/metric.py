@@ -216,7 +216,7 @@ def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def gamma_min_pairs(space: FiniteMetricSpace, n: int, t, cap: int = GAMMA_MASS_CAP) -> int:
+def gamma_min_pairs(space: FiniteMetricSpace, n: int, t) -> int:
     """Minimum ordered close-pair count over configurations of total mass n.
 
     Exhaustive over all multiplicity vectors, which grows as compositions of
@@ -225,9 +225,10 @@ def gamma_min_pairs(space: FiniteMetricSpace, n: int, t, cap: int = GAMMA_MASS_C
     if n < 0:
         raise InvalidInstance("total mass must be non-negative")
     masks = _close_masks(space, parse_rational(t, "t"))
-    if n > cap:
+    if n > GAMMA_MASS_CAP:
         raise CapExceeded(
-            f"total mass {n} above the enumeration cap {cap}; use close_pair_envelope instead"
+            f"total mass {n} above the enumeration cap {GAMMA_MASS_CAP}; "
+            "use close_pair_envelope instead"
         )
     return min(_pair_count(m, masks) for m in _compositions(n, space.n))
 

@@ -13,6 +13,7 @@ from fractions import Fraction
 from .errors import InvalidInstance
 
 INF = math.inf
+_SQRT_BITS = 96
 
 
 def parse_rational(value, where: str = "value") -> Fraction:
@@ -147,8 +148,8 @@ def format_rational(x) -> str:
     return f"{sign}{s[:-digits]}.{s[-digits:]}" if digits else f"{sign}{s}"
 
 
-def sqrt_interval(x: Fraction, bits: int = 96) -> tuple[Fraction, Fraction]:
-    """Enclosing interval [lo, hi] for sqrt(x), width below 2**-bits relative.
+def sqrt_interval(x: Fraction) -> tuple[Fraction, Fraction]:
+    """Enclosing interval [lo, hi] for sqrt(x), width below 2**-_SQRT_BITS relative.
 
     Used where a Euclidean norm of rational points is irrational; verdicts
     are drawn only when the whole interval lies on one side of the bound.
@@ -159,7 +160,7 @@ def sqrt_interval(x: Fraction, bits: int = 96) -> tuple[Fraction, Fraction]:
         return Fraction(0), Fraction(0)
     p, q = x.numerator, x.denominator
     # sqrt(p/q) = isqrt(p*q*4^k) / (q*2^k) up to one ulp; exact on squares
-    scale = 1 << bits
+    scale = 1 << _SQRT_BITS
     n = p * q * scale * scale
     r = math.isqrt(n)
     if r * r == n:

@@ -22,6 +22,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -70,6 +71,13 @@ class CorrelationTarget:
             b.extend(self.rho1)
         b.append(Fraction(1))
         return b
+
+    @cached_property
+    def rules(self) -> "_Rules":
+        """The target's admissible configurations, built on first use."""
+        return _Rules.build(
+            self.n, self.cap, self.simple, self.hardcore_eps, self.space, self.hardcore_strict
+        )
 
     @staticmethod
     def build(
@@ -167,21 +175,27 @@ class ConfigMixture:
 
 
 def g_h_eval(config: Configuration, h: Sequence[Sequence]) -> object:
-    """Sum of h over ordered pairs of distinct particles (the empty sum is 0)."""
-    m = config.multiplicity
-    n = len(m)
+    """Sum of h over ordered pairs of distinct particles, by `_pair_sum`."""
+    n = len(config.multiplicity)
     if len(h) != n or any(len(row) != n for row in h):
         raise InvalidInstance("h must be n x n")
     if any(h[i][j] != h[j][i] for i, j in itertools.combinations(range(n), 2)):
         raise InvalidInstance("h must be symmetric")
+    return _pair_sum(config.multiplicity, h)
+
+
+def _pair_sum(m: Sequence[int], h: Sequence[Sequence]) -> object:
+    """sum_{i != j} h_ij over ordered pairs of distinct particles of m (0 if
+    none), skipping zero counts, so an infinite h_ii costs nothing at one particle."""
     total = 0
-    for i in range(n):
-        if m[i] == 0:
+    for i, mi in enumerate(m):
+        if mi == 0:
             continue
-        total = total + m[i] * (m[i] - 1) * h[i][i]
-        for j in range(n):
-            if j != i and m[j]:
-                total = total + m[i] * m[j] * h[i][j]
+        if mi > 1:
+            total = total + mi * (mi - 1) * h[i][i]
+        for j, mj in enumerate(m):
+            if j != i and mj:
+                total = total + mi * mj * h[i][j]
     return total
 
 
@@ -227,13 +241,6 @@ class _Rules:
             conflicts=tuple(
                 tuple(i for i in range(k) if eps is not None and close(i, k)) for k in range(n)
             ),
-        )
-
-    @staticmethod
-    def of(target: CorrelationTarget) -> "_Rules":
-        return _Rules.build(
-            target.n, target.cap, target.simple, target.hardcore_eps, target.space,
-            target.hardcore_strict,
         )
 
     def choices(self, prefix: Sequence[int], mass_left: int) -> range:
@@ -324,27 +331,20 @@ class _ConfigOracle:
 
     def key(self, m: tuple[int, ...]) -> Configuration | None:
         """The configuration m when it is admissible, else None."""
-        return Configuration(m) if _Rules.of(self.target).admits(m) else None
+        return Configuration(m) if self.target.rules.admits(m) else None
 
     def name(self, config: Configuration) -> str:
         return str(config.multiplicity)
 
 
 def pp_moments(mix: ConfigMixture) -> tuple[dict, tuple[Fraction, ...]]:
-    """Forward map: ordered pair counts and intensities under the mixture."""
-    n = mix.n
-    rho_hat: dict[tuple[int, int], Fraction] = {}
-    rho1_hat = [Fraction(0)] * n
+    """Forward map: ordered pair counts (pairs i <= j of non-zero mass) and
+    intensities under the mixture, summed over its LP columns."""
+    n, pairs = mix.n, pair_list(mix.n)
+    moments = [Fraction(0)] * (len(pairs) + n + 1)
     for config, w in mix.atoms:
-        m = config.multiplicity
-        for i in range(n):
-            rho1_hat[i] += w * m[i]
-            for j in range(i, n):
-                count = m[i] * (m[i] - 1) if i == j else m[i] * m[j]
-                if count:
-                    key = (i, j)
-                    rho_hat[key] = rho_hat.get(key, Fraction(0)) + w * count
-    return rho_hat, tuple(rho1_hat)
+        moments = [v + w * c for v, c in zip(moments, _config_column(config, n, True))]
+    return {p: v for p, v in zip(pairs, moments) if v}, tuple(moments[len(pairs) : -1])
 
 
 def verify_pp_certificate(cert: Certificate, target: CorrelationTarget) -> tuple[bool, str]:
@@ -426,22 +426,13 @@ def objective_cardinality(alpha: int) -> Callable[[Configuration], Fraction]:
 
 
 def objective_chi_hc(psi, space: FiniteMetricSpace) -> Callable[[Configuration], object]:
-    """Expected close-pair weight sum_{i != j} psi(d) over ordered pairs."""
-
-    def chi(config: Configuration):
-        m = config.multiplicity
-        total: object = Fraction(0)
-        for i in range(space.n):
-            if m[i] == 0:
-                continue
-            if m[i] > 1:
-                total = total + m[i] * (m[i] - 1) * psi.value(Fraction(0))
-            for j in range(space.n):
-                if j != i and m[j]:
-                    total = total + m[i] * m[j] * psi.value(space.dist[i][j])
-        return total
-
-    return chi
+    """Close-pair weight sum_{i != j} psi(d_ij) over ordered pairs, by
+    `_pair_sum` over h = psi(d_ij), built once with psi(0) on the diagonal."""
+    h = [
+        [psi.value(Fraction(0) if i == j else space.dist[i][j]) for j in range(space.n)]
+        for i in range(space.n)
+    ]
+    return lambda config: _pair_sum(config.multiplicity, h)
 
 
 def realize_pp(
@@ -465,32 +456,30 @@ def realize_pp(
     exact rounds reports "exact-column-generation".
 
     An objective is minimised by the same driver with the objective as its
-    cost, over the enumerated configurations. When every value is finite
-    its verdict is the answer. Otherwise it runs over the finite ones
-    (`lp.ColumnList`), and when they realise nothing the feasibility
-    driver above decides. Past `enum_limit` the first exact realisation is
-    reported, with an objective value that is not certified minimal. The
-    optimum of a close-pair objective is pinned by the moment rows, so the
-    primal value doubles as a consistency check on the data.
+    cost, over the enumerated configurations of finite value
+    (`lp.ColumnList`, whose ties go to the lexicographically smallest). Its
+    realisation is the answer, and so is its infeasibility when every value
+    is finite; otherwise the feasibility driver above decides. Past
+    `enum_limit` the first exact realisation is reported, with an objective
+    value that is not certified minimal. The optimum of a close-pair
+    objective is pinned by the moment rows, so the primal value doubles as
+    a consistency check on the data.
     """
     for i, j, w in target.atoms():
         if target.simple and i == j and w > 0:
             return RealizeResult(
                 status="infeasible",
                 certificate=_trivial_certificate(target, i, j),
-                gap=w,
                 note="simple processes carry no diagonal correlation mass",
                 method="validation",
             )
     if target.hardcore_eps is not None:
         ok, offenders = check_hardcore_support(target, target.hardcore_eps)
         if not ok:
-            i, j, w = offenders[0]
-            cert = _trivial_certificate(target, i, j)
+            i, j, _ = offenders[0]
             return RealizeResult(
                 status="infeasible",
-                certificate=cert,
-                gap=cert.gap,
+                certificate=_trivial_certificate(target, i, j),
                 note="correlation mass inside the hard-core distance",
                 method="validation",
             )
@@ -508,11 +497,10 @@ def realize_pp(
         note = "every realising mixture has infinite objective"
     except CapExceeded:
         # the empty configuration and the admissible one-point ones
-        rules = _Rules.of(target)
         seed = [
             Configuration(m)
             for m in (tuple(int(i == k) for i in range(target.n)) for k in range(-1, target.n))
-            if rules.admits(m)
+            if target.rules.admits(m)
         ]
         method, oracle = "column-generation", _ConfigOracle(target)
         note = (
@@ -522,10 +510,8 @@ def realize_pp(
     if objective is not None and oracle.size is not None:
         chi = {cfg: objective(cfg) for cfg in seed}
         finite = [cfg for cfg in seed if chi[cfg] != INF]
-        if len(finite) == len(seed):
-            return _verdict(column_generation(oracle, b, seed, chi), oracle, method, objective)
         res = column_generation(ColumnList({c: oracle.column(c) for c in finite}), b, finite, chi)
-        if res.status == "feasible":
+        if res.status == "feasible" or len(finite) == len(seed):
             return _verdict(res, oracle, method, objective)
     return _verdict(column_generation(oracle, b, seed), oracle, method, objective, note)
 
@@ -547,35 +533,20 @@ def _verdict(res, oracle, method, objective=None, note=None) -> RealizeResult:
 
 
 def _search(y: Sequence, target: CorrelationTarget) -> tuple[Configuration, object]:
-    """maximise y.A_Y over admissible configurations for int or float
-    prices y, by prefix search with an interval bound; ties resolve to the
+    """maximise y.A_Y over `target.rules` for int or float prices y, by
+    prefix search with an interval bound; ties resolve to the
     lexicographically smallest multiplicity vector. y holds the pair
-    prices, then n intensity prices if it is long enough, then the
-    normalisation price."""
+    prices, then n intensity prices if it is long enough (else zeros), then
+    the normalisation price. Each node carries its prefix's value; a child
+    m at point k adds m (y_int_k + y_kk (m - 1) + sum_{j<k} y_jk m_j)."""
     n = target.n
     pairs = pair_list(n)
     y_pair = dict(zip(pairs, y))
-    y_int = None
-    if len(y) > len(pairs) + 1:
-        y_int = y[len(pairs) : len(pairs) + n]
-    y_norm = y[-1]
-    rules = _Rules.of(target)
-
-    def value(m: list[int]):
-        total = y_norm
-        for i in range(len(m)):
-            if m[i] == 0:
-                continue
-            if y_int is not None:
-                total += y_int[i] * m[i]
-            total += y_pair[(i, i)] * m[i] * (m[i] - 1)
-            for j in range(i + 1, len(m)):
-                if j < len(m) and m[j]:
-                    total += y_pair[(i, j)] * m[i] * m[j]
-        return total
+    y_int = y[len(pairs) : len(pairs) + n] if len(y) > len(pairs) + 1 else [0] * n
+    rules = target.rules
 
     best_cfg = [0] * n
-    best_val = value(best_cfg)
+    best_val = y[-1]
 
     def upper_tail(prefix: list[int], mass_left: int):
         # optimistic gain from the remaining coordinates
@@ -583,7 +554,7 @@ def _search(y: Sequence, target: CorrelationTarget) -> tuple[Configuration, obje
         gain = 0
         for i in range(k, n):
             hi = min(rules.per_point, mass_left)
-            if y_int is not None and y_int[i] > 0:
+            if y_int[i] > 0:
                 gain += y_int[i] * hi
             if y_pair[(i, i)] > 0:
                 gain += y_pair[(i, i)] * hi * max(hi - 1, 0)
@@ -595,24 +566,24 @@ def _search(y: Sequence, target: CorrelationTarget) -> tuple[Configuration, obje
                     gain += y_pair[(i, j)] * hi * hi
         return gain
 
-    def visit(prefix: list[int], mass_left: int) -> None:
+    def visit(prefix: list[int], mass_left: int, base) -> None:
         nonlocal best_cfg, best_val
         k = len(prefix)
         if k == n:
-            v = value(prefix)
-            if v > best_val:
-                best_val = v
+            if base > best_val:
+                best_val = base
                 best_cfg = list(prefix)
             return
-        base = value(prefix + [0] * (n - k))
         if base + upper_tail(prefix, mass_left) <= best_val:
             return
+        cross = sum(y_pair[(j, k)] * mj for j, mj in enumerate(prefix) if mj)
         for m in rules.choices(prefix, mass_left):
+            step = y_int[k] + y_pair[(k, k)] * (m - 1) + cross
             prefix.append(m)
-            visit(prefix, mass_left - m)
+            visit(prefix, mass_left - m, base + m * step)
             prefix.pop()
 
-    visit([], target.cap)
+    visit([], target.cap, y[-1])
     return Configuration(tuple(best_cfg)), best_val
 
 

@@ -229,14 +229,9 @@ def _enc_add(x: Enclosure, y: Enclosure) -> Enclosure:
 
 
 def _enc_scale(x: Enclosure, s: Fraction) -> Enclosure:
-    if s == 0:
-        return (Fraction(0), Fraction(0))
-    if s > 0:
-        lo = INF if x[0] == INF else s * x[0]
-        hi = INF if x[1] == INF else s * x[1]
-        return (lo, hi)
-    hi = -INF if x[0] == INF else s * x[0]
-    lo = -INF if x[1] == INF else s * x[1]
+    """s x for s > 0, an atom weight or a beta value."""
+    lo = INF if x[0] == INF else s * x[0]
+    hi = INF if x[1] == INF else s * x[1]
     return (lo, hi)
 
 

@@ -315,7 +315,6 @@ def realize_subsets(target: TwoPointTarget, max_exact: int = 12) -> RealizeResul
         return RealizeResult(
             status="feasible",
             mixture=SubsetMixture(n=1, atoms=tuple(atoms)),
-            residual=Fraction(0),
             note=FINITE_CARRIER_NOTE,
             method="degenerate",
         )

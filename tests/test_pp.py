@@ -63,6 +63,10 @@ class TestGhEval:
     def test_multiplicities_multiply(self):
         assert g_h_eval(Configuration((2, 3)), indicator(2, 0, 1)) == 12
 
+    def test_lone_particle_skips_an_infinite_diagonal(self):
+        # point 0 holds no pair of particles, so its infinite weight costs nothing
+        assert g_h_eval(Configuration((1, 0)), [[INF, 1], [1, 0]]) == 0
+
 
 class TestEnumerate:
     def test_simple_subsets(self):
@@ -597,6 +601,93 @@ class TestIntegerPrices:
         y = [0, 2**60, 0, -(2**59), -(2**59 - 1), 0]
         config, top = pp._ConfigOracle(self.TARGET).best(y)
         assert (config.multiplicity, top) == ((1, 1), 1)
+
+
+@st.composite
+def search_cases(draw):
+    """(target, its admissible configurations, price count) for `_search`: n <= 5
+    and cap <= 4, simple, hard-core (points on a line, plain or strict) or
+    neither, prices with or without the intensity rows. Admissibility is
+    decided here from its definition, over `itertools.product`."""
+    n = draw(st.integers(1, 5))
+    cap = draw(st.integers(0, 4))
+    kind = draw(st.sampled_from(["plain", "simple", "hard-core", "strict"]))
+    at = draw(st.lists(st.integers(0, 8), min_size=n, max_size=n, unique=True))
+    space = make_space([[F(abs(a - b), 2) for b in at] for a in at])
+    hard_core = kind in ("hard-core", "strict")
+    eps = draw(st.sampled_from([F(1, 2), F(1), F(3, 2), F(2)])) if hard_core else None
+    target = CorrelationTarget.build(
+        cap=cap, simple=kind == "simple", hardcore_eps=eps, space=space,
+        hardcore_strict=kind == "strict",
+    )
+
+    def apart(i, j):
+        d = space.dist[i][j]
+        return eps is None or (d > eps if kind == "strict" else d >= eps)
+
+    admissible = [
+        m for m in itertools.product(range(cap + 1), repeat=n)
+        if sum(m) <= cap
+        and (kind == "plain" or max(m) <= 1)
+        and all(apart(i, j) for i, j in itertools.combinations(range(n), 2) if m[i] and m[j])
+    ]
+    rows = n * (n + 1) // 2 + (n if draw(st.booleans()) else 0) + 1
+    return target, admissible, rows
+
+
+def priced(y, m):
+    """y.A_m from the definition: pair counts, then intensities if y has
+    those rows, then the normalisation."""
+    n = len(m)
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    total = y[-1] + sum(y[k] * m[i] * (m[j] - (i == j)) for k, (i, j) in enumerate(pairs))
+    if len(y) > len(pairs) + 1:
+        total += sum(y[len(pairs) + i] * m[i] for i in range(n))
+    return total
+
+
+class TestSearchAgainstProduct:
+    @settings(max_examples=150, deadline=None)
+    @given(search_cases(), st.data())
+    def test_integer_prices_find_the_smallest_maximiser(self, case, data):
+        target, admissible, rows = case
+        y = data.draw(st.lists(st.integers(-6, 6), min_size=rows, max_size=rows))
+        config, top = pp._search(y, target)
+        values = [priced(y, m) for m in admissible]
+        assert top == max(values)
+        # product order is lexicographic, so index() finds the smallest maximiser
+        assert config.multiplicity == admissible[values.index(top)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(search_cases(), st.data())
+    def test_float_prices_find_the_maximum(self, case, data):
+        target, admissible, rows = case
+        price = st.floats(-1, 1, allow_nan=False, allow_infinity=False)
+        y = data.draw(st.lists(price, min_size=rows, max_size=rows))
+        config, top = pp._search(y, target)
+        best = max(priced(y, m) for m in admissible)
+        assert config.multiplicity in admissible
+        assert abs(top - best) <= 1e-9
+        assert abs(priced(y, config.multiplicity) - best) <= 1e-9
+
+
+class TestChiHcObjective:
+    # infinite below 1/2, so two particles closer than that cost +inf
+    PSI = PsiFunction.from_json({"steps": [["0", "inf"], ["1/2", "3"], ["1", "1"], ["2", "0"]]})
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=4, unique=True), st.data())
+    def test_matches_a_sum_over_ordered_particle_pairs(self, at, data):
+        n = len(at)
+        space = make_space([[F(abs(a - b), 2) for b in at] for a in at])
+        m = data.draw(st.tuples(*[st.integers(0, 3)] * n))
+        particles = [i for i in range(n) for _ in range(m[i])]
+        expected = sum(
+            (self.PSI.value(space.dist[particles[a]][particles[b]])
+             for a, b in itertools.permutations(range(len(particles)), 2)),
+            F(0),
+        )
+        assert objective_chi_hc(self.PSI, space)(Configuration(m)) == expected
 
 
 class TestStoredMinimizer:
