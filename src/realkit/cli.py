@@ -301,22 +301,24 @@ def _finite_measure(obj) -> tuple[FiniteMetricSpace, AtomicMeasure2D]:
 
 def _euclidean(obj, size: int) -> tuple[int, list]:
     """The dimension and the atoms of a Euclidean measure: lists of `size`
-    entries, points (lists) and then a weight."""
+    entries, points (lists of d entries) and then a weight."""
     d = parse_int(field(obj, "d", "instance"), "/d")
+    if d < 1:
+        raise InvalidInstance("/d: expected a positive integer")
     atoms = parse_list(field(obj, "atoms", "instance"), "/atoms")
     for k, atom in enumerate(atoms):
         for i, point in enumerate(parse_list(atom, f"/atoms/{k}", size)[:-1]):
-            parse_list(point, f"/atoms/{k}/{i}")
+            parse_list(point, f"/atoms/{k}/{i}", d)
     return d, atoms
 
 
 def _verdict_from_enclosure(value, bound) -> str:
     lo, hi = value
     if bound is None:
-        return "pass" if hi != INF else "fail"
-    if hi != INF and hi <= bound:
+        return "pass" if hi < INF else "fail"
+    if hi <= bound:
         return "pass"
-    if lo == INF or lo > bound:
+    if lo > bound:
         return "fail"
     return "indeterminate"
 
@@ -325,20 +327,7 @@ def _cmd_regularity(args, digests: dict) -> dict:
     obj = _load(args.instance, digests, "instance")
     bound = parse_rational(args.r, "--r") if args.r is not None else None
     payload: dict = {"check": args.check}
-    if args.check == "chi":
-        _, measure = _finite_measure(obj)
-        psi = _psi(args, digests, "--check chi")
-        value = chi_hc_integral(measure, psi)
-        payload["value"] = _fmt(value)
-        payload["bound"] = _fmt(bound)
-        status = _verdict_from_enclosure((value, value), bound)
-    elif args.check == "packing":
-        space, measure = _finite_measure(obj)
-        value = packing_integral(measure, space)
-        payload["value"] = _fmt(value)
-        payload["bound"] = _fmt(bound)
-        status = _verdict_from_enclosure((value, value), bound)
-    elif args.check == "psi":
+    if args.check == "psi":
         space = FiniteMetricSpace.from_json(field(obj, "space", "instance"))
         psi = _psi(args, digests, "--check psi")
         threshold = bound if bound is not None else Fraction(1)
@@ -358,7 +347,16 @@ def _cmd_regularity(args, digests: dict) -> dict:
             "finite-data proxy: the growth condition is a limit statement "
             "and is judged at the smallest positive distance"
         )
-        status = "pass" if rep.passes else "fail"
+        return _report("regularity", "pass" if rep.passes else "fail", payload, digests)
+    # every other check reports a value enclosure and judges it against the bound
+    if args.check in ("chi", "packing"):
+        space, measure = _finite_measure(obj)
+        if args.check == "chi":
+            value = chi_hc_integral(measure, _psi(args, digests, "--check chi"))
+        else:
+            value = packing_integral(measure, space)
+        payload["value"] = _fmt(value)
+        enclosure = (value, value)
     elif args.check == "shells":
         measure = AtomicMeasure2D.euclidean(*_euclidean(obj, 3))
         radii = parse_rationals(field(obj, "radii", "instance"), "/radii")
@@ -367,20 +365,19 @@ def _cmd_regularity(args, digests: dict) -> dict:
         beta = field(_load(args.beta, digests, "beta"), "beta", "beta file")
         result = shell_series(measure, radii, parse_rationals(beta, "/beta"))
         payload["r_values"] = [[_fmt(lo), _fmt(hi)] for lo, hi in result.r_values]
-        payload["series"] = [_fmt(result.series[0]), _fmt(result.series[1])]
-        payload["bound"] = _fmt(bound)
-        status = _verdict_from_enclosure(result.series, bound)
+        enclosure = result.series
+        payload["series"] = [_fmt(v) for v in enclosure]
     elif args.check == "reduced":
         d, atoms = _euclidean(obj, 2)
         radius = parse_rational(field(obj, "ball_radius", "instance"), "/ball_radius")
         result = reduced_measure_check(atoms, radius, d)
-        payload["value"] = [_fmt(result.value[0]), _fmt(result.value[1])]
+        enclosure = result.value
+        payload["value"] = [_fmt(v) for v in enclosure]
         payload["origin_atom"] = result.origin_atom
-        payload["bound"] = _fmt(bound)
-        status = _verdict_from_enclosure(result.value, bound)
     else:
         raise InvalidInstance(f"unknown regularity check {args.check!r}")
-    return _report("regularity", status, payload, digests)
+    payload["bound"] = _fmt(bound)
+    return _report("regularity", _verdict_from_enclosure(enclosure, bound), payload, digests)
 
 
 def _parse_point(text: str) -> list[str]:
@@ -449,10 +446,14 @@ def _cmd_sample(args, digests: dict) -> dict:
     # a report holds its mixture under "payload", a bare mixture file at the top
     holder = field(obj, "payload", "source", obj)
     payload_mix = parse_list(field(holder, "mixture", "source"), "/mixture")
-    weights = [
-        parse_rational(field(atom, "weight", f"/mixture/{k}"), f"/mixture/{k}/weight")
-        for k, atom in enumerate(payload_mix)
-    ]
+    weights, outcomes = [], []
+    for k, atom in enumerate(payload_mix):
+        where = f"/mixture/{k}"
+        weights.append(parse_rational(field(atom, "weight", where), f"{where}/weight"))
+        key = "subset" if "subset" in atom else "multiplicity"
+        if key not in atom:
+            raise InvalidInstance(f"{where}: expected key 'subset' or 'multiplicity'")
+        outcomes.append(parse_list(atom[key], f"{where}/{key}"))
     total = sum(weights)
     if any(w < 0 for w in weights) or total <= 0:
         raise InvalidInstance("mixture weights must be non-negative, with a positive sum")
@@ -460,11 +461,7 @@ def _cmd_sample(args, digests: dict) -> dict:
     weights = np.array([float(w / total) for w in weights])
     rng = np.random.default_rng(args.seed)
     picks = rng.choice(len(payload_mix), size=args.n, p=weights)
-    draws = []
-    for k in picks:
-        atom = payload_mix[int(k)]
-        draws.append(atom.get("subset", atom.get("multiplicity")))
-    payload = {"draws": draws, "n": args.n, "seed": args.seed}
+    payload = {"draws": [outcomes[k] for k in picks], "n": args.n, "seed": args.seed}
     return _report("sample", "pass", payload, digests)
 
 

@@ -67,8 +67,7 @@ class StepCdf:
     def value(self, t) -> Fraction:
         if t < 0:
             return Fraction(0)
-        rs = [r for r, _ in self.jumps]
-        idx = bisect.bisect_right(rs, t) - 1
+        idx = bisect.bisect_right(self.abscissae(), t) - 1
         return self.jumps[idx][1] if idx >= 0 else Fraction(0)
 
     def abscissae(self) -> list[Fraction]:
@@ -181,6 +180,25 @@ def construct_two_point_set(
 HIT_PATTERN_LIMIT = 1 << 20
 
 
+def _or_closure(signatures: set) -> set | None:
+    """Every OR of a subset of `signatures` (0 for the empty one), added
+    breadth-first; None past HIT_PATTERN_LIMIT patterns."""
+    closure = {0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for mask in frontier:
+            for sig in signatures:
+                new = mask | sig
+                if new not in closure:
+                    closure.add(new)
+                    nxt.append(new)
+                    if len(closure) > HIT_PATTERN_LIMIT:
+                        return None
+        frontier = nxt
+    return closure
+
+
 @dataclass(frozen=True)
 class BallSystem:
     """Finite family of closed balls with signed coefficients."""
@@ -249,26 +267,8 @@ def ball_positivity_screen(
         signatures.add(sig)
 
     method = "exhaustive"
-    closure = {0}
-    overflow = False
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for mask in frontier:
-            for sig in signatures:
-                new = mask | sig
-                if new not in closure:
-                    closure.add(new)
-                    nxt.append(new)
-                    if len(closure) > HIT_PATTERN_LIMIT:
-                        overflow = True
-                        break
-            if overflow:
-                break
-        if overflow:
-            break
-        frontier = nxt
-    if overflow:
+    closure = _or_closure(signatures)
+    if closure is None:
         if seed is None or trials <= 0:
             raise CapExceeded(
                 "too many ball-hit patterns for exhaustive screening; "
@@ -286,21 +286,16 @@ def ball_positivity_screen(
                     mask |= sig
             closure.add(mask)
 
-    worst_mask = None
-    worst_val = Fraction(0)
-    for mask in closure:
-        val = sum(
-            (system.coefficients[k] for k in range(m) if mask & (1 << k)),
-            Fraction(0),
-        )
-        if val < worst_val:
-            worst_val = val
-            worst_mask = mask
-    if worst_mask is not None:
+    def g(mask: int) -> Fraction:
+        return sum((system.coefficients[k] for k in range(m) if mask & (1 << k)), Fraction(0))
+
+    # 0 is in the closure, so the minimum is at most 0; ties go to the first in iteration order
+    worst = min(closure, key=g)
+    if g(worst) < 0:
         return BallScreenReport(
             label="screen",
             system_nonnegative=False,
-            negative_mask=[k for k in range(m) if worst_mask & (1 << k)],
+            negative_mask=[k for k in range(m) if worst & (1 << k)],
             tau_sum=None,
             passes=None,
             method=method,
@@ -353,12 +348,11 @@ def monte_carlo_contact(
     l_sq = norm_sq(p1, p2)
     l_lo, l_hi = sqrt_interval(l_sq)
     # the test weakens as l grows, so passing at the lower bound is sound
-    if not check_two_point(tau1, tau2, l_lo).feasible:
-        check_hi = check_two_point(tau1, tau2, l_hi)
-        if not check_hi.feasible:
-            failed = check_two_point(tau1, tau2, l_lo)
+    check_lo = check_two_point(tau1, tau2, l_lo)
+    if not check_lo.feasible:
+        if not check_two_point(tau1, tau2, l_hi).feasible:
             raise Infeasible(
-                f"sandwich test fails at R = {failed.violation_at} ({failed.side} side)"
+                f"sandwich test fails at R = {check_lo.violation_at} ({check_lo.side} side)"
             )
         raise InvalidInstance(
             "the separation is irrational and the sandwich verdict flips "

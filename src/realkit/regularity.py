@@ -3,11 +3,17 @@
 Everything here is a weighted sum over the atoms of a measure: distance
 weights psi(d), packing numbers, inverse-power norms over growing balls, and
 the split verdict that pairs an integral bound with the positivity LP.
-+inf is a first-class value (psi may be infinite near zero); atoms of zero
-weight are dropped at ingestion so 0 * inf never arises. Odd-dimensional
-norms are irrational, so those sums come back as enclosures [lo, hi] and a
-verdict is only drawn when the whole enclosure sits on one side of the
-bound.
++inf is a plain value, `math.inf` (psi may be infinite near zero): it
+compares exactly with a Fraction, so the checks compare with it like any
+other number. Arithmetic is the exception: a Fraction added to or
+multiplied by inf is first converted to a float, which overflows above the
+largest float and gives 0.0 (so nan) below the smallest. A sum that can
+meet inf therefore stops at its first infinite term or goes through
+`_enc_add_scaled`, where an infinite end absorbs; every scale is positive
+(zero weights are dropped at ingestion, beta is checked positive), so
+absorbing is exact. Odd-dimensional norms are irrational, so those sums come
+back as enclosures [lo, hi] and a verdict is only drawn when the whole
+enclosure sits on one side of the bound.
 """
 
 from __future__ import annotations
@@ -47,11 +53,11 @@ class PsiFunction:
         for t, v in self.steps:
             if t < 0:
                 raise InvalidPsi("psi thresholds must be non-negative")
-            if v != INF and v < 0:
+            if v < 0:
                 raise InvalidPsi("psi values must be non-negative")
             if prev_t is not None and t <= prev_t:
                 raise InvalidPsi("psi thresholds must increase strictly")
-            if prev_v is not None and _gt(v, prev_v):
+            if prev_v is not None and v > prev_v:
                 raise InvalidPsi("psi must be non-increasing")
             prev_t, prev_v = t, v
 
@@ -87,12 +93,22 @@ class PsiFunction:
         return self.steps[idx][1]
 
 
-def _gt(a, b) -> bool:
-    if a == INF:
-        return b != INF
-    if b == INF:
-        return False
-    return a > b
+def _weight(w) -> Fraction | None:
+    """A non-negative atom weight; None for a zero weight, whose atom is dropped."""
+    wf = parse_rational(w, "weight")
+    if wf < 0:
+        raise InvalidInstance("atom weights must be non-negative")
+    return wf or None
+
+
+def _point(x, d: int) -> tuple[Fraction, ...]:
+    """A point of R^d: d >= 1 and exactly d rational coordinates."""
+    if d < 1:
+        raise InvalidInstance("dimension must be at least 1")
+    p = tuple(parse_rational(c) for c in x)
+    if len(p) != d:
+        raise InvalidInstance("atom coordinates do not match the dimension")
+    return p
 
 
 @dataclass(frozen=True)
@@ -110,29 +126,20 @@ class AtomicMeasure2D:
     def on_space(space: FiniteMetricSpace, atoms) -> "AtomicMeasure2D":
         clean = []
         for a, b, w in atoms:
-            wf = parse_rational(w, "weight")
-            if wf < 0:
-                raise InvalidInstance("atom weights must be non-negative")
+            wf = _weight(w)
             if not (0 <= a < space.n and 0 <= b < space.n):
                 raise InvalidInstance(f"atom ({a},{b}) out of range")
-            if wf > 0:
+            if wf:
                 clean.append((a, b, wf))
         return AtomicMeasure2D(ambient="finite", atoms=tuple(clean), space=space)
 
     @staticmethod
     def euclidean(dim: int, atoms) -> "AtomicMeasure2D":
-        if dim < 1:
-            raise InvalidInstance("dimension must be at least 1")
         clean = []
         for a, b, w in atoms:
-            wf = parse_rational(w, "weight")
-            if wf < 0:
-                raise InvalidInstance("atom weights must be non-negative")
-            pa = tuple(parse_rational(x) for x in a)
-            pb = tuple(parse_rational(x) for x in b)
-            if len(pa) != dim or len(pb) != dim:
-                raise InvalidInstance("atom coordinates do not match the dimension")
-            if wf > 0:
+            wf = _weight(w)
+            pa, pb = _point(a, dim), _point(b, dim)
+            if wf:
                 clean.append((pa, pb, wf))
         return AtomicMeasure2D(ambient="euclidean", atoms=tuple(clean), dim=dim)
 
@@ -150,8 +157,9 @@ class AtomicMeasure2D:
 
 
 def chi_hc_integral(rho: AtomicMeasure2D, psi: PsiFunction):
-    """Sum of w * psi(distance) over the atoms; +inf propagates."""
-    total: object = Fraction(0)
+    """Sum of w * psi(distance) over the atoms; an infinite psi value ends
+    it as +inf, before w * inf would turn w into a float."""
+    total = Fraction(0)
     for a, b, w in rho.atoms:
         if rho.ambient == "finite":
             v = psi.value(rho.space.dist[a][b])
@@ -202,15 +210,11 @@ def psi_admissibility(
     for t in abscissae:
         pv = psi.value(t)
         pk = packing_number(space, t)
-        ratio = INF if pv == INF else Fraction(pv, pk)
-        profile.append((t, pv, pk, ratio))
+        profile.append((t, pv, pk, pv / pk))
     smallest = dists[0] if dists else None
-    ratio_small = None
-    passes = False
-    if smallest is not None:
-        # every distance is an abscissa, so the profile holds its row
-        ratio_small = next(ratio for t, _, _, ratio in profile if t == smallest)
-        passes = ratio_small == INF or ratio_small > threshold
+    # every distance is an abscissa, so the profile holds its row
+    ratio_small = next((ratio for t, _, _, ratio in profile if t == smallest), None)
+    passes = ratio_small is not None and ratio_small > threshold
     return PsiAdmissibilityReport(
         profile=profile,
         smallest_distance=smallest,
@@ -222,17 +226,10 @@ def psi_admissibility(
 Enclosure = tuple  # (lo, hi) with Fractions or INF
 
 
-def _enc_add(x: Enclosure, y: Enclosure) -> Enclosure:
-    lo = INF if (x[0] == INF or y[0] == INF) else x[0] + y[0]
-    hi = INF if (x[1] == INF or y[1] == INF) else x[1] + y[1]
-    return (lo, hi)
-
-
-def _enc_scale(x: Enclosure, s: Fraction) -> Enclosure:
-    """s x for s > 0, an atom weight or a beta value."""
-    lo = INF if x[0] == INF else s * x[0]
-    hi = INF if x[1] == INF else s * x[1]
-    return (lo, hi)
+def _enc_add_scaled(acc: Enclosure, s: Fraction, x: Enclosure) -> Enclosure:
+    """acc + s x for s > 0, an atom weight or a beta value. An infinite end
+    absorbs before any arithmetic, which would convert a Fraction to a float."""
+    return tuple(INF if INF in (a, v) else a + s * v for a, v in zip(acc, x))
 
 
 @dataclass
@@ -279,14 +276,14 @@ def shell_series(
         R2 = R * R
         for sq_a, sq_b, w, val in prepared:
             if sq_a < R2 and sq_b < R2:
-                acc = _enc_add(acc, _enc_scale(val, w))
+                acc = _enc_add_scaled(acc, w, val)
         r_values.append(acc)
     if any(v[0] == INF for v in r_values):
         return ShellSeriesResult(r_values=r_values, series=(INF, INF), infinite=True)
     series: Enclosure = (Fraction(0), Fraction(0))
     for k in range(len(radii_f) - 1):
         diff = (r_values[k + 1][0] - r_values[k][1], r_values[k + 1][1] - r_values[k][0])
-        series = _enc_add(series, _enc_scale(diff, beta_f[k]))
+        series = _enc_add_scaled(series, beta_f[k], diff)
     return ShellSeriesResult(r_values=r_values, series=series, infinite=False)
 
 
@@ -312,20 +309,11 @@ def reduced_measure_check(
     origin = False
     R2 = R * R
     for y, w in atoms:
-        wf = parse_rational(w, "weight")
-        if wf < 0:
-            raise InvalidInstance("weights must be non-negative")
-        if wf == 0:
-            continue
-        py = tuple(parse_rational(x) for x in y)
-        sq = norm_sq(py)
-        if sq >= R2:
-            continue
-        if sq == 0:
-            origin = True
-            total = (INF, INF)
-            continue
-        total = _enc_add(total, _enc_scale(pow_neg_half_d(sq, d), wf))
+        wf = _weight(w)
+        sq = norm_sq(_point(y, d))
+        if wf and sq < R2:
+            origin = origin or sq == 0
+            total = _enc_add_scaled(total, wf, pow_neg_half_d(sq, d))
     return ReducedCheckResult(value=total, origin_atom=origin)
 
 
@@ -356,7 +344,7 @@ def hardcore_split_check(target: CorrelationTarget, psi: PsiFunction, r) -> Spli
     r = parse_rational(r, "r")
     measure = AtomicMeasure2D.from_target(target)
     integral = chi_hc_integral(measure, psi)
-    if integral == INF or integral > r:
+    if integral > r:
         return SplitVerdict(integral=integral, integral_ok=False, positivity=None, optimum=None)
     result = realize_pp(target, objective=objective_chi_hc(psi, target.space))
     return SplitVerdict(

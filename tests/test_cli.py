@@ -402,6 +402,19 @@ class TestRegularityCli:
         assert code == 1
         assert report["payload"]["origin_atom"] is True
 
+    @pytest.mark.parametrize("weight", ["1e-400", "1e400"])
+    def test_infinity_beside_a_weight_past_the_float_range(self, tmp_path, weight):
+        # w * inf converts w to a float: nan below the smallest, OverflowError above the largest
+        rho = [[0, 1, "1e400"], [0, 0, weight], [1, 1, "1"]]
+        inst = write(tmp_path, "m.json", {"space": EQ3, "rho": rho})
+        psi = write(tmp_path, "psi.json", {"steps": [["0", "inf"], ["1", "1"]]})
+        code, report = run(tmp_path, "regularity", inst, "--check", "chi", "--psi", psi)
+        assert (code, report["payload"]["value"]) == (1, "inf")
+        atoms = [[["1/2"], "1e400"], [["0"], weight], [["0"], "1"]]
+        inst = write(tmp_path, "r.json", {"d": 1, "atoms": atoms, "ball_radius": "1"})
+        code, report = run(tmp_path, "regularity", inst, "--check", "reduced", "--r", "1")
+        assert (code, report["payload"]["value"]) == (1, ["inf", "inf"])
+
 
 class TestContactCli:
     def test_check_violation(self, tmp_path):
@@ -553,6 +566,36 @@ class TestMalformedInput:
         inst = write(tmp_path, "m.json", {"d": "x", "atoms": [[["1"], "1"]], "ball_radius": "2"})
         error = self.assert_invalid(tmp_path, "regularity", inst, "--check", "reduced")
         assert "/d" in error
+
+    @pytest.mark.parametrize(
+        "d, point, where",
+        [(0, ["1"], "/d"), (-1, ["1"], "/d"), (2, ["1", "0", "0"], "/atoms/0/0")],
+        ids=["d-zero", "d-negative", "three-coordinates-in-the-plane"],
+    )
+    def test_reduced_dimension_and_point(self, tmp_path, d, point, where):
+        inst = write(tmp_path, "m.json", {"d": d, "atoms": [[point, "1"]], "ball_radius": "2"})
+        error = self.assert_invalid(tmp_path, "regularity", inst, "--check", "reduced")
+        assert error.startswith(f"{where}: ")
+
+    def test_shells_point_of_the_wrong_dimension(self, tmp_path):
+        atoms = [[["0"], ["1", "1"], "1"]]
+        inst = write(tmp_path, "m.json", {"d": 1, "atoms": atoms, "radii": ["1"]})
+        beta = write(tmp_path, "beta.json", {"beta": []})
+        error = self.assert_invalid(
+            tmp_path, "regularity", inst, "--check", "shells", "--beta", beta
+        )
+        assert error == "/atoms/0/1: expected a list of 1 entries, got 2"
+
+    def test_sample_atom_without_an_outcome(self, tmp_path):
+        # an atom without an outcome is invalid, never drawn as null
+        src = write(tmp_path, "mix.json", {"mixture": [{"weight": "1"}]})
+        error = self.assert_invalid(tmp_path, "sample", src, "--n", "2", "--seed", "1")
+        assert error == "/mixture/0: expected key 'subset' or 'multiplicity'"
+
+    def test_sample_outcome_not_a_list(self, tmp_path):
+        src = write(tmp_path, "mix.json", {"mixture": [{"multiplicity": 3, "weight": "1"}]})
+        error = self.assert_invalid(tmp_path, "sample", src, "--n", "2", "--seed", "1")
+        assert error.startswith("/mixture/0/multiplicity: ")
 
     def test_shells_atom_of_two_entries(self, tmp_path):
         inst = write(tmp_path, "m.json", {"d": 1, "atoms": [[["0"], "1"]], "radii": ["1", "2"]})

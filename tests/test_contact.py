@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from realkit.contact import (
     BallSystem,
@@ -247,3 +250,57 @@ class TestBallScreen:
             ball_positivity_screen(taus, system, probes)
         rep = ball_positivity_screen(taus, system, probes, trials=20, seed=1)
         assert rep.method == "sampled" and rep.system_nonnegative
+
+
+@st.composite
+def screened_systems(draw):
+    """A ball system in R^1 or R^2 with integer data, a cdf per center, and
+    at most 8 probe points."""
+    d = draw(st.integers(1, 2))
+    coord = st.integers(-3, 3).map(F)
+    point = st.lists(coord, min_size=d, max_size=d).map(tuple)
+    m = draw(st.integers(1, 4))
+    centers = tuple(draw(point) for _ in range(m))
+    radii = tuple(F(draw(st.integers(1, 4)), 2) for _ in range(m))
+    coefficients = tuple(F(draw(st.integers(-3, 3))) for _ in range(m))
+    taus = {}
+    for c in centers:
+        rs = sorted(draw(st.sets(st.integers(0, 6), min_size=1, max_size=3)))
+        vs = sorted(draw(st.lists(st.integers(0, 4), min_size=len(rs), max_size=len(rs))))
+        taus[c] = StepCdf(tuple((F(r, 2), F(v, 4)) for r, v in zip(rs, vs)))
+    probes = draw(st.lists(point, min_size=1, max_size=8))
+    return BallSystem(centers, radii, coefficients), taus, probes
+
+
+def _step_value(tau, r):
+    """tau(r) from the jumps: the value of the last jump at or before r, 0 before the first."""
+    return max((v for R, v in tau.jumps if R <= r), default=F(0))
+
+
+class TestBallScreenAgainstBruteForce:
+    @settings(max_examples=200, deadline=None)
+    @given(screened_systems())
+    def test_every_probe_subset(self, case):
+        system, taus, probes = case
+        m = len(system.coefficients)
+        def hit(p, k):
+            return sum((a - b) ** 2 for a, b in zip(p, system.centers[k])) <= system.radii[k] ** 2
+
+        hits = [{k for k in range(m) if hit(p, k)} for p in probes]
+        unions = [
+            set().union(*subset)
+            for size in range(len(hits) + 1)
+            for subset in itertools.combinations(hits, size)
+        ]
+        values = [sum((system.coefficients[k] for k in u), F(0)) for u in unions]
+        rep = ball_positivity_screen(taus, system, probes)
+        assert rep.method == "exhaustive"
+        assert rep.system_nonnegative == (min(values) >= 0)
+        if rep.system_nonnegative:
+            balls = zip(system.centers, system.radii, system.coefficients)
+            expected = sum((a * _step_value(taus[c], r) for c, r, a in balls), F(0))
+            assert (rep.negative_mask, rep.tau_sum, rep.passes) == (None, expected, expected >= 0)
+        else:
+            assert set(rep.negative_mask) in unions
+            assert sum(system.coefficients[k] for k in rep.negative_mask) == min(values)
+            assert rep.tau_sum is None and rep.passes is None

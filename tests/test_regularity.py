@@ -2,10 +2,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from realkit.errors import InvalidBeta, InvalidPsi
+from realkit import cli
+from realkit.errors import InvalidBeta, InvalidInstance, InvalidPsi
 from realkit.metric import make_space, packing_number
-from realkit.numbers import INF
+from realkit.numbers import INF, pow_neg_half_d
 from realkit.pp import ConfigMixture, CorrelationTarget, pp_moments
 from realkit.regularity import (
     AtomicMeasure2D,
@@ -172,6 +175,22 @@ class TestReducedMeasure:
         res = reduced_measure_check([(("5",), "1")], "1", 1)
         assert res.value == (F(0), F(0))
 
+    @pytest.mark.parametrize(
+        "point, d",
+        [((), 0), (("1",), 0), (("1",), -1), (("1", "0", "0"), 2), (("1",), 2)],
+        ids=[
+            "d-zero-empty-point", "d-zero", "d-negative", "three-coordinates-in-the-plane",
+            "one-coordinate-in-the-plane",
+        ],
+    )
+    def test_dimension_and_coordinates_checked(self, point, d):
+        with pytest.raises(InvalidInstance):
+            reduced_measure_check([(point, "1")], "2", d)
+
+    def test_negative_weight_rejected(self):
+        with pytest.raises(InvalidInstance, match="^atom weights must be non-negative$"):
+            reduced_measure_check([(("1",), "-1")], "2", 1)
+
     def test_translation_consistency_with_pair_measure(self):
         # pair atoms ((x, x+y)) built from a reduced measure: the inverse-power
         # pair integral restricted to x in A equals mass(A) * lam^2 * reduced sum
@@ -282,3 +301,236 @@ class TestSplit:
             assert verdict.integral_ok
             assert verdict.positivity.status == "feasible"
             assert verdict.optimum == verdict.integral
+
+
+# The definitions below keep +inf apart by hand at every step, comparisons
+# included; the properties compare the module with them. Weights past the
+# float range, both ways, sit next to infinite values: a Fraction that meets
+# inf in a sum or product is converted to a float first (nan below the
+# smallest, OverflowError above the largest), so these are where plain
+# arithmetic on inf would break.
+
+
+def _gt(a, b) -> bool:
+    if a == INF:
+        return b != INF
+    if b == INF:
+        return False
+    return a > b
+
+
+def _enc_add(x, y):
+    lo = INF if (x[0] == INF or y[0] == INF) else x[0] + y[0]
+    hi = INF if (x[1] == INF or y[1] == INF) else x[1] + y[1]
+    return (lo, hi)
+
+
+def _enc_scale(x, s):
+    lo = INF if x[0] == INF else s * x[0]
+    hi = INF if x[1] == INF else s * x[1]
+    return (lo, hi)
+
+
+def _sq(a, b=None):
+    """|a - b|^2, or |a|^2 without b."""
+    b = b or (0,) * len(a)
+    return sum(((x - y) ** 2 for x, y in zip(a, b)), F(0))
+
+
+def psi_error(steps):
+    """The message that validating `steps` gives, None when they are valid."""
+    if not steps:
+        return "psi needs at least one step"
+    if steps[0][0] != 0:
+        return "the first psi threshold must be 0"
+    prev_t = prev_v = None
+    for t, v in steps:
+        if t < 0:
+            return "psi thresholds must be non-negative"
+        if v != INF and v < 0:
+            return "psi values must be non-negative"
+        if prev_t is not None and t <= prev_t:
+            return "psi thresholds must increase strictly"
+        if prev_v is not None and _gt(v, prev_v):
+            return "psi must be non-increasing"
+        prev_t, prev_v = t, v
+    return None
+
+
+def psi_at_sq(psi, sq):
+    """psi(sqrt(sq)): the value of the last step whose threshold t has t^2 <= sq."""
+    return [v for t, v in psi.steps if t * t <= sq][-1]
+
+
+def chi_oracle(atoms, psi, sq_of):
+    total = F(0)
+    for a, b, w in atoms:
+        if w == 0:
+            continue
+        v = psi_at_sq(psi, sq_of(a, b))
+        if v == INF:
+            return INF
+        total = total + w * v
+    return total
+
+
+def shells_oracle(d, atoms, radii, beta):
+    r_values = []
+    for R in radii:
+        acc = (F(0), F(0))
+        for a, b, w in atoms:
+            if w > 0 and _sq(a) < R * R and _sq(b) < R * R:
+                acc = _enc_add(acc, _enc_scale(pow_neg_half_d(_sq(a, b), d), w))
+        r_values.append(acc)
+    if any(v[0] == INF for v in r_values):
+        return r_values, (INF, INF)
+    series = (F(0), F(0))
+    for k in range(len(radii) - 1):
+        diff = (r_values[k + 1][0] - r_values[k][1], r_values[k + 1][1] - r_values[k][0])
+        series = _enc_add(series, _enc_scale(diff, beta[k]))
+    return r_values, series
+
+
+def reduced_oracle(atoms, R, d):
+    total = (F(0), F(0))
+    origin = False
+    for y, w in atoms:
+        if w == 0 or _sq(y) >= R * R:
+            continue
+        if _sq(y) == 0:
+            origin = True
+            total = (INF, INF)
+            continue
+        total = _enc_add(total, _enc_scale(pow_neg_half_d(_sq(y), d), w))
+    return total, origin
+
+
+def admissibility_oracle(psi, space, threshold):
+    dists = space.distance_values()
+    profile = []
+    for t in sorted(set(dists) | {t for t, _ in psi.steps if t > 0}):
+        pv = psi_at_sq(psi, t * t)
+        pk = packing_number(space, t)
+        profile.append((t, pv, pk, INF if pv == INF else F(pv, pk)))
+    if not dists:
+        return profile, None, False
+    ratio = next(r for t, _, _, r in profile if t == dists[0])
+    return profile, ratio, ratio == INF or ratio > threshold
+
+
+def verdict_oracle(value, bound):
+    lo, hi = value
+    if bound is None:
+        return "pass" if hi != INF else "fail"
+    if hi != INF and hi <= bound:
+        return "pass"
+    if lo == INF or lo > bound:
+        return "fail"
+    return "indeterminate"
+
+
+PAST_FLOATS = [F(1, 10**400), F(10**400)]
+WEIGHTS = st.sampled_from([F(0), *PAST_FLOATS]) | st.fractions(0, 4, max_denominator=6)
+VALUES = st.sampled_from([INF, *PAST_FLOATS]) | st.fractions(0, 4, max_denominator=6)
+COORDS = st.integers(-4, 4).map(lambda k: F(k, 2))
+
+
+@st.composite
+def psis(draw):
+    """Valid step weights, with an infinite head of 0 or more steps."""
+    ts = sorted(draw(st.sets(st.integers(1, 12), max_size=3)))
+    k = len(ts) + 1
+    values = draw(st.lists(st.fractions(0, 4, max_denominator=4), min_size=k, max_size=k))
+    values.sort(reverse=True)
+    heads = draw(st.integers(0, len(values)))
+    values[:heads] = [INF] * heads
+    return PsiFunction(tuple(zip([F(0)] + [F(t, 4) for t in ts], values)))
+
+
+@st.composite
+def euclidean_atoms(draw, points: int):
+    """(d, atoms) for d = 1..4: each atom is `points` points of R^d and a
+    weight. A point may be the origin or repeat the atom's first point."""
+    d = draw(st.integers(1, 4))
+    point = st.lists(COORDS, min_size=d, max_size=d).map(tuple) | st.just((F(0),) * d)
+    atoms = []
+    for _ in range(draw(st.integers(0, 5))):
+        first = draw(point)
+        rest = [draw(point | st.just(first)) for _ in range(points - 1)]
+        atoms.append((first, *rest, draw(WEIGHTS)))
+    return d, atoms
+
+
+@st.composite
+def line_spaces(draw):
+    """A finite metric space of distinct points k/4 on a line."""
+    xs = sorted(draw(st.sets(st.integers(0, 8), min_size=1, max_size=4)))
+    return make_space([[F(abs(x - y), 4) for y in xs] for x in xs])
+
+
+class TestAgainstExplicitInfinity:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(-1, 3).map(lambda k: F(k, 2)), VALUES | st.just(F(-1))),
+            max_size=4,
+        )
+    )
+    def test_psi_validation(self, steps):
+        expected = psi_error(steps)
+        if expected is None:
+            assert PsiFunction(tuple(steps)).steps == tuple(steps)
+        else:
+            with pytest.raises(InvalidPsi, match=f"^{expected}$"):
+                PsiFunction(tuple(steps))
+
+    @settings(max_examples=200, deadline=None)
+    @given(line_spaces(), psis(), st.data())
+    def test_chi_on_a_finite_space(self, space, psi, data):
+        index = st.integers(0, space.n - 1)
+        atoms = data.draw(st.lists(st.tuples(index, index, WEIGHTS), max_size=5))
+        measure = AtomicMeasure2D.on_space(space, atoms)
+        expected = chi_oracle(atoms, psi, lambda a, b: space.dist[a][b] ** 2)
+        assert chi_hc_integral(measure, psi) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(euclidean_atoms(2), psis())
+    def test_chi_in_euclidean_space(self, case, psi):
+        d, atoms = case
+        measure = AtomicMeasure2D.euclidean(d, atoms)
+        assert chi_hc_integral(measure, psi) == chi_oracle(atoms, psi, _sq)
+
+    @settings(max_examples=200, deadline=None)
+    @given(euclidean_atoms(2), st.sets(st.integers(1, 6), min_size=1, max_size=3), st.data())
+    def test_shell_series(self, case, radii, data):
+        d, atoms = case
+        radii = sorted(F(r, 2) for r in radii)
+        k = len(radii) - 1
+        beta = data.draw(st.lists(st.fractions(1, 3, max_denominator=3), min_size=k, max_size=k))
+        beta.sort(reverse=True)
+        res = shell_series(AtomicMeasure2D.euclidean(d, atoms), radii, beta)
+        r_values, series = shells_oracle(d, atoms, radii, beta)
+        assert (res.r_values, res.series) == (r_values, series)
+        assert res.infinite == (series[0] == INF)
+
+    @settings(max_examples=300, deadline=None)
+    @given(euclidean_atoms(1), st.integers(1, 6))
+    def test_reduced_measure(self, case, radius):
+        d, atoms = case
+        res = reduced_measure_check(atoms, F(radius, 2), d)
+        assert (res.value, res.origin_atom) == reduced_oracle(atoms, F(radius, 2), d)
+
+    @settings(max_examples=200, deadline=None)
+    @given(line_spaces(), psis(), st.fractions(0, 8, max_denominator=4))
+    def test_psi_admissibility(self, space, psi, threshold):
+        rep = psi_admissibility(psi, space, threshold)
+        profile, ratio, passes = admissibility_oracle(psi, space, threshold)
+        assert (rep.profile, rep.ratio_at_smallest, rep.passes) == (profile, ratio, passes)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(VALUES, min_size=2, max_size=2), st.none() | st.fractions(0, 4, max_denominator=4)
+    )
+    def test_regularity_verdict(self, ends, bound):
+        value = (min(ends), max(ends))
+        assert cli._verdict_from_enclosure(value, bound) == verdict_oracle(value, bound)
