@@ -34,7 +34,6 @@ from .pp import (
     CorrelationTarget,
     check_hardcore_support,
     enumerate_configs,
-    g_h_eval,
     positivity_screen,
     pp_moments,
     realize_pp,

@@ -39,8 +39,8 @@ from .numbers import (
 from .pp import (
     CorrelationTarget,
     objective_cardinality,
-    objective_chi_hc,
     positivity_screen,
+    realize_pinned,
     realize_pp,
     rho_atoms,
     verify_pp_certificate,
@@ -261,18 +261,18 @@ def _cmd_verify_cert(args, digests: dict) -> dict:
 
 def _cmd_realize_pp(args, digests: dict) -> dict:
     target = CorrelationTarget.from_json(_load(args.instance, digests, "instance"))
-    objective = None
-    if args.objective:
-        if args.objective.startswith("card"):
-            objective = objective_cardinality(int(args.objective[4:]))
-        elif args.objective == "chi-hc":
-            psi = _psi(args, digests, "--objective chi-hc")
-            if target.space is None:
-                raise InvalidInstance("a chi-hc objective needs the target's space")
-            objective = objective_chi_hc(psi, target.space)
-        else:
-            raise InvalidInstance(f"unknown objective {args.objective!r}")
-    result = realize_pp(target, objective=objective)
+    # the moment rows pin chi-hc, and card2 when there is an intensity
+    if args.objective == "chi-hc":
+        psi = _psi(args, digests, "--objective chi-hc")
+        if target.space is None:
+            raise InvalidInstance("a chi-hc objective needs the target's space")
+        result = realize_pinned(target, chi_hc_integral(AtomicMeasure2D.from_target(target), psi))
+    elif args.objective == "card2" and target.rho1 is not None:
+        result = realize_pinned(target, target.pair_mass + sum(target.rho1))
+    elif args.objective:
+        result = realize_pp(target, objective=objective_cardinality(int(args.objective[4:])))
+    else:
+        result = realize_pp(target)
     return _verdict_report("realize-pp", result, digests, _pp_mixture_payload)
 
 

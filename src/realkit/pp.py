@@ -13,13 +13,15 @@ where pair_count_Y(i,j) is m_i m_j for i != j and m_i (m_i - 1) on the
 diagonal. Moment constraints are imposed on ALL pairs, zero right-hand
 side where the measure has no atom: omitting them would realise a
 different measure. An optional objective minimises the expectation of a
-cardinality power or of a distance-weighted close-pair sum.
+cardinality power. A distance-weighted close-pair sum, and N^2 under an
+intensity, need no minimising: the moment rows pin their expectation.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -62,6 +64,11 @@ class CorrelationTarget:
 
     def atoms(self) -> list[tuple[int, int, Fraction]]:
         return [(i, j, w) for (i, j), w in sorted(self.rho.items()) if w != 0]
+
+    @property
+    def pair_mass(self) -> Fraction:
+        """E[N (N - 1)]: rho summed over ordered pairs, an off-diagonal atom twice."""
+        return sum((w if i == j else 2 * w for (i, j), w in self.rho.items()), Fraction(0))
 
     def rhs(self) -> list[Fraction]:
         """The LP's right-hand side: rho on the pairs i <= j, the
@@ -174,31 +181,6 @@ class ConfigMixture:
         validate_mixture(self.atoms, "configurations")
 
 
-def g_h_eval(config: Configuration, h: Sequence[Sequence]) -> object:
-    """Sum of h over ordered pairs of distinct particles, by `_pair_sum`."""
-    n = len(config.multiplicity)
-    if len(h) != n or any(len(row) != n for row in h):
-        raise InvalidInstance("h must be n x n")
-    if any(h[i][j] != h[j][i] for i, j in itertools.combinations(range(n), 2)):
-        raise InvalidInstance("h must be symmetric")
-    return _pair_sum(config.multiplicity, h)
-
-
-def _pair_sum(m: Sequence[int], h: Sequence[Sequence]) -> object:
-    """sum_{i != j} h_ij over ordered pairs of distinct particles of m (0 if
-    none), skipping zero counts, so an infinite h_ii costs nothing at one particle."""
-    total = 0
-    for i, mi in enumerate(m):
-        if mi == 0:
-            continue
-        if mi > 1:
-            total = total + mi * (mi - 1) * h[i][i]
-        for j, mj in enumerate(m):
-            if j != i and mj:
-                total = total + mi * mj * h[i][j]
-    return total
-
-
 def check_hardcore_support(
     target: CorrelationTarget, eps
 ) -> tuple[bool, list[tuple[int, int, Fraction]]]:
@@ -257,21 +239,10 @@ class _Rules:
         )
 
 
-def enumerate_configs(
-    n: int,
-    cap: int,
-    simple: bool = False,
-    hardcore_eps=None,
-    space: FiniteMetricSpace | None = None,
-    limit: int = ENUM_LIMIT,
-    hardcore_strict: bool = False,
-) -> list[Configuration]:
-    """All multiplicity vectors of total mass <= cap passing the flags,
-    in lexicographic order. Raises CapExceeded past `limit` columns."""
-    if hardcore_eps is not None and space is None:
-        raise InvalidInstance("hard-core enumeration needs the metric space")
-    eps = None if hardcore_eps is None else parse_rational(hardcore_eps)
-    rules = _Rules.build(n, cap, simple, eps, space, hardcore_strict)
+def enumerate_configs(target: CorrelationTarget, limit: int = ENUM_LIMIT) -> list[Configuration]:
+    """The admissible configurations of `target` (`target.rules`), in
+    lexicographic order. Raises CapExceeded past `limit` of them."""
+    n, rules = target.n, target.rules
     out: list[Configuration] = []
 
     def extend(prefix: list[int], mass_left: int) -> None:
@@ -285,7 +256,7 @@ def enumerate_configs(
             extend(prefix, mass_left - m)
             prefix.pop()
 
-    extend([], cap)
+    extend([], target.cap)
     return out
 
 
@@ -387,8 +358,7 @@ def _cap_functional(target: CorrelationTarget):
     its pairing (cap - 1) E[N] - E[N (N - 1)] is negative, or None
     (Kuna, Lebowitz & Speer, Realizability of point processes, J. Stat.
     Phys. 129, 2007)."""
-    pair_mass = sum(w if i == j else 2 * w for (i, j), w in target.rho.items())
-    if (target.cap - 1) * sum(target.rho1) >= pair_mass:
+    if (target.cap - 1) * sum(target.rho1) >= target.pair_mass:
         return None
     a = {(i, j): -1 if i == j else -2 for i, j in pair_list(target.n)}
     return a, [target.cap - 1] * target.n
@@ -425,16 +395,6 @@ def objective_cardinality(alpha: int) -> Callable[[Configuration], Fraction]:
     return chi
 
 
-def objective_chi_hc(psi, space: FiniteMetricSpace) -> Callable[[Configuration], object]:
-    """Close-pair weight sum_{i != j} psi(d_ij) over ordered pairs, by
-    `_pair_sum` over h = psi(d_ij), built once with psi(0) on the diagonal."""
-    h = [
-        [psi.value(Fraction(0) if i == j else space.dist[i][j]) for j in range(space.n)]
-        for i in range(space.n)
-    ]
-    return lambda config: _pair_sum(config.multiplicity, h)
-
-
 def realize_pp(
     target: CorrelationTarget,
     objective: Callable[[Configuration], object] | None = None,
@@ -444,10 +404,12 @@ def realize_pp(
     expectation over the realising mixtures and report the optimum.
 
     Checks that need no LP run first: diagonal mass on a simple target or
-    mass inside the hard-core distance ("validation"), then, for targets
-    with an intensity, a moment matrix of (1, m) that is not positive
-    semidefinite ("psd-screen") and E[N(N-1)] > (cap-1) E[N]
-    ("cap-screen").
+    mass inside the hard-core distance ("validation"). A target that the
+    float layers cannot hold (a moment, or the pair count cap (cap - 1) of
+    a configuration, above the largest float) then raises CapExceeded.
+    For targets with an intensity, a moment matrix of (1, m) that is not
+    positive semidefinite ("psd-screen") and E[N(N-1)] > (cap-1) E[N]
+    ("cap-screen") follow.
 
     `lp.column_generation` decides the rest, seeded as `realize_subsets`
     seeds it: with every configuration up to `enum_limit` of them, so
@@ -455,15 +417,13 @@ def realize_pp(
     admissible one-point ones ("column-generation"). A verdict from its
     exact rounds reports "exact-column-generation".
 
-    An objective is minimised by the same driver with the objective as its
-    cost, over the enumerated configurations of finite value
-    (`lp.ColumnList`, whose ties go to the lexicographically smallest). Its
-    realisation is the answer, and so is its infeasibility when every value
-    is finite; otherwise the feasibility driver above decides. Past
-    `enum_limit` the first exact realisation is reported, with an objective
-    value that is not certified minimal. The optimum of a close-pair
-    objective is pinned by the moment rows, so the primal value doubles as
-    a consistency check on the data.
+    An objective, whose costs are finite, is minimised by the same driver
+    with the objective as its cost over the enumerated configurations
+    (`lp.ColumnList`, whose ties go to the lexicographically smallest); the
+    optimum carries the value of its exact duals. Past `enum_limit` the
+    first exact realisation is reported, with an objective value that is
+    not certified minimal. An objective that the moment rows pin needs no
+    cost: `realize_pinned`.
     """
     for i, j, w in target.atoms():
         if target.simple and i == j and w > 0:
@@ -483,18 +443,19 @@ def realize_pp(
                 note="correlation mass inside the hard-core distance",
                 method="validation",
             )
+    # the PSD screen, HiGHS and the float search cannot hold a value past the float range
+    large = [(f"rho atom ({i},{j})", w) for (i, j), w in target.rho.items()]
+    large += [(f"rho1[{k}]", v) for k, v in enumerate(target.rho1 or ())]
+    for name, v in [*large, ("the pair count cap (cap - 1)", target.cap * (target.cap - 1))]:
+        if v > sys.float_info.max:
+            raise CapExceeded(f"{name} is above the largest float")
     screened = _screen(target)
     if screened is not None:
         return screened
     b = target.rhs()
     try:
-        seed = enumerate_configs(
-            target.n, target.cap, target.simple, target.hardcore_eps, target.space,
-            limit=enum_limit, hardcore_strict=target.hardcore_strict,
-        )
-        method, oracle = "enumeration", _ConfigOracle(target, len(seed))
-        # under an objective the driver runs only when the finite sub-LP is infeasible
-        note = "every realising mixture has infinite objective"
+        seed = enumerate_configs(target, limit=enum_limit)
+        method, oracle, note = "enumeration", _ConfigOracle(target, len(seed)), None
     except CapExceeded:
         # the empty configuration and the admissible one-point ones
         seed = [
@@ -508,11 +469,9 @@ def realize_pp(
             "the objective value is not certified minimal"
         )
     if objective is not None and oracle.size is not None:
-        chi = {cfg: objective(cfg) for cfg in seed}
-        finite = [cfg for cfg in seed if chi[cfg] != INF]
-        res = column_generation(ColumnList({c: oracle.column(c) for c in finite}), b, finite, chi)
-        if res.status == "feasible" or len(finite) == len(seed):
-            return _verdict(res, oracle, method, objective)
+        cost = {cfg: objective(cfg) for cfg in seed}
+        res = column_generation(ColumnList({c: oracle.column(c) for c in seed}), b, seed, cost)
+        return _verdict(res, oracle, method, objective)
     return _verdict(column_generation(oracle, b, seed), oracle, method, objective, note)
 
 
@@ -520,7 +479,7 @@ def _verdict(res, oracle, method, objective=None, note=None) -> RealizeResult:
     """`lp.verdict` over configurations, by the target's `_ConfigOracle`
     also when a `ColumnList` driver gave `res`. Under an objective, a
     realising mixture carries its objective value and `note`, and an
-    optimum the value of its exact duals."""
+    optimum of the cost LP the value of its exact duals."""
     result = verdict(res, method, oracle, None if objective is None else note)
     if result.mixture is not None and objective is not None:
         result.objective_value = sum(
@@ -529,6 +488,25 @@ def _verdict(res, oracle, method, objective=None, note=None) -> RealizeResult:
     if res.duals is not None:
         b = oracle.target.rhs()
         result.dual_value = sum((y * v for y, v in zip(res.duals, b)), Fraction(0))
+    return result
+
+
+def realize_pinned(target: CorrelationTarget, value) -> RealizeResult:
+    """`realize_pp` under an objective that the moment rows pin to `value`:
+    a close-pair weight (`value` is `regularity.chi_hc_integral` of the
+    target) or, with an intensity, N^2 (the pair mass plus the total
+    intensity). A configuration of positive weight has no pair where rho
+    vanishes, so every realising mixture has that expectation, +inf when
+    an atom sits where psi is. The objective's coefficients on the moment
+    rows are a feasible dual of the same value, so a finite optimum is
+    certified, past the enumeration limit too."""
+    result = realize_pp(target)
+    if result.status == "feasible":
+        result.objective_value = value
+        if value == INF:
+            result.note = "every realising mixture has infinite objective"
+        else:
+            result.dual_value = value
     return result
 
 

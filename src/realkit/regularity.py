@@ -29,7 +29,7 @@ from .numbers import (
     INF, compare_rational_to_sqrt, field, norm_sq, parse_list, parse_rational, pow_neg_half_d,
 )
 from .lp import RealizeResult
-from .pp import CorrelationTarget, objective_chi_hc, realize_pp
+from .pp import CorrelationTarget, realize_pinned
 
 
 @dataclass(frozen=True)
@@ -337,16 +337,14 @@ def hardcore_split_check(target: CorrelationTarget, psi: PsiFunction, r) -> Spli
     """The headline decomposition: an integral bound plus LP positivity.
 
     Early exit when the integral exceeds r; otherwise the positivity LP
-    runs with the close-pair objective, whose optimum equals the integral
-    whenever the moment rows pin it (a strong-duality identity the tests
-    assert).
+    decides, and a realisable target's close-pair optimum is the integral
+    itself, which the moment rows pin (`pp.realize_pinned`).
     """
     r = parse_rational(r, "r")
-    measure = AtomicMeasure2D.from_target(target)
-    integral = chi_hc_integral(measure, psi)
+    integral = chi_hc_integral(AtomicMeasure2D.from_target(target), psi)
     if integral > r:
         return SplitVerdict(integral=integral, integral_ok=False, positivity=None, optimum=None)
-    result = realize_pp(target, objective=objective_chi_hc(psi, target.space))
+    result = realize_pinned(target, integral)
     return SplitVerdict(
         integral=integral,
         integral_ok=True,

@@ -1,18 +1,20 @@
 """Shared generators and independent brute-force oracles for the tests.
 
 The oracles deliberately avoid the production code paths: packing numbers
-by raw subset enumeration, close-pair counts straight from the definition,
-and feasible targets built by pushing a random mixture through the forward
-moment map by hand.
+by raw subset enumeration, close-pair counts and sums straight from the
+definition, pp LPs over configurations enumerated here, and feasible
+targets built by pushing a random mixture through the forward moment map
+by hand.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
-from realkit.lp import Certificate
+from realkit.lp import Certificate, exact_simplex
 from realkit.metric import Configuration, FiniteMetricSpace, make_space
 from realkit.setrealize import TwoPointTarget
 
@@ -52,6 +54,50 @@ def brute_force_close_pairs(space: FiniteMetricSpace, config: Configuration, t) 
             if a != b and space.dist[particles[a]][particles[b]] <= t:
                 count += 1
     return count
+
+
+def g_h(m, h):
+    """g_h of the multiplicity vector m: h summed over ordered pairs of
+    distinct particles, sum_{i != j} h_ij m_i m_j + sum_i h_ii m_i (m_i - 1).
+    A pair count of 0 adds nothing, also where h is infinite."""
+    total = Fraction(0)
+    for i, j in itertools.product(range(len(m)), repeat=2):
+        count = m[i] * (m[j] - (i == j))
+        if count == 0:
+            continue
+        if h[i][j] == math.inf:
+            return math.inf
+        total += count * h[i][j]
+    return total
+
+
+def pp_oracle(target, objective=None):
+    """(verdict, optimum) of `exact_simplex` over every admissible
+    configuration of a pp target without a hard-core distance, enumerated
+    and turned into moment columns here. The optimum minimises
+    `objective` over the configurations where it is finite, and is +inf
+    when those cannot realise the target."""
+    n, per_point = target.n, 1 if target.simple else target.cap
+    configs = [
+        Configuration(m)
+        for m in itertools.product(range(per_point + 1), repeat=n)
+        if sum(m) <= target.cap
+    ]
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+
+    def column(m):
+        col = [Fraction(m[i] * (m[j] - (i == j))) for i, j in pairs]
+        return col + ([Fraction(v) for v in m] if target.rho1 is not None else []) + [Fraction(1)]
+
+    b = [target.rho_value(i, j) for i, j in pairs] + list(target.rho1 or []) + [Fraction(1)]
+    cols = [column(c.multiplicity) for c in configs]
+    if exact_simplex(cols, b).status == "infeasible":
+        return "infeasible", None
+    if objective is None:
+        return "feasible", None
+    finite = [(col, objective(c)) for col, c in zip(cols, configs) if objective(c) != math.inf]
+    res = exact_simplex([col for col, _ in finite], b, obj=[v for _, v in finite])
+    return "feasible", res.objective if res.status == "optimal" else math.inf
 
 
 def random_metric_space(rng: random.Random, n: int, denominator: int = 4) -> FiniteMetricSpace:

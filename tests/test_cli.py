@@ -312,6 +312,44 @@ class TestRealizePP:
         assert code == 0
         assert report["payload"]["objective_value"] == "2"
 
+    def test_chi_hc_value_past_the_float_range(self, tmp_path):
+        # psi(1) = 10^400 at both atoms of pp-objective.json, each counted in
+        # both orders: 2 (1/2 + 1/4) 10^400, summed exactly
+        psi = write(tmp_path, "psi.json", {"steps": [["0", "inf"], ["1/2", "1e400"]]})
+        inst = str(INSTANCES / "pp-objective.json")
+        code, report = run(tmp_path, "realize-pp", inst, "--objective", "chi-hc", "--psi", psi)
+        assert code == 0
+        payload = report["payload"]
+        assert payload["objective_value"] == payload["dual_value"] == str(15 * 10**399)
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("rho1", 0), "1e400", "rho1[0] is above the largest float"),
+            (("rho", 0, 2), "1e400", "rho atom (0,1) is above the largest float"),
+            (("cap",), 10**400, "the pair count cap (cap - 1) is above the largest float"),
+        ],
+        ids=["rho1", "rho", "cap"],
+    )
+    def test_value_past_the_float_range_is_a_cap(self, tmp_path, path, value, message):
+        instance = json.loads((INSTANCES / "pp-objective.json").read_text())
+        *parents, last = path
+        entry = instance
+        for key in parents:
+            entry = entry[key]
+        entry[last] = value
+        code, report = run(tmp_path, "realize-pp", write(tmp_path, "pp.json", instance))
+        assert code == 3
+        assert report["status"] == "indeterminate"
+        assert report["payload"]["error"] == message
+
+    def test_screen_stays_exact_past_the_float_range(self, tmp_path):
+        instance = json.loads((INSTANCES / "pp-objective.json").read_text())
+        instance["rho1"][0] = "1e400"
+        inst = write(tmp_path, "pp.json", instance)
+        code, _ = run(tmp_path, "screen-pp", inst, "--trials", "5", "--seed", "1")
+        assert code == 0
+
     def test_infeasible_diagonal(self, tmp_path):
         inst = write(
             tmp_path,

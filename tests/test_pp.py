@@ -17,17 +17,16 @@ from realkit.pp import (
     CorrelationTarget,
     check_hardcore_support,
     enumerate_configs,
-    g_h_eval,
     objective_cardinality,
-    objective_chi_hc,
     positivity_screen,
     pp_moments,
+    realize_pinned,
     realize_pp,
     verify_pp_certificate,
 )
-from realkit.regularity import PsiFunction
+from realkit.regularity import AtomicMeasure2D, PsiFunction, chi_hc_integral
 from realkit.setrealize import SubsetMixture, TwoPointTarget, realize_subsets
-from helpers import random_simple_config_mixture
+from helpers import g_h, pp_oracle as oracle, random_simple_config_mixture
 
 PAIR_TARGET = CorrelationTarget.build(n=2, rho_entries=[(0, 1, "1")], cap=2, simple=True)
 # infeasible, yet passes the PSD and cap screens, so only the LP proves it: the
@@ -50,56 +49,58 @@ def indicator(n, i, j):
 
 
 class TestGhEval:
+    """The tests' own per-configuration pair sum `helpers.g_h`, the oracle
+    of every close-pair objective below."""
+
     def test_empty_configuration(self):
         h = indicator(2, 0, 1)
-        assert g_h_eval(Configuration((0, 0)), h) == 0
+        assert g_h((0, 0), h) == 0
 
     def test_both_ordered_pairs_count(self):
-        assert g_h_eval(Configuration((1, 1)), indicator(2, 0, 1)) == 2
+        assert g_h((1, 1), indicator(2, 0, 1)) == 2
 
     def test_colocated_particles(self):
-        assert g_h_eval(Configuration((2, 1)), indicator(2, 0, 0)) == 2
+        assert g_h((2, 1), indicator(2, 0, 0)) == 2
 
     def test_multiplicities_multiply(self):
-        assert g_h_eval(Configuration((2, 3)), indicator(2, 0, 1)) == 12
+        assert g_h((2, 3), indicator(2, 0, 1)) == 12
 
     def test_lone_particle_skips_an_infinite_diagonal(self):
         # point 0 holds no pair of particles, so its infinite weight costs nothing
-        assert g_h_eval(Configuration((1, 0)), [[INF, 1], [1, 0]]) == 0
+        assert g_h((1, 0), [[INF, 1], [1, 0]]) == 0
 
 
 class TestEnumerate:
     def test_simple_subsets(self):
-        out = enumerate_configs(2, 2, simple=True)
+        out = enumerate_configs(CorrelationTarget.build(n=2, cap=2, simple=True))
         assert [c.multiplicity for c in out] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_multiplicities_added(self):
-        out = enumerate_configs(2, 2, simple=False)
+        out = enumerate_configs(CorrelationTarget.build(n=2, cap=2))
         assert set(c.multiplicity for c in out) == {
             (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0),
         }
 
     def test_hardcore_at_least_eps_admits_boundary(self):
         eq3 = make_space([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-        out = enumerate_configs(3, 3, hardcore_eps="1", space=eq3)
+        out = enumerate_configs(CorrelationTarget.build(cap=3, hardcore_eps="1", space=eq3))
         # distances equal to eps are allowed, so all simple subsets remain
         assert len(out) == 8
 
     def test_hardcore_excludes_close_pairs(self):
         sp = make_space([[0, F(1, 2)], [F(1, 2), 0]])
-        out = enumerate_configs(2, 2, hardcore_eps="1", space=sp)
+        out = enumerate_configs(CorrelationTarget.build(cap=2, hardcore_eps="1", space=sp))
         assert set(c.multiplicity for c in out) == {(0, 0), (0, 1), (1, 0)}
 
     def test_strict_variant_excludes_boundary(self):
         eq3 = make_space([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-        strict = enumerate_configs(3, 3, hardcore_eps="1", space=eq3, hardcore_strict=True)
-        assert {c.multiplicity for c in strict} == {
-            (0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0),
-        }
         target = CorrelationTarget.build(
             rho_entries=[(0, 1, "1")], cap=3, space=eq3,
             hardcore_eps="1", hardcore_strict=True,
         )
+        assert {c.multiplicity for c in enumerate_configs(target)} == {
+            (0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0),
+        }
         result = realize_pp(target)
         assert result.status == "infeasible" and result.method == "validation"
 
@@ -251,7 +252,7 @@ class TestHardcoreMixtures:
             n = rng.randint(3, 5)
             space = random_metric_space(rng, n)
             eps = sorted(space.distance_values())[1]
-            allowed = enumerate_configs(n, n, hardcore_eps=eps, space=space)
+            allowed = enumerate_configs(CorrelationTarget.build(cap=n, hardcore_eps=eps, space=space))
             pick = [cfg for cfg in allowed if cfg.total_mass > 0][:3]
             weights = [F(1, len(pick) + 1)] * len(pick)
             weights.append(1 - sum(weights))
@@ -283,7 +284,7 @@ class TestDualFeasibility:
         from realkit.lp import exact_simplex
 
         target = PAIR_TARGET
-        configs = enumerate_configs(target.n, target.cap, target.simple)
+        configs = enumerate_configs(target)
         chi = objective_cardinality(2)
         cols = [_config_column(cfg, target.n, False) for cfg in configs]
         res = exact_simplex(cols, target.rhs(), obj=[chi(c) for c in configs])
@@ -354,32 +355,6 @@ class TestRandomTargets:
                 assert ok, why
 
 
-def oracle(target, objective=None):
-    """(verdict, optimum) of `exact_simplex` over every admissible
-    configuration, enumerated and turned into moment columns here."""
-    n, per_point = target.n, 1 if target.simple else target.cap
-    configs = [
-        Configuration(m)
-        for m in itertools.product(range(per_point + 1), repeat=n)
-        if sum(m) <= target.cap
-    ]
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-
-    def column(m):
-        col = [F(m[i] * (m[j] - (i == j))) for i, j in pairs]
-        return col + ([F(v) for v in m] if target.rho1 is not None else []) + [F(1)]
-
-    b = [target.rho_value(i, j) for i, j in pairs] + list(target.rho1 or []) + [F(1)]
-    cols = [column(c.multiplicity) for c in configs]
-    if exact_simplex(cols, b).status == "infeasible":
-        return "infeasible", None
-    if objective is None:
-        return "feasible", None
-    finite = [(col, objective(c)) for col, c in zip(cols, configs) if objective(c) != INF]
-    res = exact_simplex([col for col, _ in finite], b, obj=[v for _, v in finite])
-    return "feasible", res.objective if res.status == "optimal" else INF
-
-
 def assert_certificate_holds(target, cert):
     """G >= 0 on every admissible configuration, enumerated here, with its
     minimum 0 at the stored minimiser, and a negative pairing."""
@@ -399,11 +374,12 @@ def assert_certificate_holds(target, cert):
 
 
 @st.composite
-def small_targets(draw):
-    """n <= 4 and cap <= 4, simple or not, with or without an intensity;
-    half of them are the moments of a random mixture, so feasible."""
-    n = draw(st.integers(1, 4))
-    cap = draw(st.integers(0, 4))
+def small_targets(draw, max_n=4, max_cap=4):
+    """n <= max_n points at |i - j| / 2 and cap <= max_cap, simple or not,
+    with or without an intensity; half of them are the moments of a random
+    mixture, so feasible."""
+    n = draw(st.integers(1, max_n))
+    cap = draw(st.integers(0, max_cap))
     simple = draw(st.booleans())
     with_rho1 = draw(st.booleans())
     per_point = 1 if simple else cap
@@ -428,22 +404,13 @@ def small_targets(draw):
     )
 
 
-OBJECTIVES = [
-    None,
-    objective_cardinality(2),
-    objective_cardinality(4),
-    # an infinite head: co-located particles are forbidden, so a finite sub-LP runs
-    "chi-hc",
-]
+OBJECTIVES = [None, objective_cardinality(2), objective_cardinality(4)]
 
 
 class TestAgainstEnumerationOracle:
     @settings(max_examples=120, deadline=None)
     @given(small_targets(), st.sampled_from(OBJECTIVES))
     def test_verdict_and_optimum_match_the_oracle(self, target, objective):
-        if objective == "chi-hc":
-            psi = PsiFunction.from_json({"steps": [["0", "inf"], ["1/2", "3"], ["1", "1"]]})
-            objective = objective_chi_hc(psi, target.space)
         result = realize_pp(target, objective=objective)
         verdict, optimum = oracle(target, objective)
         assert result.status == verdict
@@ -458,10 +425,8 @@ class TestAgainstEnumerationOracle:
         if target.rho1 is not None:
             assert r1_hat == target.rho1
         if objective is not None:
-            assert result.objective_value == optimum
-            if optimum != INF:
-                assert result.dual_value == optimum
-                assert sum(w * objective(c) for c, w in result.mixture.atoms) == optimum
+            assert result.objective_value == result.dual_value == optimum
+            assert sum(w * objective(c) for c, w in result.mixture.atoms) == optimum
 
 
 class TestColumnGenerationAgainstEnumerationOracle:
@@ -687,7 +652,79 @@ class TestChiHcObjective:
              for a, b in itertools.permutations(range(len(particles)), 2)),
             F(0),
         )
-        assert objective_chi_hc(self.PSI, space)(Configuration(m)) == expected
+        h = [[self.PSI.value(space.dist[i][j]) for j in range(n)] for i in range(n)]
+        assert g_h(m, h) == expected
+
+
+@st.composite
+def pinned_cases(draw):
+    """(target, None) for card2 on a target with an intensity, or (target,
+    psi steps) for chi-hc: `small_targets` with n <= 5 and cap <= 3, and psi
+    of up to four steps whose first k values are infinite, for a k that
+    may be 0 or reach past the smallest distance."""
+    target = draw(small_targets(max_n=5, max_cap=3))
+    if target.rho1 is not None and draw(st.booleans()):
+        return target, None
+    later = draw(st.sets(st.sampled_from([F(1, 2), F(1), F(3, 2), F(2)]), max_size=3))
+    thresholds = [F(0), *sorted(later)]
+    values = sorted(draw(st.lists(st.integers(0, 5), min_size=len(thresholds),
+                                  max_size=len(thresholds))), reverse=True)
+    k = draw(st.integers(0, len(thresholds)))
+    return target, tuple((t, INF if idx < k else F(v)) for idx, (t, v) in
+                         enumerate(zip(thresholds, values)))
+
+
+def step_value(steps, t):
+    """The value of a step function at t >= 0, read off its steps here."""
+    return [v for s, v in steps if s <= t][-1]
+
+
+class TestPinnedObjectives:
+    """`realize_pinned` with the values the CLI passes it (the chi-hc
+    integral, or pair mass plus total intensity for card2) against a cost
+    LP over every configuration whose cost `g_h` or N^2 is finite, with the
+    configurations enumerated and with enumeration refused."""
+
+    @pytest.mark.parametrize("enumerated", [True, False], ids=["enumerated", "refused"])
+    @settings(max_examples=100, deadline=None)
+    @given(pinned_cases())
+    def test_verdict_value_and_dual_match_the_cost_lp(self, enumerated, case):
+        target, steps = case
+        if steps is None:
+            value = target.pair_mass + sum(target.rho1)
+
+            def cost(m):
+                return F(sum(m) ** 2)
+        else:
+            value = chi_hc_integral(AtomicMeasure2D.from_target(target), PsiFunction(steps))
+            n, dist = target.n, target.space.dist
+            h = [[step_value(steps, dist[i][j]) for j in range(n)] for i in range(n)]
+
+            def cost(m):
+                return g_h(m, h)
+
+        def refuse(*args, **kwargs):
+            raise CapExceeded("configuration count exceeds the limit")
+
+        with pytest.MonkeyPatch.context() as patch:
+            if not enumerated:
+                patch.setattr(pp, "enumerate_configs", refuse)
+            result = realize_pinned(target, value)
+        verdict, optimum = oracle(target, lambda c: cost(c.multiplicity))
+        assert result.status == verdict
+        if verdict == "infeasible":
+            ok, why = verify_pp_certificate(result.certificate, target)
+            assert ok, why
+            assert result.objective_value is None and result.dual_value is None
+            return
+        hat, r1_hat = pp_moments(result.mixture)
+        assert hat == target.rho
+        if target.rho1 is not None:
+            assert r1_hat == target.rho1
+        assert result.objective_value == optimum
+        assert result.dual_value == (None if optimum == INF else optimum)
+        assert sum((w * cost(c.multiplicity) for c, w in result.mixture.atoms), F(0)) == optimum
+        assert "not certified" not in (result.note or "")
 
 
 class TestStoredMinimizer:
@@ -819,20 +856,13 @@ class TestFloatFallbacks:
         assert len(simplex_calls) == 1 and simplex_calls[0] is not None
 
     @pytest.mark.parametrize("status", ["infeasible", "unbounded"])
-    def test_float_failure_of_the_finite_sub_lp(self, monkeypatch, simplex_calls, status):
+    def test_float_failure_of_the_cost_lp(self, monkeypatch, simplex_calls, status):
         monkeypatch.setattr(lp, "float_lp_min", lambda A, b, c: (status, None, None, None))
-        psi = PsiFunction.from_json({"steps": [["0", "inf"], ["1", "1"]]})
-        space = make_space([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
-        target = CorrelationTarget.build(
-            rho_entries=[(0, 1, "1/2"), (1, 2, "1/4")], rho1=["3/4", "3/4", "1/4"], cap=3,
-            space=space,
-        )
-        objective = objective_chi_hc(psi, space)
-        result = realize_pp(target, objective=objective)
-        _, optimum = oracle(target, objective)
-        assert optimum != INF
+        objective = objective_cardinality(4)
+        result = realize_pp(self.FEASIBLE, objective=objective)
+        _, optimum = oracle(self.FEASIBLE, objective)
         assert result.objective_value == result.dual_value == optimum
-        assert len(simplex_calls) == 1
+        assert len(simplex_calls) == 1 and simplex_calls[0] is not None
 
 
 class TestCrossModule:
@@ -945,7 +975,7 @@ def enumerated_screen(target, trials, seed):
             for j in range(i, n):
                 h[i][j] = h[j][i] = F(rng.uniform(-1.0, 1.0))
         pairing = sum(h[i][j] * target.rho_value(i, j) for i in range(n) for j in range(n))
-        infimum = min(g_h_eval(cfg, h) for cfg in admissible)
+        infimum = min(g_h(cfg.multiplicity, h) for cfg in admissible)
         if pairing < infimum:
             expected.append((trial, [[float(v) for v in row] for row in h], pairing, infimum))
     return expected

@@ -240,11 +240,11 @@ class TestSplit:
         assert not verdict.realizable
 
     def test_packing_weight_optimum_equals_packing_integral(self):
-        # with the packing number as the step weight, the LP optimum of the
-        # close-pair expectation coincides with the packing integral
+        # with the packing number as the step weight, the optimum of the
+        # close-pair expectation, by a cost LP over every configuration
+        # built here, is the packing integral, and the split check reports it
         rng = random.Random(81)
-        from helpers import random_metric_space, random_simple_config_mixture
-        from realkit.pp import objective_chi_hc, realize_pp
+        from helpers import brute_force_packing, g_h, pp_oracle, random_metric_space
 
         for _ in range(5):
             n = rng.randint(2, 4)
@@ -262,11 +262,11 @@ class TestSplit:
             for t in space.distance_values():
                 steps.append((t, F(packing_number(space, t))))
             psi = PsiFunction(tuple(steps))
-            result = realize_pp(target, objective=objective_chi_hc(psi, space))
-            assert result.status == "feasible"
-            measure = AtomicMeasure2D.from_target(target)
-            expected = packing_integral(measure, space)
-            assert result.objective_value == expected
+            h = [[F(brute_force_packing(space, d)) for d in row] for row in space.dist]
+            verdict, optimum = pp_oracle(target, lambda c: g_h(c.multiplicity, h))
+            expected = packing_integral(AtomicMeasure2D.from_target(target), space)
+            assert verdict == "feasible" and optimum == expected
+            assert hardcore_split_check(target, psi, expected).optimum == expected
 
     def test_optimum_equals_integral_random(self):
         rng = random.Random(71)
