@@ -41,9 +41,11 @@
   support does not work.
 
 * `float_phase1` / `float_lp_min` — locate supports and dual vectors
-  quickly through `_highs`, the one call of scipy's HiGHS; every verdict
-  derived from them is re-verified exactly by the callers. scipy is
-  imported on the first float LP, so commands that solve none never load it.
+  quickly through `_highs`, the one HiGHS call: a fresh solver per LP
+  through scipy's vendored binding, posed as `linprog(method="highs")`
+  poses it; every verdict derived from them is re-verified exactly by the
+  callers. scipy is imported on the first float LP, so commands that solve
+  none never load it.
 
 Columns are lists of integers or `Fraction`s; in every LP the callers
 build, the last row is the normalisation sum q = 1, which every column
@@ -689,11 +691,50 @@ def _solve_exact(
 
 
 def _highs(c: np.ndarray, A_eq: np.ndarray, b: np.ndarray):
-    """min c.q s.t. A_eq q = b, q >= 0 by HiGHS; scipy's `OptimizeResult`."""
-    from scipy.optimize import linprog  # deferred: scipy takes most of the CLI's import time
-    from scipy.sparse import csc_matrix
+    """min c.q s.t. A_eq q = b, q >= 0 by one fresh HiGHS solve, as
+    (status, q, row duals, objective) with `scipy.optimize.linprog`'s status
+    codes: 0 optimal, 2 infeasible, 3 unbounded, 4 anything else (q, the
+    duals and the objective then None).
 
-    return linprog(c, A_eq=csc_matrix(A_eq), b_eq=b, bounds=(0, None), method="highs")
+    This is the model and the options that `linprog(method="highs")` hands
+    the same binding, scipy's vendored `_highspy._core`: A_eq column-wise
+    without its zeros, 0 <= q, and the dual simplex after presolve; so the
+    vertex and the duals are the same. No solver is reused: a warm start
+    changes the duals, and with them the columns priced next.
+    """
+    # deferred: scipy takes most of the CLI's import time
+    from scipy.optimize._highspy import _core as highs
+
+    m, k = A_eq.shape
+    cols = A_eq.T
+    nonzero = cols != 0
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = k
+    lp.num_row_ = lp.a_matrix_.num_row_ = m
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.concatenate(([0], np.cumsum(nonzero.sum(axis=1)))).astype(np.int32)
+    lp.a_matrix_.index_ = np.nonzero(nonzero)[1].astype(np.int32)
+    lp.a_matrix_.value_ = cols[nonzero]
+    lp.col_cost_ = np.asarray(c, dtype=float)
+    lp.col_lower_ = np.zeros(k)
+    lp.col_upper_ = np.full(k, highs.kHighsInf)
+    lp.row_lower_ = lp.row_upper_ = np.asarray(b, dtype=float)
+    options = highs.HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = 1  # dual
+    options.highs_debug_level = 0
+    options.output_flag = options.log_to_console = False
+    solver = highs._Highs()
+    solver.passOptions(options)
+    solver.passModel(lp)
+    solver.run()
+    status = solver.getModelStatus()
+    if status != highs.HighsModelStatus.kOptimal:
+        code = {highs.HighsModelStatus.kInfeasible: 2, highs.HighsModelStatus.kUnbounded: 3}
+        return code.get(status, 4), None, None, None
+    solution = solver.getSolution()
+    value = solver.getInfo().objective_function_value
+    return 0, np.array(solution.col_value), np.array(solution.row_dual), value
 
 
 def float_phase1(A: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -706,25 +747,23 @@ def float_phase1(A: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray, np.nd
     eye = np.eye(m)
     A_eq = np.hstack([A, eye, -eye])
     c = np.concatenate([np.zeros(n), np.ones(2 * m)])
-    res = _highs(c, A_eq, b)
-    if res.status != 0:
-        raise RuntimeError(f"phase-1 float LP failed: {res.message}")
-    y = np.asarray(res.eqlin.marginals, dtype=float)
+    status, q, y, value = _highs(c, A_eq, b)
+    if status != 0:
+        raise RuntimeError(f"phase-1 float LP failed with status {status}")
     if float(y @ b) < 0:
         y = -y
-    return float(res.fun), np.asarray(res.x[:n], dtype=float), y
+    return value, q[:n], y
 
 
 def float_lp_min(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     """min c.q s.t. A q = b, q >= 0 in floats; returns (status, q, y, value)."""
-    res = _highs(c, A, b)
-    if res.status == 2:
+    status, q, y, value = _highs(c, A, b)
+    if status == 2:
         return "infeasible", None, None, None
-    if res.status == 3:
+    if status == 3:
         return "unbounded", None, None, None
-    if res.status != 0:
-        raise RuntimeError(f"float LP failed: {res.message}")
-    y = np.asarray(res.eqlin.marginals, dtype=float)
-    if abs(float(y @ b) - float(res.fun)) > abs(float(-y @ b) - float(res.fun)):
+    if status != 0:
+        raise RuntimeError(f"float LP failed with status {status}")
+    if abs(float(y @ b) - value) > abs(float(-y @ b) - value):
         y = -y
-    return "optimal", np.asarray(res.x, dtype=float), y, float(res.fun)
+    return "optimal", q, y, value

@@ -9,7 +9,7 @@ import pytest
 from test_golden import CASES, INSTANCES, REPORTS
 
 import realkit
-from realkit import cli, contact
+from realkit import cli, contact, pp
 from realkit.cli import main
 
 EQ3 = {
@@ -29,6 +29,12 @@ def write(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+def _child_env():
+    """The environment of a fresh interpreter that imports this realkit."""
+    src = str(Path(realkit.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def run(tmp_path, *argv):
@@ -296,6 +302,8 @@ class TestRealizePP:
         "simple": True,
         "hardcore_eps": None,
     }
+    # diagonal mass on a simple target: infeasible at any n, with no LP
+    DIAGONAL = {"rho": [[0, 0, "1"]], "cap": 2, "simple": True}
 
     def test_feasible_with_objective(self, tmp_path):
         inst = write(tmp_path, "pp.json", self.INSTANCE)
@@ -342,6 +350,33 @@ class TestRealizePP:
         assert code == 3
         assert report["status"] == "indeterminate"
         assert report["payload"]["error"] == message
+
+    def test_point_cap(self, tmp_path):
+        # DIAGONAL needs no LP, so the cap is all that tells the sizes apart
+        top = pp.MAX_POINTS
+        for n, expected in [(top, 1), (top + 1, 3)]:
+            inst = write(tmp_path, "pp.json", {**self.DIAGONAL, "n": n})
+            code, report = run(tmp_path, "realize-pp", inst)
+            assert code == expected
+        assert report["payload"]["error"] == f"n={top + 1} above the point cap {top}"
+
+    def test_huge_carrier_is_a_cap_within_bounded_memory(self, tmp_path):
+        # 5 * 10^9 pairs: without the cap the process runs out of its
+        # address space (exit 4) or, unlimited, of the host's memory
+        inst = write(tmp_path, "pp.json", {**self.DIAGONAL, "n": 100000})
+        probe = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))\n"
+            "from realkit.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        out = str(tmp_path / "report.json")
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, "realize-pp", inst, "--out", out],
+            capture_output=True, text=True, env=_child_env(), timeout=120,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "n=100000 above the point cap" in proc.stderr
 
     def test_screen_stays_exact_past_the_float_range(self, tmp_path):
         instance = json.loads((INSTANCES / "pp-objective.json").read_text())
@@ -736,19 +771,18 @@ class TestImportBoundary:
             ("sample", False),
             ("contact-check-pass", False),
             ("regularity-chi", False),
-            # the one case that solves a float LP, by HiGHS
+            # the cases that solve a float LP, by HiGHS
             ("realize-set-feasible", True),
+            ("realize-pp-feasible", True),
         ],
     )
     def test_scipy_only_with_a_float_lp(self, tmp_path, case, loads_scipy):
         argv, expected = CASES[case]
         out = tmp_path / "report.json"
         argv = [str(INSTANCES / a) if a.endswith(".json") else a for a in argv]
-        src = str(Path(realkit.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-c", self.PROBE, *argv, "--out", str(out)],
-            capture_output=True, text=True, env=env, timeout=120, check=True,
+            capture_output=True, text=True, env=_child_env(), timeout=120, check=True,
         )
         assert proc.stdout.split() == [str(expected), str(loads_scipy)]
         if loads_scipy:

@@ -2,11 +2,12 @@ import random
 from fractions import Fraction as F
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from realkit.lp import (
-    ColumnList, column_generation, exact_simplex, float_phase1, solve_nonneg_exact,
+    ColumnList, _highs, column_generation, exact_simplex, float_lp_min, float_phase1,
+    solve_nonneg_exact,
 )
 
 
@@ -162,3 +163,66 @@ class TestFloatPhase1:
         assert obj > 0.5
         assert y @ b > 0
         assert np.all(A.T @ y < 1e-9)
+
+
+def floats(A, b, c):
+    return np.array(A, dtype=float), np.array(b, dtype=float), np.array(c, dtype=float)
+
+
+@st.composite
+def dense_lps(draw):
+    """min c.q s.t. A q = b, q >= 0 with m <= 6 rows, k <= 10 columns and
+    small integer entries; some columns zeroed or repeated."""
+    m = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 10))
+    row = st.lists(st.integers(-3, 3), min_size=k, max_size=k)
+    A = np.array(draw(st.lists(row, min_size=m, max_size=m)), dtype=float)
+    for j in draw(st.lists(st.integers(0, k - 1), max_size=2)):
+        A[:, j] = 0
+    for j, i in draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)), max_size=2)):
+        A[:, j] = A[:, i]
+    b = draw(st.lists(st.integers(-4, 6), min_size=m, max_size=m))
+    c = draw(st.lists(st.integers(-3, 4), min_size=k, max_size=k))
+    return floats(A, b, c)
+
+
+class TestHighs:
+    """`_highs` poses the model and options of `linprog(method="highs")`
+    itself, so it must give the same status and, at an optimum, the same
+    bits."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(dense_lps())
+    # a zero column and a duplicate column
+    @example(floats([[1, 0, 1], [2, 0, 2]], [1, 2], [1, 0, 1]))
+    # infeasible: q1 + q2 = 1 and q1 + q2 = 2
+    @example(floats([[1, 1], [1, 1]], [1, 2], [0, 0]))
+    # unbounded: q1 - q2 = 0 with cost -q1
+    @example(floats([[1, -1]], [0], [-1, 0]))
+    def test_same_as_linprog(self, lp):
+        from scipy.optimize import linprog
+
+        A, b, c = lp
+        status, q, y, value = _highs(c, A, b)
+        ref = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+        assert status == ref.status
+        if status == 0:
+            assert q.tobytes() == ref.x.tobytes()
+            assert y.tobytes() == ref.eqlin.marginals.tobytes()
+            assert np.float64(value).tobytes() == np.float64(ref.fun).tobytes()
+        else:
+            assert q is y is value is None
+
+    def test_float_lp_min_infeasible(self):
+        A, b, c = floats([[1, 1], [1, 1]], [1, 2], [0, 0])
+        assert float_lp_min(A, b, c) == ("infeasible", None, None, None)
+
+    def test_float_lp_min_unbounded(self):
+        A, b, c = floats([[1, -1]], [0], [-1, 0])
+        assert float_lp_min(A, b, c) == ("unbounded", None, None, None)
+
+    def test_float_lp_min_optimal(self):
+        # min q1 + 3 q2 s.t. q1 + q2 = 2: all on q1, dual 1
+        status, q, y, value = float_lp_min(*floats([[1, 1]], [2], [1, 3]))
+        assert status == "optimal" and value == 2.0
+        assert q.tolist() == [2.0, 0.0] and y.tolist() == [1.0]
