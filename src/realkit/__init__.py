@@ -23,7 +23,6 @@ from .metric import (
     gamma_min_pairs,
     close_pair_envelope,
     make_space,
-    mass_transfer_reduce,
     packing_number,
     packing_set,
     spread_configuration,
@@ -53,7 +52,6 @@ from .setrealize import (
     SubsetMixture,
     TwoPointTarget,
     moments_of_mixture,
-    product_form_mixture,
     realize_subsets,
     symmetrize,
     verify_certificate,

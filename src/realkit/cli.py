@@ -406,6 +406,8 @@ def _cmd_contact_check(args, digests: dict) -> dict:
 
 
 def _cmd_contact_simulate(args, digests: dict) -> dict:
+    if args.samples < 1:
+        raise InvalidInstance("--samples must be a positive draw count")
     tau1 = StepCdf.from_json(_load(args.tau1, digests, "tau1"))
     tau2 = StepCdf.from_json(_load(args.tau2, digests, "tau2"))
     x1 = _parse_point(args.x1)
@@ -528,12 +530,15 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--l")
     pc.set_defaults(func=_cmd_contact_check)
 
-    pc = contact_sub.add_parser("simulate", parents=[common], help="Monte Carlo check of the construction")
+    pc = contact_sub.add_parser(
+        "simulate", parents=[common],
+        help="build the two-point set for sampled draws; compare distance cdfs with the targets",
+    )
     pc.add_argument("--tau1", required=True)
     pc.add_argument("--tau2", required=True)
     pc.add_argument("--x1", required=True, help="comma-separated rational coordinates")
     pc.add_argument("--x2", required=True)
-    pc.add_argument("--samples", type=int, default=100000)
+    pc.add_argument("--samples", type=int, default=100000, help="uniform draws (positive)")
     pc.add_argument("--seed", type=int, required=True)
     pc.set_defaults(func=_cmd_contact_simulate)
 

@@ -124,12 +124,14 @@ def invert_cdf(tau: StepCdf, u) -> Fraction | None:
 @dataclass
 class TwoPointSet:
     """Realisation for one uniform draw: collinear antipodal points (or a
-    single point when the reference points coincide), with exact distances."""
+    single point when the reference points coincide). The distances r1, r2
+    are exact; the rational points carry the separation l as the midpoint of
+    its enclosure when l is irrational."""
 
     no_point: bool
     r1: Fraction | None = None
     r2: Fraction | None = None
-    points: tuple[tuple[float, ...], ...] = ()
+    points: tuple[tuple[Fraction, ...], ...] = ()
 
 
 def construct_two_point_set(
@@ -158,21 +160,18 @@ def construct_two_point_set(
     if l_sq == 0:
         if tau1.jumps != tau2.jumps:
             raise Infeasible("coinciding reference points require identical cdfs")
-        a = (float(p1[0] + r1),) + tuple(float(c) for c in p1[1:])
-        return TwoPointSet(no_point=False, r1=r1, r2=r2, points=(a,))
+        return TwoPointSet(no_point=False, r1=r1, r2=r2, points=((p1[0] + r1, *p1[1:]),))
     # |R1 - R2| <= l, exactly
     if compare_rational_to_sqrt(abs(r1 - r2), l_sq) > 0:
         raise Infeasible(
             f"|R1 - R2| = {abs(r1 - r2)} exceeds the separation; "
             f"the sandwich test cannot have passed at this u"
         )
+    # (x1 - x2) / l = (x1 - x2) * l / l^2
     l_lo, l_hi = sqrt_interval(l_sq)
-    l_float = float((l_lo + l_hi) / 2)
-    f1 = [float(v) for v in p1]
-    f2 = [float(v) for v in p2]
-    direction = [(a - b) / l_float for a, b in zip(f1, f2)]
-    a1 = tuple(a + float(r1) * d for a, d in zip(f1, direction))
-    a2 = tuple(b - float(r2) * d for b, d in zip(f2, direction))
+    unit = (l_lo + l_hi) / 2 / l_sq
+    a1 = tuple(a + r1 * unit * (a - b) for a, b in zip(p1, p2))
+    a2 = tuple(b - r2 * unit * (a - b) for a, b in zip(p1, p2))
     return TwoPointSet(no_point=False, r1=r1, r2=r2, points=(a1, a2))
 
 
@@ -334,14 +333,17 @@ class MonteCarloReport:
 def monte_carlo_contact(
     tau1: StepCdf, tau2: StepCdf, x1: Sequence, x2: Sequence, samples: int, seed: int
 ) -> MonteCarloReport:
-    """Simulate the two-point construction and compare empirical distance
-    cdfs with the targets at every jump abscissa.
+    """Realise the two-point construction for `samples` uniform draws and
+    compare the empirical cdfs of d(x1, set) and d(x2, set) with the
+    targets at every jump abscissa.
 
-    One uniform draw drives both inversions (that coupling is what makes
-    the construction work), so the recorded distances are exactly the
-    generalised inverses; a draw beyond a total mass records +inf. The
-    report holds floats, so a jump radius above the largest float raises
-    CapExceeded before any sampling.
+    One uniform drives both inversions (that coupling is what makes the
+    construction work), so a draw's set depends only on where it falls
+    among the merged cdf values of tau1 and tau2: `construct_two_point_set`
+    runs once per class that occurs, and the draws are counted per class.
+    A draw of 0 is at distance 0; a draw past the total mass yields no
+    point. The report holds floats, so a jump radius above the largest
+    float raises CapExceeded before any sampling.
     """
     p1 = tuple(parse_rational(v) for v in x1)
     p2 = tuple(parse_rational(v) for v in x2)
@@ -362,35 +364,29 @@ def monte_carlo_contact(
         for k, r in zip(tau._given_index, tau.abscissae()):
             if r > sys.float_info.max:
                 raise CapExceeded(f"{name} /jumps/{k}/0: jump radius above the largest float")
-    rng = np.random.default_rng(seed)
-    u = rng.random(samples)
-
-    def sample_jump_indices(tau: StepCdf) -> np.ndarray:
-        """-1 codes distance 0 (u = 0), len(jumps) codes a miss (+inf)."""
-        values = np.array([float(v) for _, v in tau.jumps])
-        idx = np.searchsorted(values, u, side="left").astype(np.int64)
-        idx[u == 0.0] = -1
-        return idx
-
-    idx1 = sample_jump_indices(tau1)
-    idx2 = sample_jump_indices(tau2)
+    levels = sorted({v for _, v in tau1.jumps + tau2.jumps})
+    u = np.random.default_rng(seed).random(samples)
+    # class k holds the draws in (levels[k - 2], levels[k - 1]] (compared in
+    # floats), whose exact representative is levels[k - 1]; class 0 holds
+    # u = 0 and the last class the draws above every level
+    cls = np.searchsorted(np.array([float(v) for v in levels]), u, side="left") + 1
+    cls[u == 0.0] = 0
+    counts = np.bincount(cls, minlength=len(levels) + 2).tolist()
+    reps = [Fraction(0), *levels, Fraction(1)]
+    hits = []  # (R1, R2, draws) of the classes whose set has points
+    for k, count in enumerate(counts):
+        if count:
+            drawn = construct_two_point_set(tau1, tau2, p1, p2, reps[k])
+            if not drawn.no_point:
+                hits.append((drawn.r1, drawn.r2, count))
     grid_exact = sorted(set(tau1.abscissae() + tau2.abscissae()))
-
-    def empirical(tau: StepCdf, idx: np.ndarray) -> list[float]:
-        rs = tau.abscissae()
-        out = []
-        for A in grid_exact:
-            last = bisect.bisect_right(rs, A) - 1
-            out.append(float(np.mean(idx <= last)))
-        return out
-
-    emp1 = empirical(tau1, idx1)
-    emp2 = empirical(tau2, idx2)
+    emp1 = [sum(c for r1, _, c in hits if r1 <= A) / samples for A in grid_exact]
+    emp2 = [sum(c for _, r2, c in hits if r2 <= A) / samples for A in grid_exact]
     t1 = [float(tau1.value(A)) for A in grid_exact]
     t2 = [float(tau2.value(A)) for A in grid_exact]
     dev1 = max((abs(e - t) for e, t in zip(emp1, t1)), default=0.0)
     dev2 = max((abs(e - t) for e, t in zip(emp2, t2)), default=0.0)
-    no_point = float(np.mean((idx1 == len(tau1.jumps)) & (idx2 == len(tau2.jumps))))
+    no_point = (samples - sum(c for *_, c in hits)) / samples
     grid = [float(A) for A in grid_exact]
     return MonteCarloReport(
         abscissae=grid,

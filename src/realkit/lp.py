@@ -115,8 +115,9 @@ def exact_farkas(y: Sequence, oracle: ColumnOracle) -> tuple[list[int], Hashable
 
 class ColumnOracle(Protocol):
     """The columns of one LP, keyed by hashable keys (bitmasks,
-    configurations). `column_generation` reads size, matrix, column, price
-    and best; `screen`, `verdict` and `check_certificate` the rest."""
+    configurations). `column_generation` reads size, matrix, column and
+    best, and price while its master lacks a column; `screen`, `verdict`
+    and `check_certificate` the rest."""
 
     size: int | None  # the number of columns, when the oracle can count them
     target: object  # the target whose LP these columns span, with .n and .rhs()
@@ -148,7 +149,8 @@ class ColumnOracle(Protocol):
 
 class ColumnList:
     """The oracle of an explicit {key: exact column} dict. A master seeded
-    with every key leaves nothing to price; the exact maximum is a scan."""
+    with every key leaves nothing to price, so it has no `price`; the exact
+    maximum is a scan."""
 
     def __init__(self, columns: dict):
         self.columns = columns
@@ -159,9 +161,6 @@ class ColumnList:
 
     def column(self, key) -> list:
         return self.columns[key]
-
-    def price(self, y: np.ndarray, k: int) -> list:
-        return []
 
     def best(self, y: list[int]) -> tuple[Hashable, int]:
         return max(((key, _dot(y, col)) for key, col in self.columns.items()), key=itemgetter(1))

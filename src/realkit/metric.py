@@ -77,9 +77,6 @@ class Configuration:
     def total_mass(self) -> int:
         return sum(self.multiplicity)
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, m in enumerate(self.multiplicity) if m > 0)
-
 
 @dataclass(frozen=True)
 class MetricReport:
@@ -259,59 +256,3 @@ def spread_configuration(space: FiniteMetricSpace, n: int, t) -> Configuration:
     for rank, point in enumerate(pack):
         m[point] = base + (1 if rank < extra else 0)
     return Configuration(tuple(m))
-
-
-@dataclass(frozen=True)
-class TransferStep:
-    donor: int
-    recipient: int
-    masses: tuple[int, ...]
-    close_pairs: int
-
-
-def mass_transfer_reduce(
-    space: FiniteMetricSpace, config: Configuration, t
-) -> tuple[Configuration, list[TransferStep]]:
-    """Merge close support points by unit mass transfers until t-separated.
-
-    At each stage the recipient among a close pair is the point with the
-    smaller neighbourhood count Y(B_t(x)) - 1, ties to the smaller index;
-    among candidate pairs the lexicographically first (recipient, donor)
-    pair is processed. One unit moves per step and the ordered close-pair
-    count never increases along the recorded trace.
-    """
-    t = parse_rational(t, "t")
-    masses = list(config.multiplicity)
-    n = space.n
-    masks = _close_masks(space, t)
-    trace: list[TransferStep] = []
-
-    def neighbourhood(i: int) -> int:
-        # t >= 0 = d(i, i), so i is in its own ball
-        return sum(masses[j] for j in range(n) if masks[i] >> j & 1) + masses[i] - 1
-
-    while True:
-        pairs = []
-        for u in range(n):
-            if masses[u] == 0:
-                continue
-            for v in range(u + 1, n):
-                if masses[v] and masks[u] >> v & 1:
-                    nu, nv = neighbourhood(u), neighbourhood(v)
-                    rec, don = (u, v) if (nu, u) <= (nv, v) else (v, u)
-                    pairs.append((rec, don))
-        if not pairs:
-            break
-        rec, don = min(pairs)
-        while masses[don] > 0:
-            masses[don] -= 1
-            masses[rec] += 1
-            trace.append(
-                TransferStep(
-                    donor=don,
-                    recipient=rec,
-                    masses=tuple(masses),
-                    close_pairs=_pair_count(masses, masks),
-                )
-            )
-    return Configuration(tuple(masses)), trace

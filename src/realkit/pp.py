@@ -42,7 +42,7 @@ from .numbers import (
 from .qubo import pair_list, pair_matrix
 
 ENUM_LIMIT = 2_000_000
-# largest carrier `realize_pp` takes: its LP has n (n + 1) / 2 + n + 1 rows,
+# largest carrier a pp target may have: the LP has n (n + 1) / 2 + n + 1 rows,
 # and memory grows about as n^4 (cap-2 simple targets at n = 60 / 70 / 80:
 # 1.1 / 2.5 / 3.8 s and 222 / 346 / 519 MB peak RSS)
 MAX_POINTS = 64
@@ -105,6 +105,8 @@ class CorrelationTarget:
             n = space.n
         if n is None or n < 1:
             raise InvalidInstance("target needs a point count or a space")
+        if n > MAX_POINTS:
+            raise CapExceeded(f"n={n} above the point cap {MAX_POINTS}")
         if cap < 0:
             raise InvalidInstance("cardinality cap must be non-negative")
         ordered: dict[tuple[int, int], Fraction] = {}
@@ -186,13 +188,11 @@ class ConfigMixture:
 
 
 def check_hardcore_support(
-    target: CorrelationTarget, eps
+    target: CorrelationTarget,
 ) -> tuple[bool, list[tuple[int, int, Fraction]]]:
-    """True iff every positive-weight atom sits at distance >= eps
-    (> eps when the target uses the strict variant)."""
-    eps = parse_rational(eps, "eps")
-    if target.space is None:
-        raise InvalidInstance("hard-core support check needs the metric space")
+    """True iff every positive-weight atom sits at distance >= the target's
+    hardcore_eps (> it when the target uses the strict variant)."""
+    eps = target.hardcore_eps
     offenders = []
     for i, j, w in target.atoms():
         d = target.space.dist[i][j]
@@ -407,9 +407,8 @@ def realize_pp(
     """Decide realisability of a correlation target; optionally minimise an
     expectation over the realising mixtures and report the optimum.
 
-    A carrier above MAX_POINTS raises CapExceeded. Checks that need no LP
-    run first: diagonal mass on a simple target or mass inside the
-    hard-core distance ("validation"). A target that the
+    Checks that need no LP run first: diagonal mass on a simple target or
+    mass inside the hard-core distance ("validation"). A target that the
     float layers cannot hold (a moment, or the pair count cap (cap - 1) of
     a configuration, above the largest float) then raises CapExceeded.
     For targets with an intensity, a moment matrix of (1, m) that is not
@@ -430,8 +429,6 @@ def realize_pp(
     not certified minimal. An objective that the moment rows pin needs no
     cost: `realize_pinned`.
     """
-    if target.n > MAX_POINTS:
-        raise CapExceeded(f"n={target.n} above the point cap {MAX_POINTS}")
     for i, j, w in target.atoms():
         if target.simple and i == j and w > 0:
             return RealizeResult(
@@ -441,7 +438,7 @@ def realize_pp(
                 method="validation",
             )
     if target.hardcore_eps is not None:
-        ok, offenders = check_hardcore_support(target, target.hardcore_eps)
+        ok, offenders = check_hardcore_support(target)
         if not ok:
             i, j, _ = offenders[0]
             return RealizeResult(

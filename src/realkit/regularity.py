@@ -26,7 +26,7 @@ from typing import Sequence
 from .errors import InvalidBeta, InvalidInstance, InvalidPsi
 from .metric import FiniteMetricSpace, packing_number
 from .numbers import (
-    INF, compare_rational_to_sqrt, field, norm_sq, parse_list, parse_rational, pow_neg_half_d,
+    INF, field, norm_sq, parse_list, parse_rational, pow_neg_half_d,
 )
 from .lp import RealizeResult
 from .pp import CorrelationTarget, realize_pinned
@@ -79,17 +79,6 @@ class PsiFunction:
             raise InvalidInstance("psi evaluated at a negative distance")
         ts = self.thresholds()
         idx = bisect.bisect_right(ts, t) - 1
-        return self.steps[idx][1]
-
-    def value_at_sqrt(self, sq: Fraction) -> object:
-        """psi(sqrt(sq)) decided exactly by comparing thresholds with sqrt(sq)."""
-        idx = 0
-        for k, (t, _) in enumerate(self.steps):
-            # t <= sqrt(sq) iff t - sqrt(sq) <= 0
-            if compare_rational_to_sqrt(t, sq) <= 0:
-                idx = k
-            else:
-                break
         return self.steps[idx][1]
 
 
@@ -157,14 +146,14 @@ class AtomicMeasure2D:
 
 
 def chi_hc_integral(rho: AtomicMeasure2D, psi: PsiFunction):
-    """Sum of w * psi(distance) over the atoms; an infinite psi value ends
-    it as +inf, before w * inf would turn w into a float."""
+    """Sum of w * psi(distance) over the atoms of a finite-space measure; an
+    infinite psi value ends it as +inf, before w * inf would turn w into a
+    float."""
+    if rho.ambient != "finite":
+        raise InvalidInstance("chi integrals need a finite-space measure")
     total = Fraction(0)
     for a, b, w in rho.atoms:
-        if rho.ambient == "finite":
-            v = psi.value(rho.space.dist[a][b])
-        else:
-            v = psi.value_at_sqrt(norm_sq(a, b))
+        v = psi.value(rho.space.dist[a][b])
         if v == INF:
             return INF
         total = total + w * v
@@ -323,14 +312,6 @@ class SplitVerdict:
     integral_ok: bool
     positivity: RealizeResult | None
     optimum: object | None
-
-    @property
-    def realizable(self) -> bool:
-        return bool(
-            self.integral_ok
-            and self.positivity is not None
-            and self.positivity.status == "feasible"
-        )
 
 
 def hardcore_split_check(target: CorrelationTarget, psi: PsiFunction, r) -> SplitVerdict:

@@ -37,7 +37,7 @@ from .lp import (
     FLOAT_TOL, Certificate, RealizeResult, certificate, check_certificate, column_generation,
     negative_direction, screen, verdict,
 )
-from .numbers import field, parse_rational, parse_square, validate_mixture
+from .numbers import field, parse_square, validate_mixture
 from .qubo import MAX_N, _mask_to_subset, pair_list, pair_matrix, qubo_min, qubo_topk_float
 
 FINITE_CARRIER_NOTE = (
@@ -369,25 +369,3 @@ def symmetrize(mix: SubsetMixture, perms: Sequence[Sequence[int]]) -> SubsetMixt
             acc[image] = acc.get(image, Fraction(0)) + Fraction(w) / size
     atoms = sorted(acc.items(), key=lambda kv: _subset_sort_key(kv[0]))
     return SubsetMixture(n=mix.n, atoms=tuple((s, w) for s, w in atoms if w > 0))
-
-
-def product_form_mixture(p_vec: Sequence) -> SubsetMixture:
-    """Independent-coordinates distribution with given one-point probabilities."""
-    probs = [parse_rational(v) for v in p_vec]
-    n = len(probs)
-    if n > 15:
-        raise CapExceeded("explicit product support is capped at 15 points")
-    for k, v in enumerate(probs):
-        if not (0 <= v <= 1):
-            raise InvalidInstance(f"one-point probability {v} at {k} outside [0,1]")
-    atoms = []
-    for mask in range(1 << n):
-        w = Fraction(1)
-        for i in range(n):
-            w *= probs[i] if (mask >> i) & 1 else (1 - probs[i])
-            if w == 0:
-                break
-        if w > 0:
-            atoms.append((_mask_to_subset(mask), w))
-    atoms.sort(key=lambda kv: _subset_sort_key(kv[0]))
-    return SubsetMixture(n=n, atoms=tuple(atoms))

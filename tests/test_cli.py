@@ -362,8 +362,10 @@ class TestRealizePP:
 
     def test_huge_carrier_is_a_cap_within_bounded_memory(self, tmp_path):
         # 5 * 10^9 pairs: without the cap the process runs out of its
-        # address space (exit 4) or, unlimited, of the host's memory
+        # address space (exit 4) or, unlimited, of the host's memory; every
+        # command that reads a pp target stops at the cap
         inst = write(tmp_path, "pp.json", {**self.DIAGONAL, "n": 100000})
+        cert = str(INSTANCES / "cert-pp.json")
         probe = (
             "import resource, sys\n"
             "resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))\n"
@@ -371,12 +373,17 @@ class TestRealizePP:
             "sys.exit(main(sys.argv[1:]))\n"
         )
         out = str(tmp_path / "report.json")
-        proc = subprocess.run(
-            [sys.executable, "-c", probe, "realize-pp", inst, "--out", out],
-            capture_output=True, text=True, env=_child_env(), timeout=120,
-        )
-        assert proc.returncode == 3, proc.stderr
-        assert "n=100000 above the point cap" in proc.stderr
+        for argv in (
+            ["realize-pp", inst],
+            ["screen-pp", inst, "--trials", "5", "--seed", "1"],
+            ["verify-cert", inst, cert],
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-c", probe, *argv, "--out", out],
+                capture_output=True, text=True, env=_child_env(), timeout=120,
+            )
+            assert proc.returncode == 3, (argv[0], proc.stderr)
+            assert "n=100000 above the point cap" in proc.stderr, argv[0]
 
     def test_screen_stays_exact_past_the_float_range(self, tmp_path):
         instance = json.loads((INSTANCES / "pp-objective.json").read_text())
@@ -732,6 +739,15 @@ class TestMalformedInput:
         src = write(tmp_path, "mix.json", {"mixture": [{"subset": [0], "weight": "1"}]})
         error = self.assert_invalid(tmp_path, "sample", src, "--n", "-1", "--seed", "1")
         assert "--n" in error
+
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_simulate_sample_count_not_positive(self, tmp_path, samples):
+        tau = write(tmp_path, "tau.json", {"jumps": [["1", "1"]]})
+        error = self.assert_invalid(
+            tmp_path, "contact", "simulate", "--tau1", tau, "--tau2", tau,
+            "--x1", "0", "--x2", "1", "--samples", samples, "--seed", "1",
+        )
+        assert "--samples" in error
 
 
 class TestInternalError:

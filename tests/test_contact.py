@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -141,6 +142,10 @@ class TestConstruct:
         out = construct_two_point_set(half, half, ("0",), ("1",), F(3, 4))
         assert out.no_point
 
+    def test_separation_below_the_float_range(self):
+        out = construct_two_point_set(STEP_1, STEP_1, ("0",), ("1e-400",), F(1, 2))
+        assert out.points == ((-1,), (1 + F(1, 10**400),))
+
     def test_nearest_point_distances_exact(self):
         # the four centre-to-point distances are R1, l+R2, l+R1, R2, so the
         # nearest point of the set realises exactly the inverted radii; the
@@ -193,6 +198,34 @@ class TestMonteCarlo:
     def test_rejects_failing_instance(self):
         with pytest.raises(Infeasible):
             monte_carlo_contact(STEP_1, STEP_3, ("0",), ("1",), samples=10, seed=1)
+
+    def test_one_construction_per_class_of_draws(self, monkeypatch):
+        calls = []
+        build = contact.construct_two_point_set
+        monkeypatch.setattr(
+            contact, "construct_two_point_set", lambda *a: calls.append(a) or build(*a)
+        )
+        t2 = StepCdf(((F(3, 2), F(1, 2)), (F(5, 2), F(9, 10))))
+        t1 = StepCdf(((F(1), F(2, 5)), (F(2), F(9, 10))))
+        monte_carlo_contact(t1, t2, ("0", "0"), ("1", "1"), samples=20000, seed=7)
+        assert 1 <= len(calls) <= len(t1.jumps) + len(t2.jumps) + 2
+
+    def test_matches_per_draw_inversion(self):
+        # each draw inverted on its own, exactly, against the per-class counts
+        rng = random.Random(41)
+        for seed in range(10):
+            jumps = sorted({F(rng.randint(1, 9), 2) for _ in range(3)})
+            vals = sorted({F(rng.randint(1, 10), 10) for _ in range(len(jumps))})
+            tau1 = StepCdf(tuple(zip(jumps, vals)))
+            tau2 = StepCdf(tuple((r + F(1, 2), v) for r, v in tau1.jumps))
+            rep = monte_carlo_contact(tau1, tau2, ("0",), ("1",), samples=2000, seed=seed)
+            draws = [F(u) for u in np.random.default_rng(seed).random(2000)]
+            grid = sorted(set(tau1.abscissae() + tau2.abscissae()))
+            for tau, emp in ((tau1, rep.empirical1), (tau2, rep.empirical2)):
+                radii = [invert_cdf(tau, u) for u in draws]
+                assert emp == [sum(r is not None and r <= A for r in radii) / 2000 for A in grid]
+            misses = sum(invert_cdf(tau1, u) is None for u in draws)
+            assert rep.no_point_fraction == misses / 2000
 
 
 class TestBallScreen:

@@ -66,6 +66,10 @@ CASES = {
     "realize-pp-chi-hc-infinite": (
         ["realize-pp", "pp-feasible.json", "--objective", "chi-hc", "--psi", "psi.json"], 0
     ),
+    # the paper's hard-core case: a mixture of configurations with no two
+    # points closer than hardcore_eps, and mass inside that distance
+    "realize-pp-hardcore-feasible": (["realize-pp", "pp-hardcore-feasible.json"], 0),
+    "realize-pp-hardcore-inside": (["realize-pp", "pp-hardcore-inside.json"], 1),
     "screen-pp-pass": (["screen-pp", "pp-feasible.json", "--trials", "50", "--seed", "3"], 0),
     "screen-pp-fail": (["screen-pp", "pp-diagonal.json", "--trials", "50", "--seed", "7"], 1),
     "regularity-chi": (

@@ -17,7 +17,6 @@ from realkit.metric import (
     gamma_min_pairs,
     close_pair_envelope,
     make_space,
-    mass_transfer_reduce,
     packing_number,
     packing_set,
     spread_configuration,
@@ -185,47 +184,6 @@ class TestLemmaBounds:
                     assert close_pair_count(space, spread_configuration(space, n, t), t) <= upper
 
 
-class TestMassTransfer:
-    def test_two_point_merge(self):
-        space = make_space([[0, F(3, 10)], [F(3, 10), 0]])
-        final, trace = mass_transfer_reduce(space, Configuration((1, 1)), F(1, 2))
-        assert final.multiplicity == (2, 0)
-        assert [step.close_pairs for step in trace] == [2]
-
-    def test_empty_input_unchanged(self):
-        final, trace = mass_transfer_reduce(TWO, Configuration((0, 0)), F(1, 2))
-        assert final.multiplicity == (0, 0)
-        assert trace == []
-
-    def test_idempotent_on_separated_input(self):
-        final, trace = mass_transfer_reduce(TWO, Configuration((2, 3)), F(1, 2))
-        assert final.multiplicity == (2, 3)
-        assert trace == []
-
-    def test_monotone_and_separated_random(self):
-        rng = random.Random(13)
-        for _ in range(20):
-            space = random_metric_space(rng, 5)
-            t = rng.choice(space.distance_values())
-            masses = tuple(rng.randint(0, 3) for _ in range(5))
-            config = Configuration(masses)
-            start = brute_force_close_pairs(space, config, t)
-            final, trace = mass_transfer_reduce(space, config, t)
-            values = [start] + [step.close_pairs for step in trace]
-            assert all(a >= b for a, b in zip(values, values[1:]))
-            assert final.total_mass == config.total_mass
-            for step in trace:
-                recomputed = brute_force_close_pairs(
-                    space, Configuration(step.masses), t
-                )
-                assert recomputed == step.close_pairs
-            support = final.support()
-            for a in support:
-                for b in support:
-                    if a != b:
-                        assert space.dist[a][b] > t
-
-
 TOL = F(1, 10**12)  # validate_metric's default slack
 
 
@@ -322,18 +280,3 @@ class TestAgainstFractionOracles:
             assert close_pair_count(space, m, t) == brute_force_close_pairs(space, m, t)
         best = min(brute_force_close_pairs(space, m, t) for m in _all_configs(space.n, mass))
         assert gamma_min_pairs(space, mass, t) == best
-
-    @settings(max_examples=150, deadline=None)
-    @given(spaces_and_thresholds(), st.data())
-    def test_mass_transfer(self, case, data):
-        space, t = case
-        masses = data.draw(st.lists(st.integers(0, 2), min_size=space.n, max_size=space.n))
-        if t < 0:
-            with pytest.raises(InvalidInstance, match="^t must be non-negative$"):
-                mass_transfer_reduce(space, Configuration(tuple(masses)), t)
-            return
-        final, trace = mass_transfer_reduce(space, Configuration(tuple(masses)), t)
-        for step in trace:
-            assert step.close_pairs == brute_force_close_pairs(space, Configuration(step.masses), t)
-        support = final.support()
-        assert all(space.dist[a][b] > t for a, b in itertools.combinations(support, 2))

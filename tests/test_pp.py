@@ -110,19 +110,21 @@ class TestHardcoreSupport:
 
     def test_offender_listed(self):
         target = CorrelationTarget.build(
-            rho_entries=[(0, 1, "1")], cap=2, space=self.SP
+            rho_entries=[(0, 1, "1")], cap=2, hardcore_eps="1", space=self.SP
         )
-        ok, offenders = check_hardcore_support(target, "1")
+        ok, offenders = check_hardcore_support(target)
         assert not ok and offenders == [(0, 1, F(1))]
 
     def test_empty_measure_passes(self):
-        target = CorrelationTarget.build(rho_entries=[], cap=2, space=self.SP)
-        ok, offenders = check_hardcore_support(target, "1")
+        target = CorrelationTarget.build(rho_entries=[], cap=2, hardcore_eps="1", space=self.SP)
+        ok, offenders = check_hardcore_support(target)
         assert ok and offenders == []
 
     def test_far_atom_passes(self):
-        target = CorrelationTarget.build(rho_entries=[(0, 1, "1")], cap=2, space=self.SP)
-        ok, _ = check_hardcore_support(target, "0.5")
+        target = CorrelationTarget.build(
+            rho_entries=[(0, 1, "1")], cap=2, hardcore_eps="0.5", space=self.SP
+        )
+        ok, _ = check_hardcore_support(target)
         assert ok
 
 
@@ -269,7 +271,7 @@ class TestHardcoreMixtures:
             result = realize_pp(target)
             assert result.status == "feasible"
             for cfg, _ in result.mixture.atoms:
-                support = cfg.support()
+                support = [i for i, m in enumerate(cfg.multiplicity) if m > 0]
                 for a in support:
                     for b in support:
                         if a != b:

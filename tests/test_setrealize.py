@@ -8,14 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from realkit import lp
-from realkit.errors import CapExceeded, InvalidGroup, InvalidInstance
+from realkit.errors import InvalidGroup, InvalidInstance
 from realkit.lp import column_generation, exact_simplex
 from realkit.pp import CorrelationTarget, realize_pp, verify_pp_certificate
 from realkit.setrealize import (
     SubsetMixture,
     TwoPointTarget,
     moments_of_mixture,
-    product_form_mixture,
     realize_subsets,
     symmetrize,
     validate_group,
@@ -430,7 +429,9 @@ class TestMoments:
         assert all(v == 0 for row in moments_of_mixture(mix).p for v in row)
 
     def test_product_mixture_moments(self):
-        mix = product_form_mixture([F(1, 2)] * 5)
+        # five independent points, each present with probability 1/2
+        subsets = [frozenset(i for i in range(5) if mask >> i & 1) for mask in range(32)]
+        mix = SubsetMixture(n=5, atoms=tuple((s, F(1, 32)) for s in subsets))
         hat = moments_of_mixture(mix)
         for i in range(5):
             assert hat.p[i][i] == F(1, 2)
@@ -438,24 +439,13 @@ class TestMoments:
                 assert hat.p[i][j] == F(1, 4)
 
 
-class TestProductForm:
-    def test_half_half(self):
-        mix = product_form_mixture(["0.5", "0.5"])
-        assert len(mix.atoms) == 4
-        assert all(w == F(1, 4) for _, w in mix.atoms)
-
-    def test_degenerate_point(self):
-        mix = product_form_mixture(["1", "0"])
-        assert mix.atoms == ((frozenset({0}), F(1)),)
-
-    def test_cap(self):
-        with pytest.raises(CapExceeded):
-            product_form_mixture(["0.5"] * 16)
-
-
 class TestSymmetrize:
     def test_identity_group_is_noop(self):
-        mix = product_form_mixture(["0.5", "0.25"])
+        # two independent points, present with probabilities 1/2 and 1/4
+        mix = SubsetMixture(n=2, atoms=(
+            (frozenset(), F(3, 8)), (frozenset({0}), F(3, 8)),
+            (frozenset({0, 1}), F(1, 8)), (frozenset({1}), F(1, 8)),
+        ))
         out = symmetrize(mix, [[0, 1]])
         assert out.atoms == mix.atoms
 
@@ -480,7 +470,7 @@ class TestSymmetrize:
         assert moments_of_mixture(out).p == target.p
 
     def test_non_group_rejected(self):
-        mix = product_form_mixture(["0.5", "0.5", "0.5"])
+        mix = SubsetMixture(n=3, atoms=((frozenset(), F(1)),))
         with pytest.raises(InvalidGroup):
             symmetrize(mix, [[0, 1, 2], [1, 2, 0], [1, 0, 2]])
 
