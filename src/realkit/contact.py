@@ -116,9 +116,7 @@ def invert_cdf(tau: StepCdf, u) -> Fraction | None:
         return Fraction(0)
     if uf > tau.total_mass():
         return None
-    values = [v for _, v in tau.jumps]
-    idx = bisect.bisect_left(values, uf)
-    return tau.jumps[idx][0]
+    return tau.jumps[bisect.bisect_left(tau.jumps, uf, key=lambda jump: jump[1])][0]
 
 
 @dataclass
@@ -149,6 +147,13 @@ def construct_two_point_set(
     if len(p1) != len(p2):
         raise InvalidInstance("reference points must share a dimension")
     l_sq = norm_sq(p1, p2)
+    l_lo, l_hi = sqrt_interval(l_sq)
+    return _place_two_points(tau1, tau2, p1, p2, l_sq, (l_lo + l_hi) / 2, u)
+
+
+def _place_two_points(tau1, tau2, p1, p2, l_sq: Fraction, l_mid: Fraction, u) -> TwoPointSet:
+    """`construct_two_point_set` for parsed points p1, p2 at squared distance
+    l_sq, with l_mid the midpoint of the enclosure of l."""
     r1 = invert_cdf(tau1, u)
     r2 = invert_cdf(tau2, u)
     if r1 is None and r2 is None:
@@ -168,8 +173,7 @@ def construct_two_point_set(
             f"the sandwich test cannot have passed at this u"
         )
     # (x1 - x2) / l = (x1 - x2) * l / l^2
-    l_lo, l_hi = sqrt_interval(l_sq)
-    unit = (l_lo + l_hi) / 2 / l_sq
+    unit = l_mid / l_sq
     a1 = tuple(a + r1 * unit * (a - b) for a, b in zip(p1, p2))
     a2 = tuple(b - r2 * unit * (a - b) for a, b in zip(p1, p2))
     return TwoPointSet(no_point=False, r1=r1, r2=r2, points=(a1, a2))
@@ -339,8 +343,9 @@ def monte_carlo_contact(
 
     One uniform drives both inversions (that coupling is what makes the
     construction work), so a draw's set depends only on where it falls
-    among the merged cdf values of tau1 and tau2: `construct_two_point_set`
-    runs once per class that occurs, and the draws are counted per class.
+    among the merged cdf values of tau1 and tau2: the construction runs
+    once per class that occurs, on the points, l^2 and enclosure of l
+    computed here once, and the draws are counted per class.
     A draw of 0 is at distance 0; a draw past the total mass yields no
     point. The report holds floats, so a jump radius above the largest
     float raises CapExceeded before any sampling.
@@ -349,6 +354,7 @@ def monte_carlo_contact(
     p2 = tuple(parse_rational(v) for v in x2)
     l_sq = norm_sq(p1, p2)
     l_lo, l_hi = sqrt_interval(l_sq)
+    l_mid = (l_lo + l_hi) / 2
     # the test weakens as l grows, so passing at the lower bound is sound
     check_lo = check_two_point(tau1, tau2, l_lo)
     if not check_lo.feasible:
@@ -376,7 +382,7 @@ def monte_carlo_contact(
     hits = []  # (R1, R2, draws) of the classes whose set has points
     for k, count in enumerate(counts):
         if count:
-            drawn = construct_two_point_set(tau1, tau2, p1, p2, reps[k])
+            drawn = _place_two_points(tau1, tau2, p1, p2, l_sq, l_mid, reps[k])
             if not drawn.no_point:
                 hits.append((drawn.r1, drawn.r2, count))
     grid_exact = sorted(set(tau1.abscissae() + tau2.abscissae()))

@@ -44,8 +44,10 @@
   quickly through `_highs`, the one HiGHS call: a fresh solver per LP
   through scipy's vendored binding, posed as `linprog(method="highs")`
   poses it; every verdict derived from them is re-verified exactly by the
-  callers. scipy is imported on the first float LP, so commands that solve
-  none never load it.
+  callers. `_highs_core` loads that binding by itself on the first float
+  LP, so commands that solve none never load it and `scipy.optimize` is
+  never imported; a scipy without the binding's file where it is expected
+  gets the plain import instead.
 
 Columns are lists of integers or `Fraction`s; in every LP the callers
 build, the last row is the normalisation sum q = 1, which every column
@@ -57,7 +59,7 @@ from __future__ import annotations
 from collections.abc import Hashable, Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from operator import itemgetter
 from typing import Protocol
 
@@ -689,6 +691,47 @@ def _solve_exact(
     return q
 
 
+# scipy's vendored HiGHS binding, and its directory inside the scipy package
+_HIGHS_NAME = "scipy.optimize._highspy._core"
+_HIGHS_DIR = ("optimize", "_highspy")
+
+
+@cache
+def _highs_core():
+    """scipy's vendored HiGHS binding, loaded by itself.
+
+    `from scipy.optimize._highspy import _core` first runs
+    `scipy/optimize/__init__.py`, which imports every solver, scipy.sparse
+    and scipy.linalg for a binding that needs none of them. So the extension
+    file beside scipy's `__init__.py` (found without importing scipy) is
+    loaded under its own dotted name and registered in sys.modules: it never
+    loads twice, and a later `import scipy.optimize` reuses it. Without that
+    file, the plain import. Either way it is the same binding, so no result
+    depends on the path taken.
+    """
+    import importlib.machinery
+    import importlib.util
+    import os
+    import sys
+
+    if _HIGHS_NAME in sys.modules:
+        return sys.modules[_HIGHS_NAME]
+    directory = os.path.join(os.path.dirname(importlib.util.find_spec("scipy").origin), *_HIGHS_DIR)
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(directory, "_core" + suffix)
+        if os.path.isfile(path):
+            loader = importlib.machinery.ExtensionFileLoader(_HIGHS_NAME, path)
+            spec = importlib.util.spec_from_file_location(_HIGHS_NAME, path, loader=loader)
+            core = importlib.util.module_from_spec(spec)
+            loader.exec_module(core)
+            # registered once initialised, so a failed load leaves nothing behind
+            sys.modules[_HIGHS_NAME] = core
+            return core
+    from scipy.optimize._highspy import _core
+
+    return _core
+
+
 def _highs(c: np.ndarray, A_eq: np.ndarray, b: np.ndarray):
     """min c.q s.t. A_eq q = b, q >= 0 by one fresh HiGHS solve, as
     (status, q, row duals, objective) with `scipy.optimize.linprog`'s status
@@ -696,14 +739,13 @@ def _highs(c: np.ndarray, A_eq: np.ndarray, b: np.ndarray):
     duals and the objective then None).
 
     This is the model and the options that `linprog(method="highs")` hands
-    the same binding, scipy's vendored `_highspy._core`: A_eq column-wise
+    the same binding, scipy's vendored `_highspy._core` (loaded by
+    `_highs_core` without `scipy.optimize`): A_eq column-wise
     without its zeros, 0 <= q, and the dual simplex after presolve; so the
     vertex and the duals are the same. No solver is reused: a warm start
     changes the duals, and with them the columns priced next.
     """
-    # deferred: scipy takes most of the CLI's import time
-    from scipy.optimize._highspy import _core as highs
-
+    highs = _highs_core()
     m, k = A_eq.shape
     cols = A_eq.T
     nonzero = cols != 0

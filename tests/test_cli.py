@@ -609,6 +609,43 @@ class TestSample:
         assert report["payload"]["draws"] == [[2]] * 3
 
 
+class TestCountCaps:
+    """A draw count past its cap exits 3 before anything is allocated."""
+
+    SIMULATE = [
+        "contact", "simulate", "--tau1", str(INSTANCES / "tau1.json"),
+        "--tau2", str(INSTANCES / "tau2.json"), "--x1", "0,0", "--x2", "1,0", "--seed", "7",
+    ]
+    SAMPLE = ["sample", str(INSTANCES / "sample-source.json"), "--seed", "3"]
+
+    def test_one_past_each_cap(self, tmp_path):
+        for argv, flag, cap in (
+            (self.SIMULATE, "--samples", cli.MAX_SAMPLES),
+            (self.SAMPLE, "--n", cli.MAX_DRAWS),
+        ):
+            code, report = run(tmp_path, *argv, flag, str(cap + 1))
+            assert code == 3
+            assert report["payload"]["error"] == f"{flag} {cap + 1} above the draw cap {cap}"
+
+    def test_huge_count_is_a_cap_within_bounded_memory(self, tmp_path):
+        # 10^10 uniforms are 75 GiB: without the cap numpy runs out of the
+        # address space and the command exits 4
+        probe = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))\n"
+            "from realkit.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        out = str(tmp_path / "report.json")
+        for argv, flag in ((self.SIMULATE, "--samples"), (self.SAMPLE, "--n")):
+            proc = subprocess.run(
+                [sys.executable, "-c", probe, *argv, flag, str(10**10), "--out", out],
+                capture_output=True, text=True, env=_child_env(), timeout=120,
+            )
+            assert proc.returncode == 3, (flag, proc.stderr)
+            assert f"{flag} 10000000000 above the draw cap" in proc.stderr
+
+
 class TestMalformedInput:
     """Malformed fields are invalid input (exit 2), not internal errors."""
 
@@ -765,19 +802,33 @@ class TestInternalError:
 
 
 class TestImportBoundary:
-    """scipy loads with the first float LP, so a command that solves none
-    never imports it. Each case runs in a fresh interpreter."""
+    """The HiGHS binding loads with the first float LP, by itself: a command
+    that solves none never loads it, and none imports `scipy.optimize`.
+    Each case runs in a fresh interpreter."""
 
     PROBE = (
         "import contextlib, io, sys\n"
+        "from realkit import lp\n"
         "from realkit.cli import main\n"
+        "{patch}"
         "with contextlib.redirect_stderr(io.StringIO()):\n"
         "    code = main(sys.argv[1:])\n"
-        "print(code, 'scipy' in sys.modules)\n"
+        "binding = 'scipy.optimize._highspy._core' in sys.modules\n"
+        "print(code, binding, 'scipy.optimize' in sys.modules, 'scipy' in sys.modules)\n"
     )
 
+    def probe(self, tmp_path, case, patch=""):
+        argv, _ = CASES[case]
+        out = tmp_path / "report.json"
+        argv = [str(INSTANCES / a) if a.endswith(".json") else a for a in argv]
+        proc = subprocess.run(
+            [sys.executable, "-c", self.PROBE.format(patch=patch), *argv, "--out", str(out)],
+            capture_output=True, text=True, env=_child_env(), timeout=120, check=True,
+        )
+        return proc.stdout.split(), out
+
     @pytest.mark.parametrize(
-        "case, loads_scipy",
+        "case, loads_binding",
         [
             ("verify-cert-set", False),
             ("verify-cert-pp", False),
@@ -792,15 +843,18 @@ class TestImportBoundary:
             ("realize-pp-feasible", True),
         ],
     )
-    def test_scipy_only_with_a_float_lp(self, tmp_path, case, loads_scipy):
-        argv, expected = CASES[case]
-        out = tmp_path / "report.json"
-        argv = [str(INSTANCES / a) if a.endswith(".json") else a for a in argv]
-        proc = subprocess.run(
-            [sys.executable, "-c", self.PROBE, *argv, "--out", str(out)],
-            capture_output=True, text=True, env=_child_env(), timeout=120, check=True,
-        )
-        assert proc.stdout.split() == [str(expected), str(loads_scipy)]
-        if loads_scipy:
-            # the deferred import still gives HiGHS's golden report
+    def test_scipy_only_with_a_float_lp(self, tmp_path, case, loads_binding):
+        (code, binding, optimize, scipy), out = self.probe(tmp_path, case)
+        assert [code, binding, optimize] == [str(CASES[case][1]), str(loads_binding), "False"]
+        if loads_binding:
+            # the binding loaded by itself still gives HiGHS's golden report
             assert out.read_bytes() == (REPORTS / f"{case}.json").read_bytes()
+        else:
+            assert scipy == "False"
+
+    def test_plain_import_without_the_binding_file(self, tmp_path):
+        # a scipy whose layout lacks the file gets `scipy.optimize`'s own import
+        patch = "lp._HIGHS_DIR = ('no-such-dir',)\n"
+        printed, out = self.probe(tmp_path, "realize-set-feasible", patch)
+        assert printed == ["0", "True", "True", "True"]
+        assert out.read_bytes() == (REPORTS / "realize-set-feasible.json").read_bytes()

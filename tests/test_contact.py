@@ -201,14 +201,24 @@ class TestMonteCarlo:
 
     def test_one_construction_per_class_of_draws(self, monkeypatch):
         calls = []
-        build = contact.construct_two_point_set
+        build = contact._place_two_points
         monkeypatch.setattr(
-            contact, "construct_two_point_set", lambda *a: calls.append(a) or build(*a)
+            contact, "_place_two_points", lambda *a: calls.append(a) or build(*a)
         )
         t2 = StepCdf(((F(3, 2), F(1, 2)), (F(5, 2), F(9, 10))))
         t1 = StepCdf(((F(1), F(2, 5)), (F(2), F(9, 10))))
         monte_carlo_contact(t1, t2, ("0", "0"), ("1", "1"), samples=20000, seed=7)
         assert 1 <= len(calls) <= len(t1.jumps) + len(t2.jumps) + 2
+
+    def test_one_separation_enclosure_per_call(self, monkeypatch):
+        # the points, l^2 and the enclosure of l are computed once, not per class
+        calls = []
+        enclose = contact.sqrt_interval
+        monkeypatch.setattr(contact, "sqrt_interval", lambda x: calls.append(x) or enclose(x))
+        t2 = StepCdf(((F(3, 2), F(1, 2)), (F(5, 2), F(9, 10))))
+        t1 = StepCdf(((F(1), F(2, 5)), (F(2), F(9, 10))))
+        monte_carlo_contact(t1, t2, ("0", "0"), ("1", "1"), samples=20000, seed=7)
+        assert calls == [F(2)]
 
     def test_matches_per_draw_inversion(self):
         # each draw inverted on its own, exactly, against the per-class counts

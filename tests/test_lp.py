@@ -1,9 +1,12 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_cli import _child_env
 
 from realkit.lp import (
     ColumnList, _highs, column_generation, exact_simplex, float_lp_min, float_phase1,
@@ -212,6 +215,45 @@ class TestHighs:
             assert np.float64(value).tobytes() == np.float64(ref.fun).tobytes()
         else:
             assert q is y is value is None
+
+    # realkit loads the binding first; `linprog` then imports scipy.optimize,
+    # which must reuse that module and give the same bits
+    LOAD_FIRST = """
+import sys
+import numpy as np
+from realkit.lp import _highs, _highs_core
+core = _highs_core()
+assert 'scipy.optimize' not in sys.modules
+from scipy.optimize import linprog
+assert sys.modules['scipy.optimize._highspy._core'] is core
+rng = np.random.default_rng(3)
+# the three @example cases above, then random ones
+lps = [([[1, 0, 1], [2, 0, 2]], [1, 2], [1, 0, 1]), ([[1, 1], [1, 1]], [1, 2], [0, 0])]
+lps.append(([[1, -1]], [0], [-1, 0]))
+for _ in range(200):
+    m, k = rng.integers(1, 7), rng.integers(1, 11)
+    lps.append((rng.integers(-3, 4, (m, k)), rng.integers(-4, 7, m), rng.integers(-3, 5, k)))
+seen = set()
+for A, b, c in lps:
+    A, b, c = (np.array(v, dtype=float) for v in (A, b, c))
+    status, q, y, value = _highs(c, A, b)
+    ref = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+    assert status == ref.status
+    seen.add(status)
+    if status == 0:
+        assert q.tobytes() == ref.x.tobytes()
+        assert y.tobytes() == ref.eqlin.marginals.tobytes()
+        assert np.float64(value).tobytes() == np.float64(ref.fun).tobytes()
+print(sorted(seen))
+"""
+
+    def test_same_as_linprog_after_the_direct_load(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", self.LOAD_FIRST],
+            capture_output=True, text=True, env=_child_env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["[0,", "2,", "3]"]
 
     def test_float_lp_min_infeasible(self):
         A, b, c = floats([[1, 1], [1, 1]], [1, 2], [0, 0])

@@ -14,7 +14,7 @@ import pstats
 from pathlib import Path
 
 import realkit
-from realkit import cli
+from realkit import cli, lp
 from test_golden import CASES, _run
 
 PACKAGE = Path(realkit.__file__).resolve().parent
@@ -25,6 +25,10 @@ FALLBACK = "the exact rounds of lp.column_generation, when HiGHS cannot confirm 
 PROTOCOL = "a stub of the ColumnOracle protocol; the oracles implement it"
 VALIDATE = "checks that a reported mixture is a probability law; the tests call it"
 UNREACHED: dict[str, str] = {
+    "contact.construct_two_point_set": (
+        "the construction for one draw from unparsed points; contact simulate runs its "
+        "body, _place_two_points, on points parsed once"
+    ),
     "lp.ColumnList.best": "the Farkas maximum of an infeasible realize-pp --objective cardN target",
     **{f"lp.ColumnOracle.{name}": PROTOCOL for name in (
         "best", "certify", "column", "key", "matrix", "mixture", "name", "price",
@@ -71,7 +75,9 @@ def _defined() -> dict[tuple[str, int], str]:
 
 def _reached(out: Path) -> set[tuple[str, int]]:
     """(file, first line) of every function called while the golden cases run."""
-    cli.build_parser.cache_clear()  # its body must run under the profile
+    # their bodies must run under the profile
+    cli.build_parser.cache_clear()
+    lp._highs_core.cache_clear()
     profile = cProfile.Profile()
     profile.enable()
     try:
