@@ -15,6 +15,7 @@ import dataclasses
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -67,7 +68,7 @@ class StepCdf:
     def value(self, t) -> Fraction:
         if t < 0:
             return Fraction(0)
-        idx = bisect.bisect_right(self.abscissae(), t) - 1
+        idx = bisect.bisect_right(self.jumps, t, key=itemgetter(0)) - 1
         return self.jumps[idx][1] if idx >= 0 else Fraction(0)
 
     def abscissae(self) -> list[Fraction]:

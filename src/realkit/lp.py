@@ -44,10 +44,16 @@
   quickly through `_highs`, the one HiGHS call: a fresh solver per LP
   through scipy's vendored binding, posed as `linprog(method="highs")`
   poses it; every verdict derived from them is re-verified exactly by the
-  callers. `_highs_core` loads that binding by itself on the first float
-  LP, so commands that solve none never load it and `scipy.optimize` is
-  never imported; a scipy without the binding's file where it is expected
-  gets the plain import instead.
+  callers. A float master is a `Csc`, the int32 `start` and `index` and
+  float64 `value` arrays of its nonzeros column by column, which
+  `column_generation` grows by each round's new columns and
+  `float_phase1` extends by its slack columns; `_highs` hands the arrays
+  to the binding's array `passModel`, with one 0 per column as the
+  integrality (an empty array leaves the model empty). `_highs_core`
+  loads that binding by itself on the first float LP, so commands that
+  solve none never load it and `scipy.optimize` is never imported; a
+  scipy without the binding's file where it is expected gets the plain
+  import instead.
 
 Columns are lists of integers or `Fraction`s; in every LP the callers
 build, the last row is the normalisation sum q = 1, which every column
@@ -370,7 +376,9 @@ def column_generation(
 
     Float rounds: `float_phase1` solves the master, which starts as `seed`;
     the oracle prices up to PRICING_BATCH columns under the float dual, and
-    the new ones join the master for good. The master is degenerate on
+    the new ones join the master for good. The float master is one `Csc`:
+    each round converts only its new columns and appends them, never
+    rebuilding the old ones. The master is degenerate on
     these instances (new columns often enter at weight zero), so wide
     rounds without eviction take far fewer rounds than narrow ones with it
     (Lübbecke & Desrosiers, Selected topics in column generation, Oper.
@@ -381,7 +389,8 @@ def column_generation(
     A cost is priced by nothing, so `seed` must hold every column.
     `float_lp_min` solves the master, whose optimum is rebuilt on its
     support and certified by `_exact_duals` (Applegate, Cook, Dash &
-    Espinoza, Oper. Res. Lett. 35 (2007)); a float "infeasible" goes
+    Espinoza, Oper. Res. Lett. 35 (2007)) from reduced costs over the
+    master's dense matrix, which never grows; a float "infeasible" goes
     through `float_phase1` and `exact_farkas` as above.
 
     Exact rounds: if a confirmation fails, `exact_simplex` solves masters
@@ -398,14 +407,16 @@ def column_generation(
     master = list(seed)
     if cost is not None and len(set(master)) != oracle.size:
         raise ValueError("a cost needs every column in the first master")
+    dense = oracle.matrix(master)
+    A = Csc.from_dense(dense)
     for _ in range(MAX_ROUNDS):
-        A = oracle.matrix(master)
         if cost is not None:
             c = np.array([float(cost[key]) for key in master])
             status, q, y, _ = float_lp_min(A, bf, c)
             if status == "optimal":
                 found = _rebuild_on_support(oracle, master, b, q)
-                duals = found and _exact_duals(oracle, master, cost, b, y, c - y @ A, *found)
+                # the reduced costs in numpy's dense order, which fixes the float-tight set
+                duals = found and _exact_duals(oracle, master, cost, b, y, c - y @ dense, *found)
                 if duals:
                     keys = [master[j] for j in found[0]]
                     return ColumnGenerationResult("feasible", keys, x=found[1], duals=duals)
@@ -431,6 +442,7 @@ def column_generation(
                 return ColumnGenerationResult("infeasible", farkas=farkas, witness=witness)
             break
         master.extend(new)
+        A = A.append(Csc.from_dense(oracle.matrix(new)))
     else:
         return ColumnGenerationResult("indeterminate")
     while True:
@@ -732,7 +744,52 @@ def _highs_core():
     return _core
 
 
-def _highs(c: np.ndarray, A_eq: np.ndarray, b: np.ndarray):
+@dataclass(frozen=True)
+class Csc:
+    """A float matrix column-wise without its zeros (compressed sparse
+    columns), in the arrays HiGHS takes: column j has the entries
+    value[start[j]:start[j + 1]] in the rows index[start[j]:start[j + 1]],
+    in increasing row order."""
+
+    start: np.ndarray  # int32, one more entry than columns
+    index: np.ndarray  # int32
+    value: np.ndarray  # float64
+    rows: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.rows, len(self.start) - 1
+
+    @classmethod
+    def from_dense(cls, A: np.ndarray) -> Csc:
+        cols = np.asarray(A, dtype=float).T
+        nonzero = cols != 0
+        start = np.concatenate(([0], np.cumsum(nonzero.sum(axis=1)))).astype(np.int32)
+        return cls(start, np.nonzero(nonzero)[1].astype(np.int32), cols[nonzero], cols.shape[1])
+
+    def append(self, other: Csc) -> Csc:
+        """This matrix with the columns of `other` after its own."""
+        return Csc(
+            np.concatenate((self.start, other.start[1:] + self.start[-1])),
+            np.concatenate((self.index, other.index)),
+            np.concatenate((self.value, other.value)),
+            self.rows,
+        )
+
+
+@cache
+def _highs_options():
+    """The options `linprog(method="highs")` passes: the dual simplex after
+    presolve, silent. Each solver copies them, so one object serves all."""
+    options = _highs_core().HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = 1  # dual
+    options.highs_debug_level = 0
+    options.output_flag = options.log_to_console = False
+    return options
+
+
+def _highs(c: np.ndarray, A_eq: Csc, b: np.ndarray):
     """min c.q s.t. A_eq q = b, q >= 0 by one fresh HiGHS solve, as
     (status, q, row duals, objective) with `scipy.optimize.linprog`'s status
     codes: 0 optimal, 2 infeasible, 3 unbounded, 4 anything else (q, the
@@ -740,34 +797,32 @@ def _highs(c: np.ndarray, A_eq: np.ndarray, b: np.ndarray):
 
     This is the model and the options that `linprog(method="highs")` hands
     the same binding, scipy's vendored `_highspy._core` (loaded by
-    `_highs_core` without `scipy.optimize`): A_eq column-wise
-    without its zeros, 0 <= q, and the dual simplex after presolve; so the
-    vertex and the duals are the same. No solver is reused: a warm start
-    changes the duals, and with them the columns priced next.
+    `_highs_core` without `scipy.optimize`): A_eq column-wise without its
+    zeros, 0 <= q, and the dual simplex after presolve; so the vertex and
+    the duals are the same. The arrays go to the binding's array overload
+    of `passModel`, which takes them whole, where the `HighsLp` attributes
+    copy element by element. Its integrality array must hold one 0
+    (continuous) per column: an empty one leaves the model empty. Options
+    or a model the binding rejects raise RuntimeError. No solver is reused:
+    a warm start changes the duals, and with them the columns priced next.
     """
     highs = _highs_core()
     m, k = A_eq.shape
-    cols = A_eq.T
-    nonzero = cols != 0
-    lp = highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = k
-    lp.num_row_ = lp.a_matrix_.num_row_ = m
-    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = np.concatenate(([0], np.cumsum(nonzero.sum(axis=1)))).astype(np.int32)
-    lp.a_matrix_.index_ = np.nonzero(nonzero)[1].astype(np.int32)
-    lp.a_matrix_.value_ = cols[nonzero]
-    lp.col_cost_ = np.asarray(c, dtype=float)
-    lp.col_lower_ = np.zeros(k)
-    lp.col_upper_ = np.full(k, highs.kHighsInf)
-    lp.row_lower_ = lp.row_upper_ = np.asarray(b, dtype=float)
-    options = highs.HighsOptions()
-    options.presolve = "on"
-    options.simplex_strategy = 1  # dual
-    options.highs_debug_level = 0
-    options.output_flag = options.log_to_console = False
+    nz = len(A_eq.value)
+    # the binding takes nz, not the arrays' own lengths, as the entry count
+    if len(A_eq.index) != nz or A_eq.start[-1] != nz or len(c) != k or len(b) != m:
+        raise RuntimeError("the HiGHS model's arrays disagree in length")
     solver = highs._Highs()
-    solver.passOptions(options)
-    solver.passModel(lp)
+    if solver.passOptions(_highs_options()) == highs.HighsStatus.kError:
+        raise RuntimeError("HiGHS rejected the options")
+    b = np.asarray(b, dtype=float)
+    passed = solver.passModel(
+        k, m, nz, 1, 1, 0.0,  # column-wise, minimise, no offset
+        np.asarray(c, dtype=float), np.zeros(k), np.full(k, highs.kHighsInf), b, b,
+        A_eq.start, A_eq.index, A_eq.value, np.zeros(k, np.int32),
+    )
+    if passed == highs.HighsStatus.kError:
+        raise RuntimeError("HiGHS rejected the model")
     solver.run()
     status = solver.getModelStatus()
     if status != highs.HighsModelStatus.kOptimal:
@@ -778,17 +833,21 @@ def _highs(c: np.ndarray, A_eq: np.ndarray, b: np.ndarray):
     return 0, np.array(solution.col_value), np.array(solution.row_dual), value
 
 
-def float_phase1(A: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Least total slack for A q = b, q >= 0 (always solvable).
+def float_phase1(A: Csc, b: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Least total slack for A q = b, q >= 0 (always solvable): the columns
+    of A, then the slack columns +I and -I appended to its arrays.
 
     Returns (objective, q, y); objective ~ 0 means feasible and q is a
     feasible point; otherwise y is a float Farkas direction with |y|_inf <= 1.
     """
     m, n = A.shape
-    eye = np.eye(m)
-    A_eq = np.hstack([A, eye, -eye])
+    rows = np.arange(m, dtype=np.int32)
+    slacks = Csc(
+        np.arange(2 * m + 1, dtype=np.int32), np.concatenate((rows, rows)),
+        np.concatenate((np.ones(m), -np.ones(m))), m,
+    )
     c = np.concatenate([np.zeros(n), np.ones(2 * m)])
-    status, q, y, value = _highs(c, A_eq, b)
+    status, q, y, value = _highs(c, A.append(slacks), b)
     if status != 0:
         raise RuntimeError(f"phase-1 float LP failed with status {status}")
     if float(y @ b) < 0:
@@ -796,7 +855,7 @@ def float_phase1(A: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray, np.nd
     return value, q[:n], y
 
 
-def float_lp_min(A: np.ndarray, b: np.ndarray, c: np.ndarray):
+def float_lp_min(A: Csc, b: np.ndarray, c: np.ndarray):
     """min c.q s.t. A q = b, q >= 0 in floats; returns (status, q, y, value)."""
     status, q, y, value = _highs(c, A, b)
     if status == 2:

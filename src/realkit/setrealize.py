@@ -130,9 +130,12 @@ class _SubsetOracle:
         self.size = 1 << target.n
 
     def matrix(self, masks: list[int]) -> np.ndarray:
-        m = np.asarray(masks, dtype=np.int64)
-        rows = [((m >> i) & (m >> j) & 1).astype(float) for i, j in pair_list(self.n)]
-        return np.vstack([*rows, np.ones(len(masks))])
+        i, j = np.array(pair_list(self.n)).T
+        # bits[i, F] = 1{i in F}, one whole-array operation per step
+        bits = ((np.asarray(masks, dtype=np.int64) >> np.arange(self.n)[:, None]) & 1).astype(bool)
+        out = np.ones((len(i) + 1, len(masks)))
+        out[:-1] = bits[i] & bits[j]
+        return out
 
     def column(self, mask: int) -> list[int]:
         return [(mask >> i) & (mask >> j) & 1 for i, j in pair_list(self.n)] + [1]

@@ -800,6 +800,18 @@ class TestInternalError:
         assert report["command"] == "realize-set"
         assert "simulated fault" in report["payload"]["error"]
 
+    def test_options_highs_rejects(self, tmp_path, monkeypatch):
+        from realkit import lp
+
+        options = lp._highs_core().HighsOptions()
+        options.output_flag = options.log_to_console = False
+        options.simplex_strategy = 99  # past HiGHS's range
+        monkeypatch.setattr(lp, "_highs_options", lambda: options)
+        inst = write(tmp_path, "t.json", PRODUCT5)
+        code, report = run(tmp_path, "realize-set", inst)
+        assert code == cli.EXIT_ERROR == 4
+        assert "HiGHS rejected the options" in report["payload"]["error"]
+
 
 class TestImportBoundary:
     """The HiGHS binding loads with the first float LP, by itself: a command

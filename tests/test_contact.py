@@ -46,6 +46,23 @@ class TestStepCdf:
         assert TWO_STEP.value(F(1, 2)) == 0
         assert TWO_STEP.value(F(7)) == 1
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.fractions(0, 5, max_denominator=6), max_size=8, unique=True),
+        st.lists(st.fractions(0, 1, max_denominator=6), min_size=8, max_size=8),
+        st.lists(st.fractions(-2, 6, max_denominator=12), max_size=6),
+    )
+    def test_value_against_a_scan(self, abscissae, values, probes):
+        # flat jumps included: the cdf drops them, the scan does not
+        given = list(zip(sorted(abscissae), sorted(values)))
+        tau = StepCdf(tuple(given))
+        for r, _ in given:
+            probes += [r, r - F(1, 97), r + F(1, 97)]
+        for t in [F(-1), F(0), *probes]:
+            # the value of the last jump at or before t, 0 before the first
+            expected = max((v for r, v in given if r <= t), default=F(0))
+            assert tau.value(t) == expected
+
 
 class TestCheckTwoPoint:
     def test_equal_cdfs_always_feasible(self):

@@ -4,14 +4,18 @@ import sys
 from fractions import Fraction as F
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_cli import _child_env
 
+from realkit import pp
 from realkit.lp import (
-    ColumnList, _highs, column_generation, exact_simplex, float_lp_min, float_phase1,
+    ColumnList, Csc, _highs, column_generation, exact_simplex, float_lp_min, float_phase1,
     solve_nonneg_exact,
 )
+from realkit.pp import CorrelationTarget, enumerate_configs
+from realkit.setrealize import TwoPointTarget, _SubsetOracle
 
 
 def cols_from_rows(rows):
@@ -155,17 +159,87 @@ class TestSolveNonnegExact:
 class TestFloatPhase1:
     def test_feasible(self):
         A = np.array([[1.0, 0.0], [1.0, 1.0]])
-        obj, q, y = float_phase1(A, np.array([0.25, 1.0]))
+        obj, q, y = float_phase1(Csc.from_dense(A), np.array([0.25, 1.0]))
         assert obj < 1e-9
         assert np.allclose(A @ q, [0.25, 1.0], atol=1e-9)
 
     def test_infeasible_farkas_sign(self):
         A = np.array([[1.0, 1.0], [1.0, 1.0]])
         b = np.array([1.0, 2.0])
-        obj, q, y = float_phase1(A, b)
+        obj, q, y = float_phase1(Csc.from_dense(A), b)
         assert obj > 0.5
         assert y @ b > 0
         assert np.all(A.T @ y < 1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_slacks_as_the_dense_model(self, data):
+        # the appended slack arrays pose [A, I, -I] as linprog gets it densely
+        from scipy.optimize import linprog
+
+        A, b, _ = data.draw(dense_lps())
+        m, n = A.shape
+        c = np.concatenate([np.zeros(n), np.ones(2 * m)])
+        ref = linprog(c, A_eq=np.hstack([A, np.eye(m), -np.eye(m)]), b_eq=b, method="highs")
+        value, q, y = float_phase1(Csc.from_dense(A), b)
+        assert np.float64(value).tobytes() == np.float64(ref.fun).tobytes()
+        assert q.tobytes() == ref.x[:n].tobytes()
+        marginals = ref.eqlin.marginals
+        sign = -1 if float(marginals @ b) < 0 else 1
+        assert y.tobytes() == (sign * marginals).tobytes()
+
+
+def _arrays(A):
+    return A.start.tobytes(), A.index.tobytes(), A.value.tobytes(), A.shape
+
+
+class TestCsc:
+    """An oracle's float matrix holds its exact columns, and the master
+    grown by `Csc.append`, batch by batch, is byte for byte the one-shot
+    conversion of the dense matrix of all its keys."""
+
+    @staticmethod
+    def grown(oracle, keys, cuts):
+        bounds = [0, *sorted(cuts), len(keys)]
+        A = Csc.from_dense(oracle.matrix(keys[: bounds[1]]))
+        for lo, hi in zip(bounds[1:], bounds[2:]):
+            A = A.append(Csc.from_dense(oracle.matrix(keys[lo:hi])))
+        return A
+
+    def check(self, data, oracle, every):
+        keys = data.draw(st.permutations(every))
+        keys = keys[: data.draw(st.integers(1, len(keys)))]
+        cuts = data.draw(st.sets(st.integers(1, len(keys) - 1), max_size=4)) if len(keys) > 1 else set()
+        dense = oracle.matrix(keys)
+        assert dense.tobytes() == np.array([oracle.column(k) for k in keys], dtype=float).T.tobytes()
+        once = Csc.from_dense(dense)
+        assert _arrays(self.grown(oracle, keys, cuts)) == _arrays(once)
+        assert once.index.dtype == once.start.dtype == np.int32
+        assert once.value.dtype == np.float64
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_subset_oracle(self, data):
+        n = data.draw(st.integers(1, 5))
+        p = [[F(1, 2) if i == j else F(1, 4) for j in range(n)] for i in range(n)]
+        self.check(data, _SubsetOracle(TwoPointTarget.from_matrix(p)), list(range(1 << n)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.booleans())
+    def test_config_oracle(self, data, intensity):
+        target = CorrelationTarget.build(
+            n=3, rho_entries=[(0, 1, "1/4"), (1, 2, "1/8"), (2, 2, "1/8")],
+            rho1=["1/2", "1/2", "1/2"] if intensity else None, cap=3,
+        )
+        self.check(data, pp._ConfigOracle(target), enumerate_configs(target))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_column_list(self, data):
+        k = data.draw(st.integers(1, 8))
+        column = st.lists(st.integers(-2, 2), min_size=4, max_size=4)
+        columns = data.draw(st.lists(column, min_size=k, max_size=k))
+        self.check(data, ColumnList(dict(enumerate(columns))), list(range(k)))
 
 
 def floats(A, b, c):
@@ -206,7 +280,7 @@ class TestHighs:
         from scipy.optimize import linprog
 
         A, b, c = lp
-        status, q, y, value = _highs(c, A, b)
+        status, q, y, value = _highs(c, Csc.from_dense(A), b)
         ref = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
         assert status == ref.status
         if status == 0:
@@ -221,7 +295,7 @@ class TestHighs:
     LOAD_FIRST = """
 import sys
 import numpy as np
-from realkit.lp import _highs, _highs_core
+from realkit.lp import Csc, _highs, _highs_core
 core = _highs_core()
 assert 'scipy.optimize' not in sys.modules
 from scipy.optimize import linprog
@@ -236,7 +310,7 @@ for _ in range(200):
 seen = set()
 for A, b, c in lps:
     A, b, c = (np.array(v, dtype=float) for v in (A, b, c))
-    status, q, y, value = _highs(c, A, b)
+    status, q, y, value = _highs(c, Csc.from_dense(A), b)
     ref = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
     assert status == ref.status
     seen.add(status)
@@ -255,16 +329,32 @@ print(sorted(seen))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["[0,", "2,", "3]"]
 
+    @pytest.mark.parametrize(
+        "start, index, nz, error",
+        [
+            ([0, 1], [5], 1, "rejected the model"),
+            ([0, 2], [1, 1], 2, "rejected the model"),
+            ([0, 1], [0, 1], 1, "disagree in length"),
+        ],
+        ids=["row past the last", "row twice in a column", "more rows than values"],
+    )
+    def test_malformed_model_raises(self, start, index, nz, error):
+        # HiGHS refuses the first two; running the solver it leaves behind can crash
+        A = Csc(np.array(start, np.int32), np.array(index, np.int32), np.ones(nz), 2)
+        with pytest.raises(RuntimeError, match=error):
+            _highs(np.zeros(1), A, np.zeros(2))
+
     def test_float_lp_min_infeasible(self):
         A, b, c = floats([[1, 1], [1, 1]], [1, 2], [0, 0])
-        assert float_lp_min(A, b, c) == ("infeasible", None, None, None)
+        assert float_lp_min(Csc.from_dense(A), b, c) == ("infeasible", None, None, None)
 
     def test_float_lp_min_unbounded(self):
         A, b, c = floats([[1, -1]], [0], [-1, 0])
-        assert float_lp_min(A, b, c) == ("unbounded", None, None, None)
+        assert float_lp_min(Csc.from_dense(A), b, c) == ("unbounded", None, None, None)
 
     def test_float_lp_min_optimal(self):
         # min q1 + 3 q2 s.t. q1 + q2 = 2: all on q1, dual 1
-        status, q, y, value = float_lp_min(*floats([[1, 1]], [2], [1, 3]))
+        A, b, c = floats([[1, 1]], [2], [1, 3])
+        status, q, y, value = float_lp_min(Csc.from_dense(A), b, c)
         assert status == "optimal" and value == 2.0
         assert q.tolist() == [2.0, 0.0] and y.tolist() == [1.0]

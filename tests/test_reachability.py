@@ -78,6 +78,7 @@ def _reached(out: Path) -> set[tuple[str, int]]:
     # their bodies must run under the profile
     cli.build_parser.cache_clear()
     lp._highs_core.cache_clear()
+    lp._highs_options.cache_clear()
     profile = cProfile.Profile()
     profile.enable()
     try:
