@@ -430,6 +430,8 @@ def _cmd_contact_screen(args, digests: dict) -> dict:
     taus = {}
     for k, entry in enumerate(parse_list(field(obj, "taus", "instance"), "/taus")):
         point = parse_rationals(field(entry, "point", f"/taus/{k}"), f"/taus/{k}/point")
+        if point in taus:
+            raise InvalidInstance(f"/taus/{k}/point: repeats an earlier reference point")
         taus[point] = StepCdf.from_json(field(entry, "cdf", f"/taus/{k}"))
     probes = parse_list(field(obj, "probe_points", "instance"), "/probe_points")
     probes = [parse_rationals(p, f"/probe_points/{k}") for k, p in enumerate(probes)]

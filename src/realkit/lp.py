@@ -3,8 +3,8 @@
 * `column_generation` — the one LP driver. It decides feasibility for
   every set and point-process target that reaches an LP and, given an exact
   cost per column, minimises it for `realize-pp --objective`. A caller's
-  oracle prices the columns, or `ColumnList` lists them all in the first
-  master. HiGHS solves the float masters (`float_phase1`, or `float_lp_min`
+  oracle prices the columns, unless its first master holds them all (as
+  it must under a cost). HiGHS solves the float masters (`float_phase1`, or `float_lp_min`
   under a cost); a point or optimum is rebuilt on its support, an optimum's
   duals and reduced costs are checked exactly, and "no column prices out"
   becomes an exact Farkas vector. Whatever fails to confirm continues with
@@ -66,7 +66,6 @@ from collections.abc import Hashable, Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, cached_property
-from operator import itemgetter
 from typing import Protocol
 
 import numpy as np
@@ -153,25 +152,6 @@ class ColumnOracle(Protocol):
 
     def name(self, key) -> str:
         """The column `key` as a failure reason names it."""
-
-
-class ColumnList:
-    """The oracle of an explicit {key: exact column} dict. A master seeded
-    with every key leaves nothing to price, so it has no `price`; the exact
-    maximum is a scan."""
-
-    def __init__(self, columns: dict):
-        self.columns = columns
-        self.size = len(columns)
-
-    def matrix(self, keys: list) -> np.ndarray:
-        return np.array([self.columns[key] for key in keys], dtype=float).T
-
-    def column(self, key) -> list:
-        return self.columns[key]
-
-    def best(self, y: list[int]) -> tuple[Hashable, int]:
-        return max(((key, _dot(y, col)) for key, col in self.columns.items()), key=itemgetter(1))
 
 
 @dataclass
@@ -325,9 +305,10 @@ def screen(screens, oracle: ColumnOracle) -> RealizeResult | None:
     `screens` holds (method, functional, note). A functional returns None
     or the integer coefficients ({(i, j): a_ij, i <= j}, linear part) of a
     functional that is non-negative on every column and pairs negatively
-    with the target, both confirmed exactly; set targets have no linear
-    part. Their negation is a dual y on the target's rows (pairs, then the
-    linear rows, then normalisation). `exact_farkas` sets its constant to
+    with the target, both confirmed exactly; an empty linear part (set
+    targets, pp validation) leaves the linear rows at 0. Their negation is
+    a dual y on the target's rows (pairs, then the linear rows, then
+    normalisation). `exact_farkas` sets its constant to
     minus the exact maximum `oracle.best` finds, which is never above the
     screen's own constant, so the pairing stays negative; `oracle.certify`
     turns it into the target's certificate.

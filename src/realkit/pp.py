@@ -31,8 +31,8 @@ import numpy as np
 
 from .errors import CapExceeded, InvalidInstance
 from .lp import (
-    FLOAT_TOL, Certificate, ColumnList, RealizeResult, certificate, check_certificate,
-    column_generation, negative_direction, screen, verdict,
+    FLOAT_TOL, Certificate, RealizeResult, certificate, check_certificate, column_generation,
+    negative_direction, screen, verdict,
 )
 from .metric import Configuration, FiniteMetricSpace
 from .numbers import (
@@ -243,17 +243,17 @@ class _Rules:
         )
 
 
-def enumerate_configs(target: CorrelationTarget, limit: int = ENUM_LIMIT) -> list[Configuration]:
+def enumerate_configs(target: CorrelationTarget) -> list[Configuration]:
     """The admissible configurations of `target` (`target.rules`), in
-    lexicographic order. Raises CapExceeded past `limit` of them."""
+    lexicographic order. Raises CapExceeded past ENUM_LIMIT of them."""
     n, rules = target.n, target.rules
     out: list[Configuration] = []
 
     def extend(prefix: list[int], mass_left: int) -> None:
         if len(prefix) == n:
             out.append(Configuration(tuple(prefix)))
-            if len(out) > limit:
-                raise CapExceeded(f"configuration count exceeds {limit}")
+            if len(out) > ENUM_LIMIT:
+                raise CapExceeded(f"configuration count exceeds {ENUM_LIMIT}")
             return
         for m in rules.choices(prefix, mass_left):
             prefix.append(m)
@@ -328,22 +328,15 @@ def verify_pp_certificate(cert: Certificate, target: CorrelationTarget) -> tuple
     return check_certificate(cert, _ConfigOracle(target))
 
 
-def _trivial_certificate(target: CorrelationTarget, i: int, j: int) -> Certificate:
-    """Certificate -rho_ij >= 0 for an atom whose pair count vanishes on
-    every admissible configuration (diagonal atom under simplicity, or a
-    pair inside the hard-core distance), minimal at the empty one."""
-    pair = (min(i, j), max(i, j))
-    y = [int(p == pair) for p in pair_list(target.n)] + [0]
-    return certificate("pp", y, (0,) * target.n, target)
-
-
 def _psd_functional(target: CorrelationTarget):
     """(a, blin) of a square G = (v_0 + sum_i v_i m_i)^2, whose constant is
     v_0^2, with a negative pairing v.M.v, or None. M = [[1, rho1_i],
     [rho1_i, rho_ij + delta_ij rho1_i]] is the second-moment matrix of
     (1, m); with m_i^2 = m_i (m_i - 1) + m_i, blin_i = 2 v_0 v_i + v_i^2,
-    a_ii = v_i^2 and a_ij = 2 v_i v_j."""
+    a_ii = v_i^2 and a_ij = 2 v_i v_j. None without an intensity."""
     n, r1 = target.n, target.rho1
+    if r1 is None:
+        return None
     M = [[Fraction(1), *r1]]
     M += [[r1[i], *(target.rho_value(i, j) for j in range(n))] for i in range(n)]
     for i in range(n):
@@ -361,14 +354,35 @@ def _cap_functional(target: CorrelationTarget):
     """(a, blin) of G = (cap - 1) N - N (N - 1) = N (cap - N) >= 0 when
     its pairing (cap - 1) E[N] - E[N (N - 1)] is negative, or None
     (Kuna, Lebowitz & Speer, Realizability of point processes, J. Stat.
-    Phys. 129, 2007)."""
-    if (target.cap - 1) * sum(target.rho1) >= target.pair_mass:
+    Phys. 129, 2007). None without an intensity."""
+    if target.rho1 is None or (target.cap - 1) * sum(target.rho1) >= target.pair_mass:
         return None
     a = {(i, j): -1 if i == j else -2 for i, j in pair_list(target.n)}
     return a, [target.cap - 1] * target.n
 
 
-# (method, functional, note): each screen proves infeasibility without an LP
+def _diagonal_functional(target: CorrelationTarget):
+    """(a, blin) of G = -m_i (m_i - 1) at the first diagonal atom of a
+    simple target, or None: G vanishes on every admissible configuration
+    and pairs to -rho_ii < 0."""
+    atom = next(((i, j) for i, j, _ in target.atoms() if i == j), None) if target.simple else None
+    return None if atom is None else ({atom: -1}, [])
+
+
+def _hardcore_functional(target: CorrelationTarget):
+    """(a, blin) of G = -count_ij at the first atom (i, j) inside the
+    hard-core distance, or None: no admissible configuration occupies both
+    points, or one point twice."""
+    offenders = [] if target.hardcore_eps is None else check_hardcore_support(target)[1]
+    return ({offenders[0][:2]: -1}, []) if offenders else None
+
+
+# (method, functional, note): each screen proves infeasibility without an LP;
+# VALIDATION runs first, before the float range matters
+VALIDATION = (
+    ("validation", _diagonal_functional, "simple processes carry no diagonal correlation mass"),
+    ("validation", _hardcore_functional, "correlation mass inside the hard-core distance"),
+)
 SCREENS = (
     ("psd-screen", _psd_functional, "moment matrix not positive semidefinite; no LP solve needed"),
     ("cap-screen", _cap_functional,
@@ -377,12 +391,9 @@ SCREENS = (
 
 
 def _screen(target: CorrelationTarget) -> RealizeResult | None:
-    """The verdict of the first of SCREENS that fires on a target with an
-    intensity, or None, by `lp.screen`: the constant is minus the exact
-    minimum of the rest from `_search`, and `lp.certificate` scales
-    to max |(a, blin)| = 1."""
-    if target.rho1 is None:
-        return None
+    """The verdict of the first of SCREENS that fires, or None, by
+    `lp.screen`: the constant is minus the exact minimum of the rest from
+    `_search`, and `lp.certificate` scales to max |(a, blin)| = 1."""
     return screen(SCREENS, _ConfigOracle(target))
 
 
@@ -400,53 +411,35 @@ def objective_cardinality(alpha: int) -> Callable[[Configuration], Fraction]:
 
 
 def realize_pp(
-    target: CorrelationTarget,
-    objective: Callable[[Configuration], object] | None = None,
-    enum_limit: int = ENUM_LIMIT,
+    target: CorrelationTarget, objective: Callable[[Configuration], object] | None = None
 ) -> RealizeResult:
     """Decide realisability of a correlation target; optionally minimise an
     expectation over the realising mixtures and report the optimum.
 
-    Checks that need no LP run first: diagonal mass on a simple target or
-    mass inside the hard-core distance ("validation"). A target that the
-    float layers cannot hold (a moment, or the pair count cap (cap - 1) of
-    a configuration, above the largest float) then raises CapExceeded.
-    For targets with an intensity, a moment matrix of (1, m) that is not
-    positive semidefinite ("psd-screen") and E[N(N-1)] > (cap-1) E[N]
-    ("cap-screen") follow.
+    `lp.screen` runs the checks that need no LP, VALIDATION first: mass on
+    the diagonal of a simple target or inside the hard-core distance. A
+    target that the float layers cannot hold (a moment, or the pair count
+    cap (cap - 1) of a configuration, above the largest float) then raises
+    CapExceeded. SCREENS follow, for targets with an intensity: a moment
+    matrix of (1, m) that is not positive semidefinite ("psd-screen") and
+    E[N(N-1)] > (cap-1) E[N] ("cap-screen").
 
-    `lp.column_generation` decides the rest, seeded as `realize_subsets`
-    seeds it: with every configuration up to `enum_limit` of them, so
-    nothing is priced ("enumeration"), else with the empty and the
-    admissible one-point ones ("column-generation"). A verdict from its
-    exact rounds reports "exact-column-generation".
+    `lp.column_generation` on the target's `_ConfigOracle` decides the
+    rest, seeded as `realize_subsets` seeds it: with every configuration up
+    to ENUM_LIMIT of them, so nothing is priced ("enumeration"), else with
+    the empty and the admissible one-point ones ("column-generation"). A
+    verdict from its exact rounds reports "exact-column-generation".
 
-    An objective, whose costs are finite, is minimised by the same driver
-    with the objective as its cost over the enumerated configurations
-    (`lp.ColumnList`, whose ties go to the lexicographically smallest); the
-    optimum carries the value of its exact duals. Past `enum_limit` the
-    first exact realisation is reported, with an objective value that is
-    not certified minimal. An objective that the moment rows pin needs no
-    cost: `realize_pinned`.
+    An objective, whose costs are finite, is the same driver's cost over
+    the enumerated configurations, whose ties go to the lexicographically
+    smallest; the optimum carries the value of its exact duals. Past
+    ENUM_LIMIT the first exact realisation is reported, with an objective
+    value that is not certified minimal. An objective that the moment rows
+    pin needs no cost: `realize_pinned`.
     """
-    for i, j, w in target.atoms():
-        if target.simple and i == j and w > 0:
-            return RealizeResult(
-                status="infeasible",
-                certificate=_trivial_certificate(target, i, j),
-                note="simple processes carry no diagonal correlation mass",
-                method="validation",
-            )
-    if target.hardcore_eps is not None:
-        ok, offenders = check_hardcore_support(target)
-        if not ok:
-            i, j, _ = offenders[0]
-            return RealizeResult(
-                status="infeasible",
-                certificate=_trivial_certificate(target, i, j),
-                note="correlation mass inside the hard-core distance",
-                method="validation",
-            )
+    validated = screen(VALIDATION, _ConfigOracle(target))
+    if validated is not None:
+        return validated
     # the PSD screen, HiGHS and the float search cannot hold a value past the float range
     large = [(f"rho atom ({i},{j})", w) for (i, j), w in target.rho.items()]
     large += [(f"rho1[{k}]", v) for k, v in enumerate(target.rho1 or ())]
@@ -458,8 +451,9 @@ def realize_pp(
         return screened
     b = target.rhs()
     try:
-        seed = enumerate_configs(target, limit=enum_limit)
-        method, oracle, note = "enumeration", _ConfigOracle(target, len(seed)), None
+        seed = enumerate_configs(target)
+        method, size, note = "enumeration", len(seed), None
+        cost = None if objective is None else {cfg: objective(cfg) for cfg in seed}
     except CapExceeded:
         # the empty configuration and the admissible one-point ones
         seed = [
@@ -467,30 +461,19 @@ def realize_pp(
             for m in (tuple(int(i == k) for i in range(target.n)) for k in range(-1, target.n))
             if target.rules.admits(m)
         ]
-        method, oracle = "column-generation", _ConfigOracle(target)
+        method, size, cost = "column-generation", None, None
         note = (
             "column generation stops at the first exact realisation; "
             "the objective value is not certified minimal"
         )
-    if objective is not None and oracle.size is not None:
-        cost = {cfg: objective(cfg) for cfg in seed}
-        res = column_generation(ColumnList({c: oracle.column(c) for c in seed}), b, seed, cost)
-        return _verdict(res, oracle, method, objective)
-    return _verdict(column_generation(oracle, b, seed), oracle, method, objective, note)
-
-
-def _verdict(res, oracle, method, objective=None, note=None) -> RealizeResult:
-    """`lp.verdict` over configurations, by the target's `_ConfigOracle`
-    also when a `ColumnList` driver gave `res`. Under an objective, a
-    realising mixture carries its objective value and `note`, and an
-    optimum of the cost LP the value of its exact duals."""
+    oracle = _ConfigOracle(target, size)
+    res = column_generation(oracle, b, seed, cost)
     result = verdict(res, method, oracle, None if objective is None else note)
     if result.mixture is not None and objective is not None:
         result.objective_value = sum(
             (w * objective(cfg) for cfg, w in result.mixture.atoms), Fraction(0)
         )
     if res.duals is not None:
-        b = oracle.target.rhs()
         result.dual_value = sum((y * v for y, v in zip(res.duals, b)), Fraction(0))
     return result
 
@@ -526,6 +509,10 @@ def _search(y: Sequence, target: CorrelationTarget) -> tuple[Configuration, obje
     y_pair = dict(zip(pairs, y))
     y_int = y[len(pairs) : len(pairs) + n] if len(y) > len(pairs) + 1 else [0] * n
     rules = target.rules
+    # no admissible configuration occupies a conflicting pair, so its price
+    # changes no value; left in, the bound counts it and prunes nothing
+    for k, close in enumerate(rules.conflicts):
+        y_pair.update(((i, k), 0) for i in close)
 
     best_cfg = [0] * n
     best_val = y[-1]

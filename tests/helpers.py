@@ -14,9 +14,33 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from realkit.lp import Certificate, exact_simplex
 from realkit.metric import Configuration, FiniteMetricSpace, make_space
 from realkit.setrealize import TwoPointTarget
+
+
+class ColumnList:
+    """A column oracle for `lp.column_generation` over an explicit
+    {key: exact column} dict. The first master must hold every key, since
+    nothing is priced; the exact maximum is a scan, ties to the first key."""
+
+    def __init__(self, columns: dict):
+        self.columns = columns
+        self.size = len(columns)
+
+    def matrix(self, keys: list) -> np.ndarray:
+        return np.array([self.columns[key] for key in keys], dtype=float).T
+
+    def column(self, key) -> list:
+        return self.columns[key]
+
+    def best(self, y: list[int]):
+        return max(
+            ((key, sum(u * v for u, v in zip(y, col))) for key, col in self.columns.items()),
+            key=lambda kv: kv[1],
+        )
 
 
 def rebuilt(cert: Certificate, **changes) -> Certificate:

@@ -740,6 +740,16 @@ class TestMalformedInput:
         inst = write(tmp_path, "screen.json", {**self.CONTACT, "taus": taus})
         assert "/taus/0" in self.assert_invalid(tmp_path, "contact", "screen", inst)
 
+    @pytest.mark.parametrize("first, second", [("0", "0"), ("0", "0.0"), ("0.0", "0")])
+    def test_contact_repeated_reference_point(self, tmp_path, first, second):
+        # a later cdf at the same point would replace the earlier one, so the
+        # order of the file would decide the verdict
+        taus = [{"point": [first], "cdf": {"jumps": [["1", "0.4"], ["2", "1"]]}},
+                {"point": [second], "cdf": {"jumps": [["1", "1"]]}}]
+        inst = write(tmp_path, "screen.json", {**self.CONTACT, "taus": taus})
+        error = self.assert_invalid(tmp_path, "contact", "screen", inst)
+        assert error.startswith("/taus/1/point: ")
+
     def test_contact_taus_not_a_list(self, tmp_path):
         inst = write(tmp_path, "screen.json", {**self.CONTACT, "taus": {"point": ["0"]}})
         assert "/taus" in self.assert_invalid(tmp_path, "contact", "screen", inst)

@@ -57,6 +57,10 @@ CASES = {
     "realize-pp-card2": (["realize-pp", "pp-objective.json", "--objective", "card2"], 0),
     "realize-pp-card3": (["realize-pp", "pp-objective.json", "--objective", "card3"], 0),
     "realize-pp-card4": (["realize-pp", "pp-objective.json", "--objective", "card4"], 0),
+    # the cost LP on an infeasible target: its Farkas maximum comes from the configuration search
+    "realize-pp-card3-infeasible": (
+        ["realize-pp", "pp-card3-infeasible.json", "--objective", "card3"], 1
+    ),
     "realize-pp-chi-hc": (
         ["realize-pp", "pp-objective.json", "--objective", "chi-hc", "--psi", "psi-finite.json"], 0
     ),

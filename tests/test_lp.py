@@ -11,11 +11,11 @@ from test_cli import _child_env
 
 from realkit import pp
 from realkit.lp import (
-    ColumnList, Csc, _highs, column_generation, exact_simplex, float_lp_min, float_phase1,
-    solve_nonneg_exact,
+    Csc, _highs, column_generation, exact_simplex, float_lp_min, float_phase1, solve_nonneg_exact,
 )
 from realkit.pp import CorrelationTarget, enumerate_configs
 from realkit.setrealize import TwoPointTarget, _SubsetOracle
+from helpers import ColumnList
 
 
 def cols_from_rows(rows):

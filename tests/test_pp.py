@@ -1,5 +1,8 @@
 import itertools
+import json
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -27,6 +30,7 @@ from realkit.pp import (
 from realkit.regularity import AtomicMeasure2D, PsiFunction, chi_hc_integral
 from realkit.setrealize import SubsetMixture, TwoPointTarget, realize_subsets
 from helpers import g_h, pp_oracle as oracle, random_simple_config_mixture
+from test_cli import _child_env
 
 PAIR_TARGET = CorrelationTarget.build(n=2, rho_entries=[(0, 1, "1")], cap=2, simple=True)
 # infeasible, yet passes the PSD and cap screens, so only the LP proves it: the
@@ -299,26 +303,29 @@ class TestDualFeasibility:
 
 
 class TestColumnGeneration:
-    def test_feasible_with_tiny_enumeration_limit(self):
-        result = realize_pp(PAIR_TARGET, enum_limit=3)
+    def test_feasible_with_tiny_enumeration_limit(self, monkeypatch):
+        monkeypatch.setattr(pp, "ENUM_LIMIT", 3)
+        result = realize_pp(PAIR_TARGET)
         assert result.status == "feasible"
         assert result.method == "column-generation"
         assert result.residual == 0
         hat, _ = pp_moments(result.mixture)
         assert hat == {(0, 1): F(1)}
 
-    def test_infeasible_with_tiny_enumeration_limit(self):
+    def test_infeasible_with_tiny_enumeration_limit(self, monkeypatch):
+        monkeypatch.setattr(pp, "ENUM_LIMIT", 3)
         target = PENTAGONAL
-        result = realize_pp(target, enum_limit=3)
+        result = realize_pp(target)
         assert result.status == "infeasible"
         assert result.method == "column-generation"
         ok, reason = verify_pp_certificate(result.certificate, target)
         assert ok, reason
 
-    def test_cap_zero_seeds_no_point(self):
+    def test_cap_zero_seeds_no_point(self, monkeypatch):
+        monkeypatch.setattr(pp, "ENUM_LIMIT", 0)
         # only the empty configuration is admissible, so no intensity is
         target = CorrelationTarget.build(n=2, rho_entries=[], rho1=["1/4", "0"], cap=0)
-        result = realize_pp(target, enum_limit=0)
+        result = realize_pp(target)
         assert result.status == "infeasible"
         ok, reason = verify_pp_certificate(result.certificate, target)
         assert ok, reason
@@ -443,7 +450,8 @@ class TestColumnGenerationAgainstEnumerationOracle:
     def test_verdict_matches_the_oracle(self, batch, target):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(lp, "PRICING_BATCH", batch)
-            result = realize_pp(target, enum_limit=0)
+            patch.setattr(pp, "ENUM_LIMIT", 0)
+            result = realize_pp(target)
         verdict, _ = oracle(target)
         assert result.status == verdict
         if verdict == "infeasible":
@@ -636,6 +644,34 @@ class TestSearchAgainstProduct:
         assert config.multiplicity in admissible
         assert abs(top - best) <= 1e-9
         assert abs(priced(y, config.multiplicity) - best) <= 1e-9
+
+
+class TestSearchOnHardCoreTargets:
+    def test_validation_certificate_of_a_wide_target_verifies_quickly(self, tmp_path):
+        # the pair inside eps is the last two points, so a bound that priced
+        # it would prune nothing before them: 3 * 2^38 admissible configurations
+        n = 40
+        dist = [[0 if i == j else 1 if {i, j} == {n - 2, n - 1} else 2 for j in range(n)]
+                for i in range(n)]
+        instance = tmp_path / "target.json"
+        instance.write_text(json.dumps({
+            "space": {"dist": [[str(d) for d in row] for row in dist],
+                      "labels": [str(i) for i in range(n)]},
+            "cap": n,
+            "hardcore_eps": "2", "rho": [[n - 2, n - 1, "1"]],
+        }))
+        cert = tmp_path / "cert.json"
+        for argv, code in [(["realize-pp", str(instance)], 1),
+                           (["verify-cert", str(instance), str(cert)], 0)]:
+            out = tmp_path / "report.json"
+            proc = subprocess.run(
+                [sys.executable, "-m", "realkit", *argv, "--out", str(out)],
+                capture_output=True, text=True, env=_child_env(), timeout=60,
+            )
+            assert proc.returncode == code, proc.stderr
+            payload = json.loads(out.read_text())["payload"]
+            if "certificate" in payload:
+                cert.write_text(json.dumps(payload["certificate"]))
 
 
 class TestChiHcObjective:

@@ -29,7 +29,6 @@ UNREACHED: dict[str, str] = {
         "the construction for one draw from unparsed points; contact simulate runs its "
         "body, _place_two_points, on points parsed once"
     ),
-    "lp.ColumnList.best": "the Farkas maximum of an infeasible realize-pp --objective cardN target",
     **{f"lp.ColumnOracle.{name}": PROTOCOL for name in (
         "best", "certify", "column", "key", "matrix", "mixture", "name", "price",
     )},

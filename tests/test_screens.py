@@ -17,9 +17,10 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from realkit import pp, setrealize
-from realkit.lp import ColumnList, column_generation, exact_simplex
+from realkit.lp import column_generation, exact_simplex
 from realkit.pp import CorrelationTarget, verify_pp_certificate
 from realkit.setrealize import TwoPointTarget, realize_subsets, verify_certificate
+from helpers import ColumnList
 
 SET_METHODS = {"frechet-screen", "triangle-screen", "psd-screen"}
 PP_METHODS = {"psd-screen", "cap-screen"}
