@@ -72,9 +72,13 @@ EXIT_ERROR = 4
 
 # count caps, measured on a 2-core Xeon: `contact simulate --samples` 10**7
 # took 0.6 s and 199 MB peak (about 17 bytes a draw); `sample --n` 10**6 on
-# the golden four-atom mixture took 3.1 s, 274 MB and a 34 MB report
+# the golden four-atom mixture took 3.1 s, 274 MB and a 34 MB report;
+# `screen-pp --trials` 10**5 took 8.8 s on the golden three-point
+# pp-feasible.json, and 5.9 s, 144 MB and a 16 MB report on pp-diagonal.json,
+# where every trial is a violation
 MAX_SAMPLES = 10**7
 MAX_DRAWS = 10**6
+MAX_TRIALS = 10**5
 
 _STATUS_EXIT = {
     "feasible": EXIT_OK,
@@ -283,6 +287,10 @@ def _cmd_realize_pp(args, digests: dict) -> dict:
 
 
 def _cmd_screen_pp(args, digests: dict) -> dict:
+    if args.trials < 0:
+        raise InvalidInstance("--trials must be a non-negative trial count")
+    if args.trials > MAX_TRIALS:
+        raise CapExceeded(f"--trials {args.trials} above the trial cap {MAX_TRIALS}")
     target = CorrelationTarget.from_json(_load(args.instance, digests, "instance"))
     screen = positivity_screen(target, trials=args.trials, seed=args.seed)
     violations = [
@@ -425,6 +433,8 @@ def _cmd_contact_simulate(args, digests: dict) -> dict:
 
 
 def _cmd_contact_screen(args, digests: dict) -> dict:
+    if args.trials < 0:
+        raise InvalidInstance("--trials must be a non-negative trial count")
     obj = _load(args.instance, digests, "instance")
     system = BallSystem.from_json(field(obj, "system", "instance"))
     taus = {}
@@ -435,7 +445,7 @@ def _cmd_contact_screen(args, digests: dict) -> dict:
         taus[point] = StepCdf.from_json(field(entry, "cdf", f"/taus/{k}"))
     probes = parse_list(field(obj, "probe_points", "instance"), "/probe_points")
     probes = [parse_rationals(p, f"/probe_points/{k}") for k, p in enumerate(probes)]
-    rep = ball_positivity_screen(taus, system, probes, trials=args.trials or 0, seed=args.seed)
+    rep = ball_positivity_screen(taus, system, probes, trials=args.trials, seed=args.seed)
     payload = {
         "label": rep.label,
         "system_nonnegative": rep.system_nonnegative,
@@ -521,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("screen-pp", parents=[common], help="sampled positivity screen for a correlation target")
     p.add_argument("instance")
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=int, default=1000, help=f"random test matrices (0 to {MAX_TRIALS})")
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=_cmd_screen_pp)
 

@@ -14,6 +14,18 @@
   exact Farkas vector, in integers: its normalisation entry becomes minus
   the exact maximum of y.A_j over every column.
 
+* Zero rows. A row whose right-hand side is 0, and which every column
+  meets with an entry >= 0, is forcing: a column that meets it carries
+  weight 0 in every solution (Andersen & Andersen, Presolving in linear
+  programming, Math. Program. 71 (1995)). The oracle names such rows
+  (`ColumnOracle.zero_rows`, the pairs with p_ij = 0 of a set target), the
+  caller keeps the columns that meet them out of the seed, and
+  `column_generation` lowers the dual on each to -(1 + sum |y|) before it
+  prices or calls `exact_farkas`. Then no such column prices out, the
+  exact maximum lands on a column that meets none, and y.b does not
+  change; the certificate carries a large coefficient on each zero row,
+  and is >= 0 on every column.
+
 * `screen` and `verdict` — the two ways a set or point-process target
   gets its `RealizeResult`: the first exact moment screen that fires, or
   the driver's answer (an exact mixture, a certificate from the exact
@@ -122,12 +134,15 @@ def exact_farkas(y: Sequence, oracle: ColumnOracle) -> tuple[list[int], Hashable
 
 class ColumnOracle(Protocol):
     """The columns of one LP, keyed by hashable keys (bitmasks,
-    configurations). `column_generation` reads size, matrix, column and
-    best, and price while its master lacks a column; `screen`, `verdict`
-    and `check_certificate` the rest."""
+    configurations). `column_generation` reads size, zero_rows, matrix,
+    column and best, and price while its master lacks a column; `screen`,
+    `verdict` and `check_certificate` the rest."""
 
-    size: int | None  # the number of columns, when the oracle can count them
+    size: int | None  # the number of columns that meet no zero row, when counted
     target: object  # the target whose LP these columns span, with .n and .rhs()
+    # rows with right-hand side 0 that every column meets with an entry >= 0:
+    # no solution uses a column meeting one, so none joins a master
+    zero_rows: tuple[int, ...]
 
     def matrix(self, keys: list) -> np.ndarray:
         """Float matrix with one column per key."""
@@ -365,7 +380,9 @@ def column_generation(
     (Lübbecke & Desrosiers, Selected topics in column generation, Oper.
     Res. 53 (2005)). A feasible float master is rebuilt exactly on its
     support; when no column prices out, `exact_farkas` with the oracle's
-    exact maximum proves infeasibility.
+    exact maximum proves infeasibility. Pricing and `exact_farkas` see the
+    dual `_lowered` on the oracle's zero rows, so a column that meets one
+    never joins the master and never is the maximum.
 
     A cost is priced by nothing, so `seed` must hold every column.
     `float_lp_min` solves the master, whose optimum is rebuilt on its
@@ -414,6 +431,7 @@ def column_generation(
                 master = [key for key, w in zip(master, q) if w > 0]
             break
         known = set(master)
+        y = _lowered(y, oracle.zero_rows)
         # a master holding every column leaves nothing to price
         priced = [] if len(known) == oracle.size else oracle.price(y, PRICING_BATCH)
         new = [key for key in priced if key not in known]
@@ -433,7 +451,7 @@ def column_generation(
             return ColumnGenerationResult(
                 "feasible", master, x=res.x, duals=res.duals, exact_rounds=True
             )
-        farkas, witness = exact_farkas(res.farkas, oracle)
+        farkas, witness = exact_farkas(_lowered(res.farkas, oracle.zero_rows), oracle)
         if _dot(farkas, b) > 0:
             return ColumnGenerationResult(
                 "infeasible", farkas=farkas, witness=witness, exact_rounds=True
@@ -442,6 +460,20 @@ def column_generation(
         if witness in master:
             raise RuntimeError("exact pricing returned a column of the master")
         master.append(witness)
+
+
+def _lowered(y, rows: tuple[int, ...]):
+    """The dual y (floats or exact) with its entry on each of the zero `rows`
+    set to -(1 + sum |y|): then y.A_j < 0 for every column j that meets one,
+    whatever the other entries, while y.b and y.A_j of every other column
+    stay as they were."""
+    if not rows:
+        return y
+    low = -(1 + sum(abs(v) for v in y))
+    y = y.copy()
+    for r in rows:
+        y[r] = low
+    return y
 
 
 def _exact_duals(oracle, master, cost, b, y, reduced, support, weights) -> list[Fraction] | None:

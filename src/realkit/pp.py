@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
@@ -61,6 +61,8 @@ class CorrelationTarget:
     space: FiniteMetricSpace | None = None
     # admissible supports keep distances >= eps; the strict variant demands > eps
     hardcore_strict: bool = False
+    # (i, j) with i <= j -> k of the first rho entry at that pair, for messages
+    rho_origin: dict = dataclass_field(default_factory=dict, compare=False, repr=False)
 
     def rho_value(self, i: int, j: int) -> Fraction:
         key = (i, j) if i <= j else (j, i)
@@ -106,17 +108,20 @@ class CorrelationTarget:
         if n is None or n < 1:
             raise InvalidInstance("target needs a point count or a space")
         if n > MAX_POINTS:
-            raise CapExceeded(f"n={n} above the point cap {MAX_POINTS}")
+            where = "/n" if space is None else "/space/labels"
+            raise CapExceeded(f"{where}: {n} points above the point cap {MAX_POINTS}")
         if cap < 0:
             raise InvalidInstance("cardinality cap must be non-negative")
         ordered: dict[tuple[int, int], Fraction] = {}
-        for i, j, w in rho_entries:
+        origin: dict[tuple[int, int], int] = {}
+        for k, (i, j, w) in enumerate(rho_entries):
             if not (0 <= i < n and 0 <= j < n):
                 raise InvalidInstance(f"rho atom ({i},{j}) out of range")
             wf = parse_rational(w, f"rho[{i},{j}]")
             if wf < 0:
                 raise InvalidInstance(f"rho atom ({i},{j}) has negative weight")
             ordered[(i, j)] = ordered.get((i, j), Fraction(0)) + wf
+            origin.setdefault((min(i, j), max(i, j)), k)
         rho: dict[tuple[int, int], Fraction] = {}
         for (i, j), w in ordered.items():
             if i == j:
@@ -148,7 +153,7 @@ class CorrelationTarget:
                 raise InvalidInstance("hard-core targets need the metric space")
         return CorrelationTarget(
             n=n, rho=rho, rho1=r1, cap=cap, simple=simple, hardcore_eps=eps,
-            space=space, hardcore_strict=hardcore_strict,
+            space=space, hardcore_strict=hardcore_strict, rho_origin=origin,
         )
 
     @staticmethod
@@ -278,6 +283,8 @@ class _ConfigOracle:
     keyed by configuration; `_search` prices them, in floats under the
     master's float duals and in integers under integer prices, with ties
     to the lexicographically smallest multiplicity vector."""
+
+    zero_rows = ()  # `_search` keeps out what the target's rules forbid
 
     def __init__(self, target: CorrelationTarget, size: int | None = None):
         self.target = target
@@ -441,11 +448,13 @@ def realize_pp(
     if validated is not None:
         return validated
     # the PSD screen, HiGHS and the float search cannot hold a value past the float range
-    large = [(f"rho atom ({i},{j})", w) for (i, j), w in target.rho.items()]
-    large += [(f"rho1[{k}]", v) for k, v in enumerate(target.rho1 or ())]
-    for name, v in [*large, ("the pair count cap (cap - 1)", target.cap * (target.cap - 1))]:
-        if v > sys.float_info.max:
-            raise CapExceeded(f"{name} is above the largest float")
+    top = sys.float_info.max
+    large = [f"/rho/{target.rho_origin.get(pair)}/2" for pair, w in target.rho.items() if w > top]
+    large += [f"/rho1/{k}" for k, v in enumerate(target.rho1 or ()) if v > top]
+    if target.cap * (target.cap - 1) > top:
+        large.append("/cap: the pair count cap (cap - 1)")
+    if large:
+        raise CapExceeded(f"{large[0]} is above the largest float")
     screened = _screen(target)
     if screened is not None:
         return screened

@@ -26,6 +26,8 @@ class ColumnList:
     {key: exact column} dict. The first master must hold every key, since
     nothing is priced; the exact maximum is a scan, ties to the first key."""
 
+    zero_rows = ()
+
     def __init__(self, columns: dict):
         self.columns = columns
         self.size = len(columns)

@@ -333,11 +333,13 @@ class TestRealizePP:
     @pytest.mark.parametrize(
         "path, value, message",
         [
-            (("rho1", 0), "1e400", "rho1[0] is above the largest float"),
-            (("rho", 0, 2), "1e400", "rho atom (0,1) is above the largest float"),
-            (("cap",), 10**400, "the pair count cap (cap - 1) is above the largest float"),
+            (("rho1", 0), "1e400", "/rho1/0 is above the largest float"),
+            (("rho1", 2), "1e400", "/rho1/2 is above the largest float"),
+            (("rho", 0, 2), "1e400", "/rho/0/2 is above the largest float"),
+            (("rho", 1, 2), "1e400", "/rho/1/2 is above the largest float"),
+            (("cap",), 10**400, "/cap: the pair count cap (cap - 1) is above the largest float"),
         ],
-        ids=["rho1", "rho", "cap"],
+        ids=["rho1", "rho1-last", "rho", "rho-second", "cap"],
     )
     def test_value_past_the_float_range_is_a_cap(self, tmp_path, path, value, message):
         instance = json.loads((INSTANCES / "pp-objective.json").read_text())
@@ -358,7 +360,16 @@ class TestRealizePP:
             inst = write(tmp_path, "pp.json", {**self.DIAGONAL, "n": n})
             code, report = run(tmp_path, "realize-pp", inst)
             assert code == expected
-        assert report["payload"]["error"] == f"n={top + 1} above the point cap {top}"
+        assert report["payload"]["error"] == f"/n: {top + 1} points above the point cap {top}"
+
+    def test_point_cap_of_a_space(self, tmp_path):
+        n = pp.MAX_POINTS + 1
+        dist = [["0" if i == j else "1" for j in range(n)] for i in range(n)]
+        space = {"labels": list(range(n)), "dist": dist}
+        inst = write(tmp_path, "pp.json", {**self.DIAGONAL, "space": space})
+        code, report = run(tmp_path, "realize-pp", inst)
+        assert code == 3
+        assert report["payload"]["error"] == f"/space/labels: {n} points above the point cap {n - 1}"
 
     def test_huge_carrier_is_a_cap_within_bounded_memory(self, tmp_path):
         # 5 * 10^9 pairs: without the cap the process runs out of its
@@ -383,7 +394,7 @@ class TestRealizePP:
                 capture_output=True, text=True, env=_child_env(), timeout=120,
             )
             assert proc.returncode == 3, (argv[0], proc.stderr)
-            assert "n=100000 above the point cap" in proc.stderr, argv[0]
+            assert "/n: 100000 points above the point cap" in proc.stderr, argv[0]
 
     def test_screen_stays_exact_past_the_float_range(self, tmp_path):
         instance = json.loads((INSTANCES / "pp-objective.json").read_text())
@@ -627,6 +638,20 @@ class TestCountCaps:
             assert code == 3
             assert report["payload"]["error"] == f"{flag} {cap + 1} above the draw cap {cap}"
 
+    def test_screen_pp_trials_past_the_cap(self, tmp_path, monkeypatch):
+        # 10^9 trials had not finished after 10 s; none is drawn past the cap
+        def never(*args, **kwargs):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(cli, "positivity_screen", never)
+        inst = str(INSTANCES / "pp-feasible.json")
+        for trials in (cli.MAX_TRIALS + 1, 10**9):
+            code, report = run(tmp_path, "screen-pp", inst, "--trials", str(trials), "--seed", "3")
+            assert code == 3
+            assert report["payload"]["error"] == (
+                f"--trials {trials} above the trial cap {cli.MAX_TRIALS}"
+            )
+
     def test_huge_count_is_a_cap_within_bounded_memory(self, tmp_path):
         # 10^10 uniforms are 75 GiB: without the cap numpy runs out of the
         # address space and the command exits 4
@@ -786,6 +811,17 @@ class TestMalformedInput:
         src = write(tmp_path, "mix.json", {"mixture": [{"subset": [0], "weight": "1"}]})
         error = self.assert_invalid(tmp_path, "sample", src, "--n", "-1", "--seed", "1")
         assert "--n" in error
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["screen-pp", str(INSTANCES / "pp-feasible.json"), "--trials", "-5", "--seed", "3"],
+            ["contact", "screen", str(INSTANCES / "contact-screen.json"), "--trials", "-3"],
+        ],
+        ids=["screen-pp", "contact-screen"],
+    )
+    def test_negative_trials(self, tmp_path, argv):
+        assert self.assert_invalid(tmp_path, *argv) == "--trials must be a non-negative trial count"
 
     @pytest.mark.parametrize("samples", ["0", "-1"])
     def test_simulate_sample_count_not_positive(self, tmp_path, samples):

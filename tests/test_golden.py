@@ -42,6 +42,10 @@ CASES = {
     # passes every screen, so the LP proves it, by enumeration and by column generation
     "realize-set-pentagonal": (["realize-set", "set-pentagonal.json"], 1),
     "realize-set-cg-pentagonal": (["realize-set", "set-pentagonal.json", "--max-exact", "3"], 1),
+    # the pentagonal block and a point that never meets it (p_i4 = 0): every screen
+    # passes, and the LP over the subsets that cover no zero pair proves it
+    "realize-set-zero-pair": (["realize-set", "set-zero-pair.json"], 1),
+    "realize-set-cg-zero-pair": (["realize-set", "set-zero-pair.json", "--max-exact", "3"], 1),
     "verify-cert-set": (["verify-cert", "set-infeasible.json", "cert-set.json"], 0),
     "verify-cert-set-tampered": (["verify-cert", "set-infeasible.json", "cert-set-tampered.json"], 1),
     "verify-cert-pp": (["verify-cert", "pp-infeasible.json", "cert-pp.json"], 0),

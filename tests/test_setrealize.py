@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction as F
@@ -21,6 +22,7 @@ from realkit.setrealize import (
     verify_certificate,
 )
 from helpers import mixture_moments_target, random_two_point_target, rebuilt
+from test_golden import INSTANCES
 
 PRODUCT_2 = TwoPointTarget.from_matrix([["0.5", "0.25"], ["0.25", "0.5"]])
 DISJOINT_3 = TwoPointTarget.from_matrix(
@@ -527,3 +529,145 @@ class TestCertificateTamper:
         for k, cert in enumerate(mutants):
             ok, reason = verify(cert, target)
             assert not ok, f"mutant {k} unexpectedly verified"
+
+
+def _covers(mask, pair):
+    i, j = pair
+    return mask >> i & 1 and mask >> j & 1
+
+
+@st.composite
+def zero_pair_targets(draw):
+    """Targets on n <= 7 points with planted zero pairs, diagonal ones
+    included, of three kinds: the moments of a random mixture over the
+    subsets that cover none of them; those moments with one other entry
+    moved (often infeasible, and the move can make a new zero); and a
+    mixture of such moments on the other points with PENTAGONAL on four
+    points that never meet them (infeasible, and past every screen)."""
+    kind = draw(st.sampled_from(["mixture", "moved", "pentagonal"]))
+    n = draw(st.integers(5 if kind == "pentagonal" else 2, 7))
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    planted = draw(st.sets(st.sampled_from(pairs), min_size=1, max_size=n))
+    block = draw(st.permutations(range(n)))[:4] if kind == "pentagonal" else []
+    allowed = [
+        m for m in range(1 << n)
+        if not any(_covers(m, pair) for pair in planted) and not any(m >> i & 1 for i in block)
+    ]
+    masks = draw(st.lists(st.sampled_from(allowed), min_size=1, max_size=6))
+    weights = draw(st.lists(st.integers(1, 5), min_size=len(masks), max_size=len(masks)))
+    share = F(draw(st.integers(1, 7)), 8) if block else F(0)
+    p = [[F(0)] * n for _ in range(n)]
+    for mask, w in zip(masks, weights):
+        for i, j in pairs:
+            if _covers(mask, (i, j)):
+                p[i][j] += (1 - share) * F(w, sum(weights))
+    for x, i in enumerate(block):
+        for y, j in enumerate(block):
+            p[i][j] += share * PENTAGONAL.p[x][y]
+    if kind == "moved":
+        i, j = draw(st.sampled_from([pair for pair in pairs if pair not in planted]))
+        p[i][j] = min(F(1), max(F(0), p[i][j] + F(draw(st.sampled_from([-3, -1, 1, 3])), 16)))
+    for i, j in pairs:
+        p[j][i] = p[i][j]
+    return TwoPointTarget.from_matrix(p)
+
+
+class TestZeroPairs:
+    """A subset that covers a pair with p_ij = 0 carries weight 0 in every
+    realisation, so the set LP never uses one; the verdicts stay those of
+    the LP over all 2^n subsets."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(zero_pair_targets())
+    def test_verdict_against_every_subset(self, t):
+        n = t.n
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        zeros = [pair for pair in pairs if t.p[pair[0]][pair[1]] == 0]
+        cols = [[int(bool(_covers(m, pair))) for pair in pairs] + [1] for m in range(1 << n)]
+        verdict = exact_simplex(cols, t.rhs()).status
+        for max_exact in (12, 0):
+            r = realize_subsets(t, max_exact)
+            assert (r.status == "feasible") == (verdict == "optimal")
+            if r.status == "feasible":
+                assert moments_of_mixture(r.mixture).p == t.p
+                for subset, _ in r.mixture.atoms:
+                    assert not any(i in subset and j in subset for i, j in zeros)
+                continue
+            cert = r.certificate
+            assert verify_certificate(cert, t) == (True, "certificate valid")
+            values = [
+                cert.c + sum(cert.a[i][j] for i, j in pairs if _covers(m, (i, j)))
+                for m in range(1 << n)
+            ]
+            assert min(values) == 0
+            assert cert.c + sum(cert.a[i][j] * t.p[i][j] for i, j in pairs) < 0
+
+    def test_only_admissible_columns_join_a_master(self, monkeypatch):
+        from realkit.qubo import pair_list
+        from realkit.setrealize import _SubsetOracle
+
+        # the bench's cyclic design at n = 12 leaves the 6 antipodal pairs at 0
+        n = 12
+        p = [[F(0)] * n for _ in range(n)]
+        for k in range(n):
+            members = [(k + t) % n for t in range(n // 2)]
+            for i in members:
+                for j in members:
+                    p[i][j] += F(1, n)
+        t = TwoPointTarget.from_matrix(p)
+        oracle = _SubsetOracle(t)
+        assert [pair_list(n)[r] for r in oracle.zero_rows] == [(i, i + 6) for i in range(6)]
+        assert len(oracle.admissible(np.arange(1 << n))) == 729
+        seen = []
+        matrix = _SubsetOracle.matrix
+
+        def recorded(self, masks):
+            seen.extend(masks)
+            return matrix(self, masks)
+
+        monkeypatch.setattr(_SubsetOracle, "matrix", recorded)
+        for max_exact in (12, 0):
+            seen.clear()
+            r = realize_subsets(t, max_exact)
+            assert r.status == "feasible" and moments_of_mixture(r.mixture).p == t.p
+            assert seen and not any(_covers(m, (i, i + 6)) for m in seen for i in range(6))
+
+    def test_no_zero_entry_leaves_the_seeds_alone(self):
+        from realkit.setrealize import _SubsetOracle
+
+        oracle = _SubsetOracle(PENTAGONAL)
+        assert oracle.zero_rows == ()
+        assert oracle.admissible(np.arange(16)) == list(range(16))
+        y = np.array([0.5, -1.0, 2.0])
+        assert lp._lowered(y, ()) is y
+
+    def test_a_tiny_entry_is_not_a_zero_pair(self):
+        from realkit.setrealize import _SubsetOracle
+
+        # 1e-400 is 0.0 in floats, but {0, 1} must carry that weight exactly
+        tiny = F(1, 10**400)
+        mixture = SubsetMixture(n=3, atoms=(
+            (frozenset(), F(1, 4) - tiny), (frozenset({0}), F(1, 2)),
+            (frozenset({0, 1}), tiny), (frozenset({1, 2}), F(1, 4)),
+        ))
+        p = moments_of_mixture(mixture).p
+        t = TwoPointTarget.from_json(
+            {"p": [["1e-400" if v == tiny else str(v) for v in row] for row in p]}
+        )
+        assert t.p == p
+        assert _SubsetOracle(t).zero_rows == (2,)  # the pair (0, 2) alone
+        for max_exact in (12, 0):
+            r = realize_subsets(t, max_exact)
+            assert r.status == "feasible" and moments_of_mixture(r.mixture).p == p
+            assert dict(r.mixture.atoms)[frozenset({0, 1})] == tiny
+
+    def test_an_enumerated_master_is_not_priced(self, monkeypatch):
+        import realkit.setrealize as sr
+
+        # every subset that covers no zero pair is in the first master
+        def never(*args):
+            raise AssertionError("an enumerated master was priced")
+
+        monkeypatch.setattr(sr, "qubo_topk_float", never)
+        t = TwoPointTarget.from_json(json.loads((INSTANCES / "set-zero-pair.json").read_text()))
+        assert realize_subsets(t).status == "infeasible"
