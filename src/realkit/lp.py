@@ -38,9 +38,9 @@
   object, its `ColumnOracle`: its columns, their exact maximum under integer
   prices, and the target's certificate, mixture and column names.
 
-* `negative_direction` — the moment screens' test for a rational matrix
-  that is not positive semidefinite: `numpy.linalg.eigh` locates a
-  direction, integers confirm it.
+* `negative_direction` / `negative_square` — the moment screens' test for
+  a rational matrix that is not positive semidefinite (`numpy.linalg.eigh`
+  locates a direction, integers confirm it), and its square, expanded.
 
 * `exact_simplex` — a dense two-phase tableau simplex with Bland's rule over
   `Fraction`, returning exact primal/dual solutions and, on infeasibility,
@@ -491,7 +491,6 @@ def _exact_duals(oracle, master, cost, b, y, reduced, support, weights) -> list[
     shift = _solve_exact(
         [[cols[j][i] for j in rows] for i in range(len(b))],
         [costs[j] - _dot(y0, cols[j]) for j in rows],
-        list(range(len(b))),
     )
     if shift is None:
         return None
@@ -520,6 +519,20 @@ def negative_direction(M: Sequence[Sequence[Fraction]]) -> list[int] | None:
     flat, _ = clear_denominators([x for row in M for x in row])
     form = sum(v[i] * v[j] * flat[i * m + j] for i in range(m) for j in range(m) if v[i] and v[j])
     return v if form < 0 else None
+
+
+def negative_square(M: Sequence[Sequence[Fraction]]) -> tuple[dict, list[int]] | None:
+    """The square G = (v_0 + sum_i v_i x_i)^2 of v = `negative_direction(M)`,
+    or None: (a, lin) with a_ii = v_i^2 on x_i^2, a_ij = 2 v_i v_j (i < j)
+    on x_i x_j and lin_i = 2 v_0 v_i on x_i; the constant v_0^2 is left to
+    `exact_farkas`. With M the second-moment matrix of (1, x), G pairs to
+    v.M.v < 0."""
+    v = negative_direction(M)
+    if v is None:
+        return None
+    v0, v = v[0], v[1:]
+    a = {(i, j): (2 - (i == j)) * v[i] * v[j] for i, j in pair_list(len(v))}
+    return a, [2 * v0 * x for x in v]
 
 
 def _dot(y: list, col: list):
@@ -653,20 +666,18 @@ def solve_nonneg_exact(cols: list[list[Fraction]], b: list[Fraction]) -> list[Fr
     vertex exactly. Returns None if the system is inconsistent or the
     resulting q has a negative entry.
     """
-    q = _solve_exact(cols, b, list(range(len(cols))))
+    q = _solve_exact(cols, b)
     if q is None or any(v < 0 for v in q):
         return None
     return q
 
 
-def _solve_exact(
-    cols: list[list[Fraction]], b: list[Fraction], order: list[int]
-) -> list[Fraction] | None:
+def _solve_exact(cols: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
     """Exact q with sum_j q_j cols[j] = b by fraction-free elimination.
 
-    Pivots are taken from the columns in `order`, first come first; every
-    other column is fixed to zero. Returns None if that system is
-    inconsistent.
+    Pivots are taken from the columns in their given order, first come
+    first; every non-pivot column is fixed to zero. Returns None if the
+    system is inconsistent.
     """
     m = len(b)
     k = len(cols)
@@ -678,7 +689,7 @@ def _solve_exact(
     prev = 1
     pivots: list[tuple[int, int]] = []
     r = 0
-    for col in order:
+    for col in range(k):
         if r == m:
             break
         pr = next((i for i in range(r, m) if M[i][col] != 0), None)
@@ -695,9 +706,9 @@ def _solve_exact(
         pivots.append((r, col))
         r += 1
 
-    for i in range(r, m):
-        if all(M[i][j] == 0 for j in order) and M[i][k] != 0:
-            return None
+    # every column was tried, so the rows past the pivots are 0 on the left
+    if any(M[i][k] for i in range(r, m)):
+        return None
 
     q = [Fraction(0)] * k
     for prow, pcol in reversed(pivots):

@@ -19,7 +19,6 @@ intensity, need no minimising: the moment rows pin their expectation.
 
 from __future__ import annotations
 
-import itertools
 import random
 import sys
 from dataclasses import dataclass, field as dataclass_field
@@ -32,7 +31,7 @@ import numpy as np
 from .errors import CapExceeded, InvalidInstance
 from .lp import (
     FLOAT_TOL, Certificate, RealizeResult, certificate, check_certificate, column_generation,
-    negative_direction, screen, verdict,
+    negative_square, screen, verdict,
 )
 from .metric import Configuration, FiniteMetricSpace
 from .numbers import (
@@ -124,17 +123,14 @@ class CorrelationTarget:
             origin.setdefault((min(i, j), max(i, j)), k)
         rho: dict[tuple[int, int], Fraction] = {}
         for (i, j), w in ordered.items():
-            if i == j:
-                rho[(i, j)] = rho.get((i, j), Fraction(0)) + w
-                continue
-            key = (min(i, j), max(i, j))
+            # a diagonal atom is its own mirror
             mirror = ordered.get((j, i))
             if mirror is not None and mirror != w:
                 raise InvalidInstance(
                     f"rho atoms at ({i},{j}) and ({j},{i}) disagree; "
                     f"the measure must be symmetric"
                 )
-            rho[key] = w
+            rho[(min(i, j), max(i, j))] = w
         rho = {k: v for k, v in rho.items() if v != 0}
         r1 = None
         if rho1 is not None:
@@ -195,14 +191,11 @@ class ConfigMixture:
 def check_hardcore_support(
     target: CorrelationTarget,
 ) -> tuple[bool, list[tuple[int, int, Fraction]]]:
-    """True iff every positive-weight atom sits at distance >= the target's
-    hardcore_eps (> it when the target uses the strict variant)."""
-    eps = target.hardcore_eps
-    offenders = []
-    for i, j, w in target.atoms():
-        d = target.space.dist[i][j]
-        if w > 0 and (d <= eps if target.hardcore_strict else d < eps):
-            offenders.append((i, j, w))
+    """True iff no atom of a hard-core target sits on a pair that no
+    admissible configuration occupies (`target.rules`): one point twice,
+    or two points closer than hardcore_eps (at most it, when strict)."""
+    conflicts = target.rules.conflicts
+    offenders = [(i, j, w) for i, j, w in target.atoms() if i == j or i in conflicts[j]]
     return (not offenders), offenders
 
 
@@ -286,9 +279,9 @@ class _ConfigOracle:
 
     zero_rows = ()  # `_search` keeps out what the target's rules forbid
 
-    def __init__(self, target: CorrelationTarget, size: int | None = None):
+    def __init__(self, target: CorrelationTarget):
         self.target = target
-        self.size = size  # the configuration count, when they were enumerated
+        self.size = None  # the configuration count, once they are enumerated
 
     def matrix(self, configs: list[Configuration]) -> np.ndarray:
         return np.array([self.column(cfg) for cfg in configs], dtype=float).T
@@ -336,11 +329,11 @@ def verify_pp_certificate(cert: Certificate, target: CorrelationTarget) -> tuple
 
 
 def _psd_functional(target: CorrelationTarget):
-    """(a, blin) of a square G = (v_0 + sum_i v_i m_i)^2, whose constant is
-    v_0^2, with a negative pairing v.M.v, or None. M = [[1, rho1_i],
-    [rho1_i, rho_ij + delta_ij rho1_i]] is the second-moment matrix of
-    (1, m); with m_i^2 = m_i (m_i - 1) + m_i, blin_i = 2 v_0 v_i + v_i^2,
-    a_ii = v_i^2 and a_ij = 2 v_i v_j. None without an intensity."""
+    """(a, blin) of the square G = (v_0 + sum_i v_i m_i)^2 that
+    `lp.negative_square` finds for M = [[1, rho1_i], [rho1_i, rho_ij +
+    delta_ij rho1_i]], the second-moment matrix of (1, m), or None. With
+    m_i^2 = m_i (m_i - 1) + m_i, a_ii = v_i^2 sits on the diagonal count
+    and blin_i = 2 v_0 v_i + v_i^2. None without an intensity."""
     n, r1 = target.n, target.rho1
     if r1 is None:
         return None
@@ -348,13 +341,11 @@ def _psd_functional(target: CorrelationTarget):
     M += [[r1[i], *(target.rho_value(i, j) for j in range(n))] for i in range(n)]
     for i in range(n):
         M[i + 1][i + 1] += r1[i]
-    v = negative_direction(M)
-    if v is None:
+    square = negative_square(M)
+    if square is None:
         return None
-    v0, v = v[0], v[1:]
-    a = {(i, i): v[i] * v[i] for i in range(n)}
-    a.update({(i, j): 2 * v[i] * v[j] for i, j in itertools.combinations(range(n), 2)})
-    return a, [2 * v0 * v[i] + v[i] * v[i] for i in range(n)]
+    a, lin = square
+    return a, [v + a[i, i] for i, v in enumerate(lin)]
 
 
 def _cap_functional(target: CorrelationTarget):
@@ -377,9 +368,9 @@ def _diagonal_functional(target: CorrelationTarget):
 
 
 def _hardcore_functional(target: CorrelationTarget):
-    """(a, blin) of G = -count_ij at the first atom (i, j) inside the
-    hard-core distance, or None: no admissible configuration occupies both
-    points, or one point twice."""
+    """(a, blin) of G = -count_ij at the first atom (i, j) of a hard-core
+    target that `check_hardcore_support` names, or None: no admissible
+    configuration occupies both points, or one point twice."""
     offenders = [] if target.hardcore_eps is None else check_hardcore_support(target)[1]
     return ({offenders[0][:2]: -1}, []) if offenders else None
 
@@ -395,13 +386,6 @@ SCREENS = (
     ("cap-screen", _cap_functional,
      "pair mass exceeds what the cardinality cap allows; no LP solve needed"),
 )
-
-
-def _screen(target: CorrelationTarget) -> RealizeResult | None:
-    """The verdict of the first of SCREENS that fires, or None, by
-    `lp.screen`: the constant is minus the exact minimum of the rest from
-    `_search`, and `lp.certificate` scales to max |(a, blin)| = 1."""
-    return screen(SCREENS, _ConfigOracle(target))
 
 
 CARDINALITY_POWERS = (2, 3, 4)
@@ -423,16 +407,16 @@ def realize_pp(
     """Decide realisability of a correlation target; optionally minimise an
     expectation over the realising mixtures and report the optimum.
 
-    `lp.screen` runs the checks that need no LP, VALIDATION first: mass on
-    the diagonal of a simple target or inside the hard-core distance. A
-    target that the float layers cannot hold (a moment, or the pair count
-    cap (cap - 1) of a configuration, above the largest float) then raises
-    CapExceeded. SCREENS follow, for targets with an intensity: a moment
-    matrix of (1, m) that is not positive semidefinite ("psd-screen") and
+    One `_ConfigOracle` serves every step. `lp.screen` runs the checks
+    that need no LP, VALIDATION first: mass on the diagonal of a simple
+    target or inside the hard-core distance. A target that the float
+    layers cannot hold (a moment, or the pair count cap (cap - 1) of a
+    configuration, above the largest float) then raises CapExceeded.
+    SCREENS follow, for targets with an intensity: a moment matrix of
+    (1, m) that is not positive semidefinite ("psd-screen") and
     E[N(N-1)] > (cap-1) E[N] ("cap-screen").
 
-    `lp.column_generation` on the target's `_ConfigOracle` decides the
-    rest, seeded as `realize_subsets` seeds it: with every configuration up
+    `lp.column_generation` on the same oracle decides the rest, seeded as `realize_subsets` seeds it: with every configuration up
     to ENUM_LIMIT of them, so nothing is priced ("enumeration"), else with
     the empty and the admissible one-point ones ("column-generation"). A
     verdict from its exact rounds reports "exact-column-generation".
@@ -444,7 +428,8 @@ def realize_pp(
     value that is not certified minimal. An objective that the moment rows
     pin needs no cost: `realize_pinned`.
     """
-    validated = screen(VALIDATION, _ConfigOracle(target))
+    oracle = _ConfigOracle(target)
+    validated = screen(VALIDATION, oracle)
     if validated is not None:
         return validated
     # the PSD screen, HiGHS and the float search cannot hold a value past the float range
@@ -455,13 +440,14 @@ def realize_pp(
         large.append("/cap: the pair count cap (cap - 1)")
     if large:
         raise CapExceeded(f"{large[0]} is above the largest float")
-    screened = _screen(target)
+    screened = screen(SCREENS, oracle)
     if screened is not None:
         return screened
     b = target.rhs()
     try:
         seed = enumerate_configs(target)
-        method, size, note = "enumeration", len(seed), None
+        method, note = "enumeration", None
+        oracle.size = len(seed)  # every column the LP can use, so nothing is priced
         cost = None if objective is None else {cfg: objective(cfg) for cfg in seed}
     except CapExceeded:
         # the empty configuration and the admissible one-point ones
@@ -470,12 +456,11 @@ def realize_pp(
             for m in (tuple(int(i == k) for i in range(target.n)) for k in range(-1, target.n))
             if target.rules.admits(m)
         ]
-        method, size, cost = "column-generation", None, None
+        method, cost = "column-generation", None
         note = (
             "column generation stops at the first exact realisation; "
             "the objective value is not certified minimal"
         )
-    oracle = _ConfigOracle(target, size)
     res = column_generation(oracle, b, seed, cost)
     result = verdict(res, method, oracle, None if objective is None else note)
     if result.mixture is not None and objective is not None:

@@ -32,7 +32,6 @@ from an exact Farkas vector, whose pairing with the target is checked.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -43,7 +42,7 @@ import numpy as np
 from .errors import CapExceeded, InvalidGroup, InvalidInstance
 from .lp import (
     FLOAT_TOL, Certificate, RealizeResult, certificate, check_certificate, column_generation,
-    negative_direction, screen, verdict,
+    negative_square, screen, verdict,
 )
 from .numbers import field, parse_square, validate_mixture
 from .qubo import MAX_N, _mask_to_subset, pair_list, pair_matrix, qubo_min, qubo_topk_float
@@ -278,18 +277,19 @@ def _triangle_functional(target: TwoPointTarget):
 
 
 def _psd_functional(target: TwoPointTarget):
-    """(a, ()) of a square G(F) = (v_0 + sum_{i in F} v_i)^2, whose constant is
-    v_0^2, with a negative pairing v.M.v, M = [[1, p_i], [p_i, p_ij]] being
-    the second-moment matrix of (1, 1{i in F}), or None."""
+    """(a, ()) of the square G(F) = (v_0 + sum_{i in F} v_i)^2 that
+    `lp.negative_square` finds for M = [[1, p_i], [p_i, p_ij]], the
+    second-moment matrix of (1, 1{i in F}), or None. On a subset
+    1{i in F}^2 = 1{i in F}, so the linear terms join the diagonal."""
     n = target.n
     M = [[Fraction(1), *(target.p[i][i] for i in range(n))]]
     M += [[target.p[i][i], *target.p[i]] for i in range(n)]
-    v = negative_direction(M)
-    if v is None:
+    square = negative_square(M)
+    if square is None:
         return None
-    v0, v = v[0], v[1:]
-    a = {(i, i): 2 * v0 * v[i] + v[i] * v[i] for i in range(n)}
-    a.update({(i, j): 2 * v[i] * v[j] for i, j in itertools.combinations(range(n), 2)})
+    a, lin = square
+    for i, v in enumerate(lin):
+        a[i, i] += v
     return a, ()
 
 
@@ -304,13 +304,6 @@ SCREENS = (
 )
 
 
-def _screen(target: TwoPointTarget) -> RealizeResult | None:
-    """The verdict of the first of SCREENS that fires, or None, by
-    `lp.screen`: the constant is minus the exact minimum of the pair part
-    from `qubo_min`, and `certificate_from_dual` scales to max |a| = 1."""
-    return screen(SCREENS, _SubsetOracle(target))
-
-
 def realize_subsets(target: TwoPointTarget, max_exact: int = 12) -> RealizeResult:
     """Decide realisability of a two-point covering target.
 
@@ -319,7 +312,9 @@ def realize_subsets(target: TwoPointTarget, max_exact: int = 12) -> RealizeResul
     ("frechet-screen"), a violated triangle facet ("triangle-screen") and
     a moment matrix [[1, p_i], [p_i, p_ij]] that is not positive
     semidefinite ("psd-screen"). A screen only fires on an exactly
-    confirmed violation, so it never answers a feasible target.
+    confirmed violation, so it never answers a feasible target. One
+    `_SubsetOracle` serves the screens (`lp.screen`: the constant is minus
+    the exact minimum of the pair part from `qubo_min`) and the LP.
 
     One column-generation driver decides every target that passes them,
     over the subsets that cover no pair with p_ij = 0 (i <= j): for
@@ -336,7 +331,8 @@ def realize_subsets(target: TwoPointTarget, max_exact: int = 12) -> RealizeResul
     n = target.n
     if n > MAX_N:  # every certificate and every priced column needs qubo_min
         raise CapExceeded(f"carrier too large for the exact pricing oracle (n > {MAX_N})")
-    screened = _screen(target)
+    oracle = _SubsetOracle(target)
+    screened = screen(SCREENS, oracle)
     if screened is not None:
         return screened
     if n == 1:
@@ -352,7 +348,6 @@ def realize_subsets(target: TwoPointTarget, max_exact: int = 12) -> RealizeResul
             note=FINITE_CARRIER_NOTE,
             method="degenerate",
         )
-    oracle = _SubsetOracle(target)
     if n > max_exact:
         method = "column-generation"
         seed = oracle.admissible(sorted({0, (1 << n) - 1} | {1 << i for i in range(n)}))

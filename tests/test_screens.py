@@ -17,13 +17,21 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from realkit import pp, setrealize
-from realkit.lp import column_generation, exact_simplex
+from realkit.lp import column_generation, exact_simplex, screen
 from realkit.pp import CorrelationTarget, verify_pp_certificate
 from realkit.setrealize import TwoPointTarget, realize_subsets, verify_certificate
 from helpers import ColumnList
 
 SET_METHODS = {"frechet-screen", "triangle-screen", "psd-screen"}
 PP_METHODS = {"psd-screen", "cap-screen"}
+
+
+def set_screen(target):
+    return screen(setrealize.SCREENS, setrealize._SubsetOracle(target))
+
+
+def pp_screen(target):
+    return screen(pp.SCREENS, pp._ConfigOracle(target))
 
 
 def set_moments(n, masks, weights):
@@ -104,7 +112,7 @@ class TestSetScreens:
     @settings(max_examples=150, deadline=None)
     @given(set_mixtures())
     def test_no_screen_fires_on_mixture_moments(self, p):
-        assert setrealize._screen(TwoPointTarget.from_matrix(p)) is None
+        assert set_screen(TwoPointTarget.from_matrix(p)) is None
 
     @settings(max_examples=120, deadline=None)
     @given(set_targets())
@@ -113,7 +121,7 @@ class TestSetScreens:
         result = realize_subsets(target)
         event(result.method)
         assert result.status == set_verdict(p)
-        screened = setrealize._screen(target)
+        screened = set_screen(target)
         if screened is None:
             assert result.method not in SET_METHODS
             return
@@ -132,7 +140,7 @@ class TestSetScreens:
             "psd-screen": [[half if i == j else F(3, 16) for j in range(6)] for i in range(6)],
         }
         for method, p in cases.items():
-            screened = setrealize._screen(TwoPointTarget.from_matrix(p))
+            screened = set_screen(TwoPointTarget.from_matrix(p))
             assert screened.method == method
             assert_set_certificate(screened.certificate, p)
             assert set_verdict(p) == "infeasible"
@@ -244,7 +252,7 @@ class TestPPScreens:
     def test_no_screen_fires_on_mixture_moments(self, law):
         n, cap, simple, atoms = law
         rho, rho1 = pp_moments(atoms, n)
-        assert pp._screen(pp_target(n, cap, simple, rho, rho1)) is None
+        assert pp_screen(pp_target(n, cap, simple, rho, rho1)) is None
 
     @settings(max_examples=100, deadline=None)
     @given(pp_laws(), st.sampled_from([F(1, 2), F(3, 4), F(1), F(5, 4), F(3, 2), F(2), F(3)]))
@@ -257,7 +265,7 @@ class TestPPScreens:
         result = pp.realize_pp(target)
         event(result.method)
         assert result.status == pp_verdict(target)
-        screened = pp._screen(target)
+        screened = pp_screen(target)
         if screened is None:
             assert result.method not in PP_METHODS
             return
@@ -276,14 +284,14 @@ class TestPPScreens:
         }
         for method, (n, cap, simple, rho1, rho) in cases.items():
             target = pp_target(n, cap, simple, rho, rho1)
-            screened = pp._screen(target)
+            screened = pp_screen(target)
             assert screened.method == method
             assert_pp_certificate(screened.certificate, target)
             assert pp_verdict(target) == "infeasible"
 
     def test_no_intensity_no_screen(self):
         target = CorrelationTarget.build(n=2, rho_entries=[(0, 1, "5")], cap=2, simple=True)
-        assert pp._screen(target) is None
+        assert pp_screen(target) is None
         assert pp.realize_pp(target).method == "enumeration"
 
     def test_pentagonal_twin_passes_both_screens(self):
@@ -291,5 +299,5 @@ class TestPPScreens:
         rho = {k: F(37, 120) for k in itertools.combinations(range(4), 2)}
         rho[(2, 3)] = F(2, 15)
         target = pp_target(4, 4, True, rho, d)
-        assert pp._screen(target) is None
+        assert pp_screen(target) is None
         assert pp_verdict(target) == "infeasible"
