@@ -19,6 +19,7 @@ intensity, need no minimising: the moment rows pin their expectation.
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 from dataclasses import dataclass, field as dataclass_field
@@ -40,11 +41,21 @@ from .numbers import (
 )
 from .qubo import pair_list, pair_matrix
 
-ENUM_LIMIT = 2_000_000
+# the enumerated master's memory, in 16-byte units per configuration: ENUM_COLUMN
+# for its objects and its HiGHS column, plus one per LP row for its dense
+# entries; peak RSS at the bound is about 0.5 GB (cap 111 on three points, or
+# 32 points at cap 4, simple, with an intensity)
+ENUM_LIMIT = 1 << 25
+ENUM_COLUMN = 128
 # largest carrier a pp target may have: the LP has n (n + 1) / 2 + n + 1 rows,
 # and memory grows about as n^4 (cap-2 simple targets at n = 60 / 70 / 80:
 # 1.1 / 2.5 / 3.8 s and 222 / 346 / 519 MB peak RSS)
 MAX_POINTS = 64
+# most configurations, C(n + cap, n), of a target whose points take every
+# multiplicity up to the cap (neither simple nor hard-core): `_search` may walk
+# them all. On three points (cap 226) realize-pp takes 0.9 s and screen-pp
+# --trials 5 0.6 s; cap 500 took 7 and 5 s, cap 1000 past 30 s
+MAX_SEARCH = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -111,6 +122,11 @@ class CorrelationTarget:
             raise CapExceeded(f"{where}: {n} points above the point cap {MAX_POINTS}")
         if cap < 0:
             raise InvalidInstance("cardinality cap must be non-negative")
+        if not simple and hardcore_eps is None and math.comb(n + cap, n) > MAX_SEARCH:
+            raise CapExceeded(
+                f"/cap: multiplicities up to the cap on {n} points allow more than "
+                f"{MAX_SEARCH} configurations"
+            )
         ordered: dict[tuple[int, int], Fraction] = {}
         origin: dict[tuple[int, int], int] = {}
         for k, (i, j, w) in enumerate(rho_entries):
@@ -243,15 +259,17 @@ class _Rules:
 
 def enumerate_configs(target: CorrelationTarget) -> list[Configuration]:
     """The admissible configurations of `target` (`target.rules`), in
-    lexicographic order. Raises CapExceeded past ENUM_LIMIT of them."""
+    lexicographic order. Raises CapExceeded when their master would cost
+    more than ENUM_LIMIT: each takes ENUM_COLUMN plus one per LP row."""
     n, rules = target.n, target.rules
+    limit = ENUM_LIMIT // (ENUM_COLUMN + len(target.rhs()))
     out: list[Configuration] = []
 
     def extend(prefix: list[int], mass_left: int) -> None:
         if len(prefix) == n:
             out.append(Configuration(tuple(prefix)))
-            if len(out) > ENUM_LIMIT:
-                raise CapExceeded(f"configuration count exceeds {ENUM_LIMIT}")
+            if len(out) > limit:
+                raise CapExceeded(f"configuration count exceeds {limit}")
             return
         for m in rules.choices(prefix, mass_left):
             prefix.append(m)
@@ -416,15 +434,17 @@ def realize_pp(
     (1, m) that is not positive semidefinite ("psd-screen") and
     E[N(N-1)] > (cap-1) E[N] ("cap-screen").
 
-    `lp.column_generation` on the same oracle decides the rest, seeded as `realize_subsets` seeds it: with every configuration up
-    to ENUM_LIMIT of them, so nothing is priced ("enumeration"), else with
-    the empty and the admissible one-point ones ("column-generation"). A
-    verdict from its exact rounds reports "exact-column-generation".
+    `lp.column_generation` on the same oracle decides the rest, seeded as
+    `realize_subsets` seeds it: with every configuration while their master
+    stays within ENUM_LIMIT (`enumerate_configs`), so nothing is priced
+    ("enumeration"), else with the empty and the admissible one-point ones
+    ("column-generation"). A verdict from its exact rounds reports
+    "exact-column-generation".
 
     An objective, whose costs are finite, is the same driver's cost over
     the enumerated configurations, whose ties go to the lexicographically
-    smallest; the optimum carries the value of its exact duals. Past
-    ENUM_LIMIT the first exact realisation is reported, with an objective
+    smallest; the optimum carries the value of its exact duals. Past that
+    bound the first exact realisation is reported, with an objective
     value that is not certified minimal. An objective that the moment rows
     pin needs no cost: `realize_pinned`.
     """

@@ -337,7 +337,9 @@ class TestRealizePP:
             (("rho1", 2), "1e400", "/rho1/2 is above the largest float"),
             (("rho", 0, 2), "1e400", "/rho/0/2 is above the largest float"),
             (("rho", 1, 2), "1e400", "/rho/1/2 is above the largest float"),
-            (("cap",), 10**400, "/cap: the pair count cap (cap - 1) is above the largest float"),
+            # multiplicities up to 10^400 on three points: the search cap comes first
+            (("cap",), 10**400, "/cap: multiplicities up to the cap on 3 points allow more "
+             "than 2000000 configurations"),
         ],
         ids=["rho1", "rho1-last", "rho", "rho-second", "cap"],
     )
@@ -352,6 +354,16 @@ class TestRealizePP:
         assert code == 3
         assert report["status"] == "indeterminate"
         assert report["payload"]["error"] == message
+
+    def test_cap_past_the_float_range_on_a_simple_target(self, tmp_path):
+        # one multiplicity per point, so only the float range bounds the cap
+        instance = json.loads((INSTANCES / "pp-objective.json").read_text())
+        instance.update(simple=True, cap=10**400)
+        code, report = run(tmp_path, "realize-pp", write(tmp_path, "pp.json", instance))
+        assert code == 3
+        assert report["payload"]["error"] == (
+            "/cap: the pair count cap (cap - 1) is above the largest float"
+        )
 
     def test_point_cap(self, tmp_path):
         # DIAGONAL needs no LP, so the cap is all that tells the sizes apart

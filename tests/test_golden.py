@@ -78,6 +78,9 @@ CASES = {
     # points closer than hardcore_eps, and mass inside that distance
     "realize-pp-hardcore-feasible": (["realize-pp", "pp-hardcore-feasible.json"], 0),
     "realize-pp-hardcore-inside": (["realize-pp", "pp-hardcore-inside.json"], 1),
+    # pp-objective.json without its space, up to 112 at each point: just past the
+    # enumeration bound, so the master starts from the one-point configurations
+    "realize-pp-cg-feasible": (["realize-pp", "pp-cg-feasible.json"], 0),
     "screen-pp-pass": (["screen-pp", "pp-feasible.json", "--trials", "50", "--seed", "3"], 0),
     "screen-pp-fail": (["screen-pp", "pp-diagonal.json", "--trials", "50", "--seed", "7"], 1),
     "regularity-chi": (

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 import subprocess
 import sys
@@ -7,10 +8,11 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from realkit import lp, pp
+from realkit.cli import main
 from realkit.errors import CapExceeded, InvalidInstance
 from realkit.lp import exact_simplex
 from realkit.metric import Configuration, make_space
@@ -31,6 +33,7 @@ from realkit.regularity import AtomicMeasure2D, PsiFunction, chi_hc_integral
 from realkit.setrealize import SubsetMixture, TwoPointTarget, realize_subsets
 from helpers import g_h, pp_oracle as oracle, random_simple_config_mixture
 from test_cli import _child_env
+from test_golden import INSTANCES
 
 PAIR_TARGET = CorrelationTarget.build(n=2, rho_entries=[(0, 1, "1")], cap=2, simple=True)
 # infeasible, yet passes the PSD and cap screens, so only the LP proves it: the
@@ -329,6 +332,176 @@ class TestColumnGeneration:
         assert result.status == "infeasible"
         ok, reason = verify_pp_certificate(result.certificate, target)
         assert ok, reason
+
+
+def chain_target(n):
+    """Simple, cap 4, intensity 1/100 and pair mass 1/1000 on (i, i + 1)
+    for even i: feasible, and past every screen."""
+    return CorrelationTarget.build(
+        n=n, rho_entries=[(i, i + 1, F(1, 1000)) for i in range(0, n - 1, 2)],
+        rho1=[F(1, 100)] * n, cap=4, simple=True,
+    )
+
+
+def objective_instance(cap):
+    """The golden pp-objective.json (three points, not simple) at another cap."""
+    return {**json.loads((INSTANCES / "pp-objective.json").read_text()), "cap": cap}
+
+
+class TestEnumerationBound:
+    """ENUM_LIMIT bounds what the enumerated master costs, ENUM_COLUMN per
+    configuration plus one per LP row, not the configuration count alone."""
+
+    def test_a_wide_target_is_seeded_for_column_generation(self, monkeypatch):
+        # 213,053 configurations over 1,225 rows: enumerated, their master
+        # ran out of a 2.5 GB address space
+        class Seeded(Exception):
+            pass
+
+        seeds = []
+
+        def capture(oracle, b, seed, cost=None):
+            seeds.append(seed)
+            raise Seeded
+
+        monkeypatch.setattr(pp, "column_generation", capture)
+        with pytest.raises(Seeded):
+            realize_pp(chain_target(48))
+        one_point = [tuple(int(i == k) for i in range(48)) for k in range(-1, 48)]
+        assert seeds == [[Configuration(m) for m in one_point]]
+
+    def test_a_target_at_the_bound_is_enumerated_in_bounded_memory(self, tmp_path):
+        # three points up to 111 each: C(114, 3) = 240,464 configurations on
+        # 10 rows, the most the bound enumerates (cap 112 has 246,905)
+        limit = pp.ENUM_LIMIT // (pp.ENUM_COLUMN + 10)
+        assert math.comb(114, 3) <= limit < math.comb(115, 3)
+        inst = tmp_path / "pp.json"
+        inst.write_text(json.dumps(objective_instance(111)))
+        out = tmp_path / "report.json"
+        probe = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))\n"
+            "from realkit.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+            "sys.exit(code)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, "realize-pp", str(inst), "--out", str(out)],
+            capture_output=True, text=True, env=_child_env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(out.read_text())["payload"]["method"] == "enumeration"
+        # kilobytes on Linux: about 460 MB measured
+        assert int(proc.stdout.split()[-1]) < 768 << 10
+
+
+class TestSearchCap:
+    """Points that take every multiplicity up to the cap allow at most
+    MAX_SEARCH configurations; one multiplicity per point needs no cap."""
+
+    def test_bound(self):
+        assert math.comb(3 + 226, 3) <= pp.MAX_SEARCH < math.comb(3 + 227, 3)
+        CorrelationTarget.build(n=3, cap=226)
+        with pytest.raises(CapExceeded, match="^/cap: multiplicities up to the cap on 3 points"):
+            CorrelationTarget.build(n=3, cap=227)
+
+    def test_one_multiplicity_per_point_is_not_capped(self):
+        huge = 10**400
+        assert CorrelationTarget.build(n=3, cap=huge, simple=True).cap == huge
+        space = make_space([[0, 1], [1, 0]])
+        assert CorrelationTarget.build(cap=huge, hardcore_eps="1/2", space=space).cap == huge
+
+    @pytest.mark.parametrize("cap", [1000, 10**400])
+    def test_every_reader_stops_at_once(self, tmp_path, cap):
+        inst = tmp_path / "pp.json"
+        inst.write_text(json.dumps(objective_instance(cap)))
+        cert = str(INSTANCES / "cert-pp.json")
+        for argv in (
+            ["realize-pp", str(inst)],
+            ["screen-pp", str(inst), "--trials", "5", "--seed", "1"],
+            ["verify-cert", str(inst), cert],
+        ):
+            code = main([*argv, "--out", str(tmp_path / "report.json")])
+            assert code == 3, argv[0]
+            error = json.loads((tmp_path / "report.json").read_text())["payload"]["error"]
+            assert error.startswith("/cap: multiplicities up to the cap on 3 points"), argv[0]
+
+
+@st.composite
+def validation_targets(draw):
+    """n <= 5 points whose distances lie in [1, 3/2] on a grid of quarters
+    (so every triangle holds), a hard-core distance on the same grid, often
+    equal to a distance, or none, the strict and simple flags, cap 2 or 3,
+    and random atoms."""
+    n = draw(st.integers(1, 5))
+    quarter = st.integers(4, 6).map(lambda k: F(k, 4))
+    dist = [[F(0)] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        dist[i][j] = dist[j][i] = draw(quarter)
+    eps = draw(st.one_of(st.none(), st.integers(3, 7).map(lambda k: F(k, 4))))
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    atoms = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    weight = st.sampled_from([F(1, 4), F(1, 2), F(1)])
+    rho1 = draw(st.one_of(st.none(), st.lists(weight, min_size=n, max_size=n)))
+    return CorrelationTarget.build(
+        rho_entries=[(i, j, draw(weight)) for i, j in atoms], rho1=rho1,
+        cap=draw(st.integers(2, 3)), simple=draw(st.booleans()), hardcore_eps=eps,
+        space=make_space(dist), hardcore_strict=draw(st.booleans()),
+    )
+
+
+def brute_force_configs(target):
+    """Every admissible multiplicity vector, from the flags and the
+    distances directly."""
+    eps, dist = target.hardcore_eps, target.space.dist
+    per_point = 1 if target.simple or eps is not None else target.cap
+
+    def close(i, j):
+        return dist[i][j] <= eps if target.hardcore_strict else dist[i][j] < eps
+
+    def admissible(m):
+        pairs = itertools.combinations(range(target.n), 2)
+        return eps is None or not any(m[i] and m[j] and close(i, j) for i, j in pairs)
+
+    return [
+        m for m in itertools.product(range(per_point + 1), repeat=target.n)
+        if sum(m) <= target.cap and admissible(m)
+    ]
+
+
+class TestValidationAgainstBruteForce:
+    @settings(max_examples=200, deadline=None)
+    @given(validation_targets())
+    def test_fires_exactly_on_an_unoccupied_pair(self, target):
+        configs = brute_force_configs(target)
+        unoccupied = [
+            (i, j) for i, j, _ in target.atoms()
+            if all(m[i] * (m[j] - (i == j)) == 0 for m in configs)
+        ]
+        fired = lp.screen(pp.VALIDATION, pp._ConfigOracle(target))
+        event("fired" if fired else "passed")
+        assert (fired is not None) == bool(unoccupied)
+        if target.hardcore_eps is not None:
+            assert [(i, j) for i, j, _ in check_hardcore_support(target)[1]] == unoccupied
+        if fired is None:
+            return
+        cert, n = fired.certificate, target.n
+        # G = -count_ij on one unoccupied atom
+        support = [(i, j) for i in range(n) for j in range(i, n) if cert.a[i][j]]
+        assert len(support) == 1 and support[0] in unoccupied
+        ok, why = verify_pp_certificate(cert, target)
+        assert ok, why
+
+        def g(m):
+            total = cert.c + sum(b * v for b, v in zip(cert.blin or (), m))
+            return total + sum(
+                cert.a[i][j] * m[i] * (m[j] - (i == j)) for i in range(n) for j in range(i, n)
+            )
+
+        assert min(g(m) for m in configs) == 0 == g(cert.minimizer)
+        assert tuple(cert.minimizer) in configs
+        assert cert.pairing(target) == -cert.gap < 0
 
 
 class TestRandomTargets:

@@ -42,7 +42,6 @@ UNREACHED: dict[str, str] = {
     "numbers.validate_mixture": VALIDATE,
     "pp.ConfigMixture.validate": VALIDATE,
     "setrealize.SubsetMixture.validate": VALIDATE,
-    "pp._ConfigOracle.price": "prices pp column generation, past ENUM_LIMIT configurations",
     "pp.pp_moments": GATE,
     "qubo.evaluate_g": GATE,
     "regularity.hardcore_split_check": GATE,
