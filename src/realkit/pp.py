@@ -53,8 +53,8 @@ ENUM_COLUMN = 128
 MAX_POINTS = 64
 # most configurations, C(n + cap, n), of a target whose points take every
 # multiplicity up to the cap (neither simple nor hard-core): `_search` may walk
-# them all. On three points (cap 226) realize-pp takes 0.9 s and screen-pp
-# --trials 5 0.6 s; cap 500 took 7 and 5 s, cap 1000 past 30 s
+# them all. On three points (cap 226) realize-pp took 0.9 s and screen-pp
+# --trials 5 0.6 s, cap 500 7 and 5 s, cap 1000 past 30 s (shared 2-core Xeon)
 MAX_SEARCH = 2_000_000
 
 
